@@ -1,52 +1,12 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
-//!
-//! * counterfactual **delta overlay** vs cloning + mutating the graph per
-//!   CHECK;
-//! * **dynamic CHECK** (residual repair from the user's base push state)
-//!   vs from-scratch push per CHECK;
-//! * **CSR snapshot** vs adjacency-list traversal for whole-graph PPR.
+//! Ablation benchmark for the CHECK design choice DESIGN.md calls out:
+//! **dynamic CHECK** (residual repair from the user's base push state)
+//! vs a from-scratch push per CHECK (`EmigreConfig::dynamic_test`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use emigre_bench::world;
 use emigre_core::{Explainer, Method};
-use emigre_hin::{CsrGraph, EdgeKey, GraphDelta, GraphView};
-use emigre_ppr::{ppr_power, ForwardPush};
 use std::hint::black_box;
 use std::time::Duration;
-
-fn bench_overlay_vs_clone(c: &mut Criterion) {
-    let mut group = c.benchmark_group("counterfactual_application");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(500));
-    let w = world(1_000, 1e-6);
-    let g = &w.hin.graph;
-    let user = w.scenarios[0].user;
-    let mut delta = GraphDelta::new();
-    let mut first = None;
-    g.for_each_out(user, |v, et, _| {
-        if first.is_none() && et == w.hin.rated {
-            first = Some((v, et));
-        }
-    });
-    let (v, et) = first.expect("rated edge");
-    delta.remove_edge(EdgeKey::new(user, v, et));
-    delta.remove_edge(EdgeKey::new(v, user, et));
-
-    group.bench_function("delta_overlay", |b| {
-        b.iter(|| {
-            let view = delta.overlay(g);
-            black_box(ForwardPush::compute(&view, &w.cfg.rec.ppr, user))
-        })
-    });
-    group.bench_function("clone_and_mutate", |b| {
-        b.iter(|| {
-            let edited = delta.apply_to(g).expect("valid delta");
-            black_box(ForwardPush::compute(&edited, &w.cfg.rec.ppr, user))
-        })
-    });
-    group.finish();
-}
 
 fn bench_dynamic_check(c: &mut Criterion) {
     let mut group = c.benchmark_group("check_engine");
@@ -73,31 +33,5 @@ fn bench_dynamic_check(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_csr_snapshot(c: &mut Criterion) {
-    let mut group = c.benchmark_group("graph_representation");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(500));
-    let w = world(2_000, 1e-6);
-    let g = &w.hin.graph;
-    let user = w.scenarios[0].user;
-    group.bench_function("power_iteration_adjacency_lists", |b| {
-        b.iter(|| black_box(ppr_power(g, &w.cfg.rec.ppr, user)))
-    });
-    let csr = CsrGraph::from_view(g);
-    group.bench_function("power_iteration_csr", |b| {
-        b.iter(|| black_box(ppr_power(&csr, &w.cfg.rec.ppr, user)))
-    });
-    group.bench_function("csr_freeze_cost", |b| {
-        b.iter(|| black_box(CsrGraph::from_view(g)))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_overlay_vs_clone,
-    bench_dynamic_check,
-    bench_csr_snapshot
-);
+criterion_group!(benches, bench_dynamic_check);
 criterion_main!(benches);

@@ -1,10 +1,9 @@
-//! PPR engine benchmarks: power iteration vs Forward Local Push vs
-//! Reverse Local Push across graph sizes, plus dynamic residual repair vs
-//! recomputation (the optimisation the paper cites from Zhang et al.).
+//! PPR engine benchmarks: exact power iteration vs the flat-kernel
+//! Forward and Reverse Local Push across graph sizes, the kernel build
+//! they amortise, and the forward push's cost as ε tightens.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use emigre_bench::world;
-use emigre_hin::{EdgeKey, GraphDelta, GraphView};
 use emigre_ppr::{ppr_power, ForwardPush, ReversePush, TransitionCsr};
 use std::hint::black_box;
 use std::time::Duration;
@@ -25,17 +24,11 @@ fn bench_engines(c: &mut Criterion) {
             &items,
             |b, _| b.iter(|| black_box(ppr_power(g, &w.cfg.rec.ppr, user))),
         );
-        group.bench_with_input(BenchmarkId::new("forward_push", items), &items, |b, _| {
-            b.iter(|| black_box(ForwardPush::compute(g, &w.cfg.rec.ppr, user)))
-        });
         group.bench_with_input(
             BenchmarkId::new("forward_push_flat", items),
             &items,
             |b, _| b.iter(|| black_box(ForwardPush::compute_kernel(&kernel, &w.cfg.rec.ppr, user))),
         );
-        group.bench_with_input(BenchmarkId::new("reverse_push", items), &items, |b, _| {
-            b.iter(|| black_box(ReversePush::compute(g, &w.cfg.rec.ppr, target)))
-        });
         group.bench_with_input(
             BenchmarkId::new("reverse_push_flat", items),
             &items,
@@ -50,45 +43,6 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dynamic_vs_recompute(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dynamic_update");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(500));
-    let w = world(1_000, 1e-7);
-    let g = &w.hin.graph;
-    let user = w.scenarios[0].user;
-    let base = ForwardPush::compute(g, &w.cfg.rec.ppr, user);
-
-    // A single-action counterfactual: remove the user's first rated edge.
-    let mut delta = GraphDelta::new();
-    let mut first = None;
-    g.for_each_out(user, |v, et, _| {
-        if first.is_none() && et == w.hin.rated {
-            first = Some((v, et));
-        }
-    });
-    let (v, et) = first.expect("user has a rated edge");
-    delta.remove_edge(EdgeKey::new(user, v, et));
-    delta.remove_edge(EdgeKey::new(v, user, et));
-
-    group.bench_function("residual_repair", |b| {
-        b.iter(|| {
-            black_box(emigre_ppr::dynamic::forward_after_delta(
-                g,
-                &delta,
-                &w.cfg.rec.ppr,
-                &base,
-            ))
-        })
-    });
-    group.bench_function("recompute_from_scratch", |b| {
-        let view = delta.overlay(g);
-        b.iter(|| black_box(ForwardPush::compute(&view, &w.cfg.rec.ppr, user)))
-    });
-    group.finish();
-}
-
 fn bench_epsilon_sweep(c: &mut Criterion) {
     // Cost of forward push as ε tightens towards the paper's 2.7e-8.
     let mut group = c.benchmark_group("forward_push_epsilon");
@@ -98,21 +52,17 @@ fn bench_epsilon_sweep(c: &mut Criterion) {
     let w = world(1_000, 1e-7);
     let g = &w.hin.graph;
     let user = w.scenarios[0].user;
+    let kernel = TransitionCsr::build(g, w.cfg.rec.ppr.transition);
     for &eps in &[1e-5f64, 1e-6, 1e-7, 2.7e-8] {
         let cfg = w.cfg.rec.ppr.with_epsilon(eps);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{eps:.1e}")),
             &eps,
-            |b, _| b.iter(|| black_box(ForwardPush::compute(g, &cfg, user))),
+            |b, _| b.iter(|| black_box(ForwardPush::compute_kernel(&kernel, &cfg, user))),
         );
     }
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_engines,
-    bench_dynamic_vs_recompute,
-    bench_epsilon_sweep
-);
+criterion_group!(benches, bench_engines, bench_epsilon_sweep);
 criterion_main!(benches);

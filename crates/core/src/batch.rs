@@ -12,11 +12,10 @@ use crate::context::{ExplainContext, UserArtifacts};
 use crate::explainer::{Explainer, Method};
 use crate::explanation::Explanation;
 use crate::failure::ExplainFailure;
-use crate::question::{QuestionError, WhyNotQuestion};
+use crate::question::QuestionError;
 use emigre_hin::{GraphView, NodeId};
-use emigre_obs::{ObsHandle, Op};
-use emigre_ppr::{ForwardPush, PushWorkspace, ReversePush, TransitionCsr};
-use emigre_rec::{PprRecommender, RecList, Recommender};
+use emigre_obs::ObsHandle;
+use emigre_ppr::{PushWorkspace, TransitionCsr};
 use std::sync::Arc;
 
 /// Builds contexts for several Why-Not items of the same user, sharing the
@@ -44,33 +43,39 @@ pub fn batch_contexts_with_obs<'g, G: GraphView>(
     wnis: &[NodeId],
     obs: ObsHandle,
 ) -> Vec<Result<ExplainContext<'g, G>, QuestionError>> {
-    cfg.validate();
-    let batch_span = obs.span("batch_setup");
-    // Shared artefacts — identical to ExplainContext::build.
-    let kernel = Arc::new(TransitionCsr::build(graph, cfg.rec.ppr.transition));
-    let artifacts = match UserArtifacts::build(graph, cfg, kernel, user, &obs) {
-        Ok(a) => a,
-        Err(e) => return wnis.iter().map(|_| Err(e)).collect(),
-    };
-    drop(batch_span);
+    match user_artifacts(graph, cfg, user, &obs) {
+        Ok(artifacts) => contexts_from(graph, cfg, &artifacts, wnis, &obs),
+        Err(e) => wnis.iter().map(|_| Err(e)).collect(),
+    }
+}
 
+/// The user-shared half of a context build — kernel, user push,
+/// recommendation list, `PPR(·, rec)` column — exactly as
+/// [`ExplainContext::build`] computes it.
+pub(crate) fn user_artifacts<G: GraphView>(
+    graph: &G,
+    cfg: &EmigreConfig,
+    user: NodeId,
+    obs: &ObsHandle,
+) -> Result<UserArtifacts, QuestionError> {
+    cfg.validate();
+    let _span = obs.span("batch_setup");
+    let kernel = Arc::new(TransitionCsr::build(graph, cfg.rec.ppr.transition));
+    UserArtifacts::build(graph, cfg, kernel, user, obs)
+}
+
+fn contexts_from<'g, G: GraphView>(
+    graph: &'g G,
+    cfg: &EmigreConfig,
+    artifacts: &UserArtifacts,
+    wnis: &[NodeId],
+    obs: &ObsHandle,
+) -> Vec<Result<ExplainContext<'g, G>, QuestionError>> {
     wnis.iter()
         .map(|&wni| {
-            // Reject malformed questions before paying for their column.
-            WhyNotQuestion::validate(graph, cfg, user, wni, Some(artifacts.rec))?;
             let _span = obs.span("context_build");
-            let ppr_to_wni = ReversePush::compute_kernel(&*artifacts.kernel, &cfg.rec.ppr, wni);
-            obs.count(Op::ReversePushes, ppr_to_wni.pushes as u64);
-            obs.add_mass(ppr_to_wni.drained);
-            ExplainContext::from_artifacts(
-                graph,
-                cfg.clone(),
-                &artifacts,
-                wni,
-                Arc::new(ppr_to_wni),
-                PushWorkspace::new(graph.num_nodes()),
-                obs.clone(),
-            )
+            let ws = PushWorkspace::new(graph.num_nodes());
+            ExplainContext::for_question(graph, cfg.clone(), artifacts, wni, ws, obs.clone())
         })
         .collect()
 }
@@ -92,21 +97,13 @@ pub fn explain_whole_list<G: GraphView>(
     user: NodeId,
     method: Method,
 ) -> Result<Vec<ListExplanation>, QuestionError> {
-    // Probe context for the list itself.
+    // The list comes from the same artefacts the contexts share, so every
+    // context's `rec_list` is exactly the list being explained.
     let cfg = explainer.config();
-    let recommender = PprRecommender::new(cfg.rec);
-    let push = ForwardPush::compute(graph, &cfg.rec.ppr, user);
-    let floor = crate::tester::score_floor(cfg);
-    let candidates = recommender
-        .candidates(graph, user)
-        .into_iter()
-        .filter(|n| push.estimates[n.index()] > floor);
-    let list = RecList::from_scores(&push.estimates, candidates, cfg.target_list_size);
-    if list.is_empty() {
-        return Err(QuestionError::InvalidUser(user));
-    }
-    let wnis: Vec<NodeId> = list.items().into_iter().skip(1).collect();
-    let contexts = batch_contexts(graph, cfg, user, &wnis);
+    let obs = ObsHandle::ambient();
+    let artifacts = user_artifacts(graph, cfg, user, &obs)?;
+    let wnis: Vec<NodeId> = artifacts.rec_list.items().into_iter().skip(1).collect();
+    let contexts = contexts_from(graph, cfg, &artifacts, &wnis, &obs);
     Ok(contexts
         .into_iter()
         .zip(wnis)
@@ -199,9 +196,14 @@ mod tests {
     #[test]
     fn whole_list_covers_ranks_two_onwards() {
         let (g, cfg, u) = fixture();
-        let out = explain_whole_list(&Explainer::new(cfg), &g, u, Method::AddIncremental).unwrap();
+        let out = explain_whole_list(&Explainer::new(cfg.clone()), &g, u, Method::AddIncremental)
+            .unwrap();
+        assert!(!out.is_empty());
         for (i, l) in out.iter().enumerate() {
             assert_eq!(l.rank, i + 2);
+            // The explained list is the one every context computes.
+            let ctx = ExplainContext::build(&g, cfg.clone(), u, l.wni).unwrap();
+            assert_eq!(ctx.rec_list.rank_of(l.wni), Some(l.rank));
         }
     }
 }

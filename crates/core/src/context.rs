@@ -135,10 +135,10 @@ pub(crate) struct CheckState {
 /// The artefacts are `Arc`-shared so assembling a context from them is
 /// `O(1)` — no `O(n)`/`O(E)` clones per question.
 ///
-/// Generic over the kernel layout `K` ([`CsrRows`]): the reference
-/// [`TransitionCsr`] by default, or the compact struct-of-arrays
-/// [`emigre_ppr::CompactCsr`] for large graphs. Every push below runs
-/// through the trait, so the choice is purely a memory/precision trade.
+/// Generic over the kernel layout `K` ([`CsrRows`]): the `f64` reference
+/// [`TransitionCsr`] by default, or an `f32` [`emigre_ppr::CompactCsr`]
+/// for large graphs. Every push below runs through the trait, so the
+/// choice is purely a memory/precision trade.
 pub struct UserArtifacts<K = TransitionCsr> {
     pub user: NodeId,
     /// Flat transition rows of the base graph.
@@ -199,19 +199,10 @@ impl<K: CsrRows> UserArtifacts<K> {
         if user.0 >= graph.num_nodes() as u32 {
             return Err(QuestionError::InvalidUser(user));
         }
-        let recommender = PprRecommender::new(cfg.rec);
         let user_push = ForwardPush::compute_kernel(&*kernel, &cfg.rec.ppr, user);
         obs.count(Op::ForwardPushes, user_push.pushes as u64);
         obs.add_mass(user_push.drained);
-        // Same zero-score floor as the CHECK step (see
-        // [`crate::tester::score_floor`]): vacuous candidates never enter
-        // the target list.
-        let floor = crate::tester::score_floor(cfg);
-        let candidates = recommender
-            .candidates(graph, user)
-            .into_iter()
-            .filter(|n| user_push.estimates[n.index()] > floor);
-        let rec_list = RecList::from_scores(&user_push.estimates, candidates, cfg.target_list_size);
+        let rec_list = target_list(graph, cfg, user, &user_push);
         let rec = rec_list.top().ok_or(QuestionError::InvalidUser(user))?;
         let ppr_to_rec = ReversePush::compute_kernel(&*kernel, &cfg.rec.ppr, rec);
         obs.count(Op::ReversePushes, ppr_to_rec.pushes as u64);
@@ -227,6 +218,26 @@ impl<K: CsrRows> UserArtifacts<K> {
             cand_base,
         })
     }
+}
+
+/// The user's top-`target_list_size` recommendation list from a converged
+/// user push. Candidates must score above the CHECK step's zero-score
+/// floor (see [`crate::tester::score_floor`]), so vacuous candidates never
+/// enter the target list. Every path that needs a user's list — context
+/// builds and scenario generation — computes it here, so the lists agree
+/// exactly.
+pub fn target_list<G: GraphView>(
+    graph: &G,
+    cfg: &EmigreConfig,
+    user: NodeId,
+    push: &ForwardPush,
+) -> RecList {
+    let floor = crate::tester::score_floor(cfg);
+    let candidates = PprRecommender::new(cfg.rec)
+        .candidates(graph, user)
+        .into_iter()
+        .filter(|n| push.estimates[n.index()] > floor);
+    RecList::from_scores(&push.estimates, candidates, cfg.target_list_size)
 }
 
 /// Pre-computed state shared by every explanation algorithm for one
@@ -300,13 +311,8 @@ impl<'g, G: GraphView> ExplainContext<'g, G> {
         // building it is one O(E) sweep amortised across every CHECK.
         let kernel = Arc::new(TransitionCsr::build(graph, cfg.rec.ppr.transition));
         let artifacts = UserArtifacts::build(graph, &cfg, kernel, user, &obs)?;
-
-        let ppr_to_wni = ReversePush::compute_kernel(&*artifacts.kernel, &cfg.rec.ppr, wni);
-        obs.count(Op::ReversePushes, ppr_to_wni.pushes as u64);
-        obs.add_mass(ppr_to_wni.drained);
-
         let ws = PushWorkspace::new(graph.num_nodes());
-        Self::from_artifacts(graph, cfg, &artifacts, wni, Arc::new(ppr_to_wni), ws, obs)
+        Self::for_question(graph, cfg, &artifacts, wni, ws, obs)
     }
 }
 
@@ -328,13 +334,33 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
         cfg.validate();
         WhyNotQuestion::validate(graph, &cfg, user, wni, None)?;
         let artifacts = UserArtifacts::build(graph, &cfg, kernel, user, &obs)?;
+        let ws = PushWorkspace::new(graph.num_nodes());
+        Self::for_question(graph, cfg, &artifacts, wni, ws, obs)
+    }
 
+    /// The per-question half of every build: validates `wni` against the
+    /// user's shared artefacts, runs its `PPR(·, wni)` column over their
+    /// kernel, and assembles the context with
+    /// [`ExplainContext::from_artifacts`]. A malformed question fails
+    /// before paying for the column.
+    ///
+    /// One user's many questions (the batch and group loops) build the
+    /// artefacts once and call this per Why-Not item, so they share the
+    /// kernel, the user push, the recommendation list and the `PPR(·, rec)`
+    /// column.
+    pub fn for_question(
+        graph: &'g G,
+        cfg: EmigreConfig,
+        artifacts: &UserArtifacts<K>,
+        wni: NodeId,
+        ws: PushWorkspace,
+        obs: ObsHandle,
+    ) -> Result<Self, QuestionError> {
+        WhyNotQuestion::validate(graph, &cfg, artifacts.user, wni, Some(artifacts.rec))?;
         let ppr_to_wni = ReversePush::compute_kernel(&*artifacts.kernel, &cfg.rec.ppr, wni);
         obs.count(Op::ReversePushes, ppr_to_wni.pushes as u64);
         obs.add_mass(ppr_to_wni.drained);
-
-        let ws = PushWorkspace::new(graph.num_nodes());
-        Self::from_artifacts(graph, cfg, &artifacts, wni, Arc::new(ppr_to_wni), ws, obs)
+        Self::from_artifacts(graph, cfg, artifacts, wni, Arc::new(ppr_to_wni), ws, obs)
     }
 
     /// Assembles a context from a user's shared artefacts, the

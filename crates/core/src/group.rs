@@ -10,13 +10,18 @@
 //! it by ranking the members by how close they already are (their current
 //! PPR for the user) and running the single-item machinery on each until
 //! one succeeds — the nearest member is the cheapest counterfactual, so
-//! the greedy order doubles as a quality heuristic.
+//! the greedy order doubles as a quality heuristic. Every member's context
+//! shares one set of user artefacts (kernel, user push, recommendation
+//! list, `PPR(·, rec)` column), like the batch loop's.
 
+use crate::batch::user_artifacts;
 use crate::context::ExplainContext;
 use crate::explainer::{Explainer, Method};
 use crate::explanation::Explanation;
 use crate::failure::{ExplainFailure, FailureReason};
 use emigre_hin::{EdgeTypeId, GraphView, Hin, NodeId};
+use emigre_obs::ObsHandle;
+use emigre_ppr::PushWorkspace;
 
 /// Outcome of a group question: which member was promoted and how.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,8 +46,20 @@ pub fn explain_any_of<G: GraphView>(
     group: &[NodeId],
     method: Method,
 ) -> Result<GroupExplanation, ExplainFailure> {
-    // Rank members by their current standing: one forward push.
-    let push = emigre_ppr::ForwardPush::compute(g, &explainer.config().rec.ppr, user);
+    let out_of_scope = |checks_performed| ExplainFailure {
+        reason: FailureReason::OutOfScope {
+            mode: method.mode().unwrap_or(crate::explanation::Mode::Add),
+        },
+        checks_performed,
+    };
+    let cfg = explainer.config();
+    let obs = ObsHandle::ambient();
+    let Ok(artifacts) = user_artifacts(g, cfg, user, &obs) else {
+        return Err(out_of_scope(0)); // no recommendation to compete with
+    };
+
+    // Rank members by their current standing in the shared user push.
+    let push = &artifacts.user_push;
     let mut members: Vec<NodeId> = group.to_vec();
     members.sort_by(|a, b| {
         push.estimates[b.index()]
@@ -55,7 +72,10 @@ pub fn explain_any_of<G: GraphView>(
     let mut failed = Vec::new();
     let mut checks = 0usize;
     for wni in members {
-        let Ok(ctx) = ExplainContext::build(g, explainer.config().clone(), user, wni) else {
+        let ws = PushWorkspace::new(g.num_nodes());
+        let Ok(ctx) =
+            ExplainContext::for_question(g, cfg.clone(), &artifacts, wni, ws, obs.clone())
+        else {
             continue; // interacted / already recommended / not an item
         };
         match Explainer::explain_with_context(&ctx, method) {
@@ -72,12 +92,7 @@ pub fn explain_any_of<G: GraphView>(
             }
         }
     }
-    Err(ExplainFailure {
-        reason: FailureReason::OutOfScope {
-            mode: method.mode().unwrap_or(crate::explanation::Mode::Add),
-        },
-        checks_performed: checks,
-    })
+    Err(out_of_scope(checks))
 }
 
 /// Collects the items of a category node (nodes of the configured item

@@ -74,7 +74,7 @@ pub fn prince<G: GraphView>(ctx: &ExplainContext<'_, G>) -> Result<WhyExplanatio
         let ppr_to_r = if r_star == ctx.wni {
             (*ctx.ppr_to_wni).clone()
         } else {
-            ReversePush::compute(g, &ctx.cfg.rec.ppr, r_star)
+            ReversePush::compute_kernel(&*ctx.kernel, &ctx.cfg.rec.ppr, r_star)
         };
         // Swap contributions towards replacing rec by r*.
         let mut ranked: Vec<(usize, f64)> = actions_pool

@@ -252,8 +252,8 @@ pub struct FirstPass {
 /// Verifies candidate action sets for one Why-Not question.
 ///
 /// Generic over the kernel layout `K` ([`CsrRows`]) like the context it
-/// borrows, so verdicts can be cross-checked between the reference
-/// [`TransitionCsr`] and the compact layouts.
+/// borrows, so verdicts can be cross-checked between the `f64` reference
+/// [`TransitionCsr`] and the `f32` compact kernel.
 pub struct Tester<'c, 'g, G: GraphView, K = TransitionCsr> {
     ctx: &'c ExplainContext<'g, G, K>,
     checks: Cell<usize>,

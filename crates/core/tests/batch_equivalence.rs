@@ -15,7 +15,7 @@ use emigre_core::{EmigreConfig, ExplainContext, Explainer, Method};
 use emigre_data::pipeline::{AmazonHin, PreprocessConfig};
 use emigre_data::synth::{SynthConfig, SynthDataset};
 use emigre_hin::NodeId;
-use emigre_ppr::ForwardPush;
+use emigre_ppr::{ForwardPush, TransitionCsr};
 use emigre_rec::{PprRecommender, RecList, Recommender};
 
 fn dataset(seed: u64) -> (AmazonHin, EmigreConfig) {
@@ -44,7 +44,8 @@ fn dataset(seed: u64) -> (AmazonHin, EmigreConfig) {
 
 /// The user's recommendation list, computed exactly as the batch path does.
 fn top_list(hin: &AmazonHin, cfg: &EmigreConfig, user: NodeId) -> Vec<NodeId> {
-    let push = ForwardPush::compute(&hin.graph, &cfg.rec.ppr, user);
+    let kernel = TransitionCsr::build(&hin.graph, cfg.rec.ppr.transition);
+    let push = ForwardPush::compute_kernel(&kernel, &cfg.rec.ppr, user);
     let floor = score_floor(cfg);
     let candidates = PprRecommender::new(cfg.rec)
         .candidates(&hin.graph, user)

@@ -5,10 +5,11 @@
 //! each one of the items in his/her recommendation list (except for the
 //! first one)."
 
+use emigre_core::context::target_list;
 use emigre_core::EmigreConfig;
 use emigre_hin::{GraphView, NodeId};
-use emigre_ppr::ForwardPush;
-use emigre_rec::{PprRecommender, RecList, Recommender};
+use emigre_ppr::{ForwardPush, TransitionCsr};
+use emigre_rec::RecList;
 use serde::{Deserialize, Serialize};
 
 /// One `(user, Why-Not item)` experiment unit.
@@ -22,31 +23,38 @@ pub struct Scenario {
     pub wni_rank: usize,
 }
 
-/// Computes a user's recommendation list the same way
-/// [`emigre_core::ExplainContext`] does (same score floor, same ordering).
+/// Computes a user's recommendation list exactly as
+/// [`emigre_core::ExplainContext`] does: the same kernel push, score floor
+/// and ordering, so `list.top()` is the context's `rec`.
 pub fn recommendation_list<G: GraphView>(g: &G, cfg: &EmigreConfig, user: NodeId) -> RecList {
-    let push = ForwardPush::compute(g, &cfg.rec.ppr, user);
-    let floor = emigre_core::tester::score_floor(cfg);
-    let recommender = PprRecommender::new(cfg.rec);
-    let candidates = recommender
-        .candidates(g, user)
-        .into_iter()
-        .filter(|n| push.estimates[n.index()] > floor);
-    RecList::from_scores(&push.estimates, candidates, cfg.target_list_size)
+    let kernel = TransitionCsr::build(g, cfg.rec.ppr.transition);
+    list_over(g, cfg, &kernel, user)
+}
+
+fn list_over<G: GraphView>(
+    g: &G,
+    cfg: &EmigreConfig,
+    kernel: &TransitionCsr,
+    user: NodeId,
+) -> RecList {
+    let push = ForwardPush::compute_kernel(kernel, &cfg.rec.ppr, user);
+    target_list(g, cfg, user, &push)
 }
 
 /// Generates up to `wni_per_user` scenarios per user: positions 2.. of the
 /// user's top-10 list. Users whose list is shorter contribute fewer
-/// scenarios; users with an empty list contribute none.
+/// scenarios; users with an empty list contribute none. Every scenario's
+/// `rec` and `wni_rank` equal those of the context built for it.
 pub fn generate_scenarios<G: GraphView>(
     g: &G,
     cfg: &EmigreConfig,
     users: &[NodeId],
     wni_per_user: usize,
 ) -> Vec<Scenario> {
+    let kernel = TransitionCsr::build(g, cfg.rec.ppr.transition);
     let mut scenarios = Vec::new();
     for &user in users {
-        let list = recommendation_list(g, cfg, user);
+        let list = list_over(g, cfg, &kernel, user);
         let Some(rec) = list.top() else { continue };
         for (pos, &(item, _)) in list.entries().iter().enumerate().skip(1) {
             if pos > wni_per_user {

@@ -16,16 +16,15 @@
 //! * [`delta::GraphDelta`] / [`delta::DeltaView`] — a counterfactual edit
 //!   overlay that applies a small set of edge additions/removals *on top of*
 //!   a base graph without cloning it (the workhorse of EMiGRe's CHECK step);
-//! * [`csr::CsrGraph`] — an immutable compressed-sparse-row snapshot for
-//!   cache-friendly whole-graph iteration;
 //! * [`subgraph`] — k-hop neighbourhood extraction (the paper's
 //!   "Amazon-Lite" construction);
 //! * [`stats`] — per-node-type degree statistics (the paper's Table 4);
 //! * [`io`] — plain-text edge-list serialisation and Graphviz DOT export;
 //! * [`snapshot`] — versioned, checksummed binary snapshots that load via
-//!   `mmap` as a zero-copy [`GraphView`] (the serving fast-start path).
+//!   `mmap` (or from bytes in memory, [`Snapshot::from_bytes`]) as a
+//!   zero-copy, immutable CSR [`GraphView`] — the serving fast-start path
+//!   and the crate's one frozen graph layout.
 
-pub mod csr;
 pub mod delta;
 pub mod graph;
 pub mod io;
@@ -35,7 +34,6 @@ pub mod subgraph;
 pub mod types;
 pub mod view;
 
-pub use csr::CsrGraph;
 pub use delta::{DeltaView, GraphDelta};
 pub use graph::{EdgeRecord, Hin, HinError};
 pub use snapshot::{snapshot_to_bytes, write_snapshot, Snapshot, SnapshotError};

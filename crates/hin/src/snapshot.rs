@@ -336,14 +336,7 @@ mod mapped {
     // Declared directly; the workspace deliberately has no `libc` crate
     // (same pattern as the serve crate's event loop).
     extern "C" {
-        fn mmap(
-            addr: *mut u8,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut u8;
+        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
         fn munmap(addr: *mut u8, len: usize) -> i32;
     }
 
@@ -538,7 +531,10 @@ impl Snapshot {
 
         let malformed = |why: String| Err(SnapshotError::Malformed(why));
         if node_types.len() != 2 * num_nodes {
-            return malformed(format!("node-type section holds {} entries", node_types.len() / 2));
+            return malformed(format!(
+                "node-type section holds {} entries",
+                node_types.len() / 2
+            ));
         }
         if out_wsums.len() != 8 * num_nodes {
             return malformed("weight-sum section length mismatch".into());
@@ -639,8 +635,20 @@ impl Snapshot {
         };
         for i in 0..self.num_nodes as u32 {
             let n = NodeId(i);
-            let out = read_edges(&self.out_offsets, &self.out_dsts, &self.out_etypes, &self.out_weights, n);
-            let inc = read_edges(&self.in_offsets, &self.in_srcs, &self.in_etypes, &self.in_weights, n);
+            let out = read_edges(
+                &self.out_offsets,
+                &self.out_dsts,
+                &self.out_etypes,
+                &self.out_weights,
+                n,
+            );
+            let inc = read_edges(
+                &self.in_offsets,
+                &self.in_srcs,
+                &self.in_etypes,
+                &self.in_weights,
+                n,
+            );
             g.restore_node(
                 self.node_type(n),
                 labels[n.index()].clone(),
@@ -739,7 +747,11 @@ impl GraphView for Snapshot {
             self.section(&self.out_weights),
         );
         for i in self.edge_range(&self.out_offsets, n) {
-            f(NodeId(u32_at(eb, i)), EdgeTypeId(u16_at(tb, i)), f64_at(wb, i));
+            f(
+                NodeId(u32_at(eb, i)),
+                EdgeTypeId(u16_at(tb, i)),
+                f64_at(wb, i),
+            );
         }
     }
 
@@ -750,7 +762,11 @@ impl GraphView for Snapshot {
             self.section(&self.in_weights),
         );
         for i in self.edge_range(&self.in_offsets, n) {
-            f(NodeId(u32_at(eb, i)), EdgeTypeId(u16_at(tb, i)), f64_at(wb, i));
+            f(
+                NodeId(u32_at(eb, i)),
+                EdgeTypeId(u16_at(tb, i)),
+                f64_at(wb, i),
+            );
         }
     }
 
@@ -807,16 +823,17 @@ mod tests {
                 b.out_weight_sum(n).to_bits(),
                 "weight sum of {n}"
             );
-            let collect = |g: &dyn Fn(&mut dyn FnMut(NodeId, EdgeTypeId, f64))| {
+            type EdgeSink<'s> = dyn FnMut(NodeId, EdgeTypeId, f64) + 's;
+            let collect = |g: &dyn Fn(&mut EdgeSink)| {
                 let mut v: Vec<(u32, u16, u64)> = Vec::new();
                 g(&mut |d, t, w| v.push((d.0, t.0, w.to_bits())));
                 v
             };
-            let a_out = collect(&|f| a.for_each_out(n, |d, t, w| f(d, t, w)));
-            let b_out = collect(&|f| b.for_each_out(n, |d, t, w| f(d, t, w)));
+            let a_out = collect(&|f| a.for_each_out(n, f));
+            let b_out = collect(&|f| b.for_each_out(n, f));
             assert_eq!(a_out, b_out, "out rows of {n} (order included)");
-            let a_in = collect(&|f| a.for_each_in(n, |d, t, w| f(d, t, w)));
-            let b_in = collect(&|f| b.for_each_in(n, |d, t, w| f(d, t, w)));
+            let a_in = collect(&|f| a.for_each_in(n, f));
+            let b_in = collect(&|f| b.for_each_in(n, f));
             assert_eq!(a_in, b_in, "in rows of {n} (order included)");
         }
     }
@@ -846,7 +863,10 @@ mod tests {
         let snap = Snapshot::open(&path).unwrap();
         #[cfg(unix)]
         assert!(snap.is_mapped());
-        assert_eq!(snap.image_bytes(), std::fs::metadata(&path).unwrap().len() as usize);
+        assert_eq!(
+            snap.image_bytes(),
+            std::fs::metadata(&path).unwrap().len() as usize
+        );
         assert_views_identical(&g, &snap);
         assert_views_identical(&g, &snap.to_hin());
         drop(snap);
@@ -862,7 +882,10 @@ mod tests {
         g.for_each_out(v, |_, _, w| recomputed += w);
         assert_ne!(g.out_weight_sum(v).to_bits(), recomputed.to_bits());
         let snap = Snapshot::from_bytes(snapshot_to_bytes(&g)).unwrap();
-        assert_eq!(snap.out_weight_sum(v).to_bits(), g.out_weight_sum(v).to_bits());
+        assert_eq!(
+            snap.out_weight_sum(v).to_bits(),
+            g.out_weight_sum(v).to_bits()
+        );
         assert_eq!(
             snap.to_hin().out_weight_sum(v).to_bits(),
             g.out_weight_sum(v).to_bits()
@@ -872,7 +895,14 @@ mod tests {
     #[test]
     fn truncation_fails_typed_at_every_length() {
         let bytes = snapshot_to_bytes(&sample());
-        for cut in [0, 4, HEADER_LEN - 1, HEADER_LEN + 3, bytes.len() / 2, bytes.len() - 1] {
+        for cut in [
+            0,
+            4,
+            HEADER_LEN - 1,
+            HEADER_LEN + 3,
+            bytes.len() / 2,
+            bytes.len() - 1,
+        ] {
             match Snapshot::from_bytes(bytes[..cut].to_vec()) {
                 Err(
                     SnapshotError::Truncated(_)
@@ -911,7 +941,10 @@ mod tests {
         let good = snapshot_to_bytes(&sample());
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert!(matches!(Snapshot::from_bytes(bad), Err(SnapshotError::BadMagic)));
+        assert!(matches!(
+            Snapshot::from_bytes(bad),
+            Err(SnapshotError::BadMagic)
+        ));
         let mut bad = good.clone();
         bad[8] = 99;
         assert!(matches!(
@@ -920,7 +953,10 @@ mod tests {
         ));
         let mut bad = good.clone();
         bad[12..16].copy_from_slice(&0x0403_0201u32.to_le_bytes());
-        assert!(matches!(Snapshot::from_bytes(bad), Err(SnapshotError::BadEndian)));
+        assert!(matches!(
+            Snapshot::from_bytes(bad),
+            Err(SnapshotError::BadEndian)
+        ));
     }
 
     #[test]

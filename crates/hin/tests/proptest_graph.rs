@@ -136,12 +136,14 @@ proptest! {
         }
     }
 
-    /// CSR snapshots preserve every query the algorithms use.
+    /// Binary snapshots, opened in memory, preserve every query the
+    /// algorithms use.
     #[test]
     fn csr_preserves_queries(script in ops(9, 2)) {
         let mut g = fresh(9);
         apply(&mut g, &script);
-        let csr = emigre_hin::CsrGraph::from_view(&g);
+        let csr = emigre_hin::Snapshot::from_bytes(emigre_hin::snapshot_to_bytes(&g))
+            .expect("a fresh image opens");
         prop_assert_eq!(csr.num_edges(), g.num_edges());
         for u in g.node_ids() {
             prop_assert_eq!(csr.out_degree(u), g.out_degree(u));

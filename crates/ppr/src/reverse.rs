@@ -17,8 +17,7 @@
 
 use crate::config::PprConfig;
 use crate::kernel::{CsrRows, Prob};
-use emigre_hin::{GraphView, NodeId};
-use std::collections::VecDeque;
+use emigre_hin::NodeId;
 
 /// State of a Reverse Local Push towards one target node.
 #[derive(Debug, Clone)]
@@ -44,74 +43,12 @@ impl emigre_obs::HeapSize for ReversePush {
 }
 
 impl ReversePush {
-    /// Runs RLP towards `target` to convergence.
-    pub fn compute<G: GraphView>(g: &G, cfg: &PprConfig, target: NodeId) -> Self {
-        cfg.validate();
-        let n = g.num_nodes();
-        let mut state = ReversePush {
-            target,
-            estimates: vec![0.0; n],
-            residuals: vec![0.0; n],
-            pushes: 0,
-            drained: 0.0,
-        };
-        state.residuals[target.index()] = 1.0;
-        state.push_until_converged(g, cfg);
-        state
-    }
-
-    /// Pushes until every |residual| ≤ ε.
-    pub fn push_until_converged<G: GraphView>(&mut self, g: &G, cfg: &PprConfig) {
-        let eps = cfg.epsilon;
-        let n = self.residuals.len();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        let mut queued = vec![false; n];
-        for (i, &r) in self.residuals.iter().enumerate() {
-            if r.abs() > eps {
-                queue.push_back(i as u32);
-                queued[i] = true;
-            }
-        }
-        while let Some(v) = queue.pop_front() {
-            queued[v as usize] = false;
-            let r = self.residuals[v as usize];
-            if r.abs() <= eps {
-                continue;
-            }
-            self.residuals[v as usize] = 0.0;
-            self.estimates[v as usize] += cfg.alpha * r;
-            self.pushes += 1;
-            self.drained += r.abs();
-            let spread = (1.0 - cfg.alpha) * r;
-            // Push backwards: every in-neighbour u gains (1−α)·W(u,v)·r.
-            let vid = NodeId(v);
-            let residuals = &mut self.residuals;
-            g.for_each_in(vid, |u, _, w| {
-                let deg = g.out_degree(u);
-                debug_assert!(deg > 0, "in-edge implies out-edge at source");
-                let wsum = g.out_weight_sum(u);
-                let p = cfg.transition.edge_probability(w, wsum, deg);
-                let ui = u.index();
-                residuals[ui] += spread * p;
-                if residuals[ui].abs() > eps && !queued[ui] {
-                    queued[ui] = true;
-                    queue.push_back(ui as u32);
-                }
-            });
-        }
-    }
-
     /// Runs RLP towards `target` over a precomputed transition kernel.
     ///
-    /// The generic loop recomputes each in-neighbour's out-degree and
-    /// weight sum for *every* edge visited; the kernel's reverse CSR has
-    /// all `W(u, v)` entries materialised, so the inner loop is a flat
-    /// slice walk.
-    pub fn compute_kernel<K: CsrRows>(
-        kernel: &K,
-        cfg: &PprConfig,
-        target: NodeId,
-    ) -> Self {
+    /// The kernel's reverse CSR has every `W(u, v)` entry materialised, so
+    /// the inner loop is a flat slice walk: no per-in-edge out-degree or
+    /// weight-sum lookup at the source.
+    pub fn compute_kernel<K: CsrRows>(kernel: &K, cfg: &PprConfig, target: NodeId) -> Self {
         cfg.validate();
         let n = kernel.num_nodes();
         let mut state = ReversePush {
@@ -126,18 +63,14 @@ impl ReversePush {
         state
     }
 
-    /// [`Self::push_until_converged`] over a precomputed transition kernel.
+    /// Pushes until every |residual| ≤ ε.
     ///
     /// Uses the same sweep schedule as the forward kernel loop: whole-array
     /// Gauss–Seidel passes over the reverse CSR until no residual exceeds
     /// ε. Push order does not affect the Eq. (4) invariant or the ε
-    /// guarantee, and sequential row access beats the FIFO queue's
+    /// guarantee, and sequential row access beats a FIFO queue's
     /// random-order traversal.
-    pub fn push_until_converged_kernel<K: CsrRows>(
-        &mut self,
-        kernel: &K,
-        cfg: &PprConfig,
-    ) {
+    pub fn push_until_converged_kernel<K: CsrRows>(&mut self, kernel: &K, cfg: &PprConfig) {
         let eps = cfg.epsilon;
         let n = self.residuals.len();
         loop {
@@ -185,56 +118,17 @@ impl ReversePush {
     pub fn residual_mass(&self) -> f64 {
         self.residuals.iter().map(|r| r.abs()).sum()
     }
-
-    /// Repairs the Eq. (4) invariant after the transition row of `node`
-    /// changed.
-    ///
-    /// The unique residual pairing with estimates `p` is
-    /// `r = e_t − (p − (1−α)·W·p)/α`, so a change to row `u` shifts only
-    /// `r(u)`, by `(1−α)/α · Σ_v ΔW(u,v)·p(v)`.
-    pub fn repair_row_change(
-        &mut self,
-        cfg: &PprConfig,
-        node: NodeId,
-        old_row: &[(NodeId, f64)],
-        new_row: &[(NodeId, f64)],
-    ) {
-        let mut dot_new = 0.0;
-        for &(v, p) in new_row {
-            dot_new += p * self.estimates[v.index()];
-        }
-        let mut dot_old = 0.0;
-        for &(v, p) in old_row {
-            dot_old += p * self.estimates[v.index()];
-        }
-        self.residuals[node.index()] += (1.0 - cfg.alpha) / cfg.alpha * (dot_new - dot_old);
-    }
-
-    /// Repairs residuals for every changed transition row between two graph
-    /// views and pushes to convergence on the new view.
-    pub fn repair_and_push<GOld: GraphView, GNew: GraphView>(
-        &mut self,
-        old_g: &GOld,
-        new_g: &GNew,
-        touched: &[NodeId],
-        cfg: &PprConfig,
-    ) {
-        for &u in touched {
-            let old_row = crate::transition::transition_row(old_g, cfg.transition, u);
-            let new_row = crate::transition::transition_row(new_g, cfg.transition, u);
-            self.repair_row_change(cfg, u, &old_row, &new_row);
-        }
-        self.push_until_converged(new_g, cfg);
-    }
 }
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // tests index parallel arrays by node id
 mod tests {
     use super::*;
+    use crate::forward::ForwardPush;
+    use crate::kernel::TransitionCsr;
     use crate::power::ppr_power;
     use crate::transition::TransitionModel;
-    use emigre_hin::Hin;
+    use emigre_hin::{GraphView, Hin};
 
     fn cfg(eps: f64) -> PprConfig {
         PprConfig {
@@ -258,11 +152,15 @@ mod tests {
         g
     }
 
+    fn push<G: GraphView>(g: &G, c: &PprConfig, target: NodeId) -> ReversePush {
+        ReversePush::compute_kernel(&TransitionCsr::build(g, c.transition), c, target)
+    }
+
     #[test]
     fn estimates_converge_to_exact_column() {
         let g = ring_with_chords(12);
         let c = cfg(1e-10);
-        let rp = ReversePush::compute(&g, &c, NodeId(5));
+        let rp = push(&g, &c, NodeId(5));
         for s in 0..12 {
             let exact = ppr_power(&g, &c, NodeId(s as u32))[5];
             assert!(
@@ -278,7 +176,7 @@ mod tests {
     fn invariant_holds_at_loose_epsilon() {
         let g = ring_with_chords(10);
         let c = cfg(1e-3);
-        let rp = ReversePush::compute(&g, &c, NodeId(7));
+        let rp = push(&g, &c, NodeId(7));
         let tight = cfg(1e-10);
         let exact_from: Vec<Vec<f64>> = (0..10)
             .map(|x| ppr_power(&g, &tight, NodeId(x as u32)))
@@ -308,7 +206,7 @@ mod tests {
         g.add_edge(b, a, et, 1.0).unwrap();
         g.add_edge(b, c, et, 1.0).unwrap(); // c is a sink reachable FROM b
         let conf = cfg(1e-10);
-        let rp = ReversePush::compute(&g, &conf, b);
+        let rp = push(&g, &conf, b);
         let support = rp.support();
         assert!(support.contains(&a));
         assert!(support.contains(&b));
@@ -316,50 +214,10 @@ mod tests {
     }
 
     #[test]
-    fn repair_after_edge_insertion_matches_exact() {
-        let mut g = ring_with_chords(10);
-        let c = cfg(1e-9);
-        let mut rp = ReversePush::compute(&g, &c, NodeId(6));
-        let et = g.registry().find_edge_type("e").unwrap();
-        let old = g.clone();
-        g.add_edge(NodeId(1), NodeId(6), et, 4.0).unwrap();
-        rp.repair_and_push(&old, &g, &[NodeId(1)], &c);
-        for s in 0..10 {
-            let exact = ppr_power(&g, &c, NodeId(s as u32))[6];
-            assert!(
-                (rp.estimates[s] - exact).abs() < 1e-6,
-                "s={s}: {} vs {}",
-                rp.estimates[s],
-                exact
-            );
-        }
-    }
-
-    #[test]
-    fn repair_after_edge_removal_matches_exact() {
-        let mut g = ring_with_chords(10);
-        let c = cfg(1e-9);
-        let mut rp = ReversePush::compute(&g, &c, NodeId(2));
-        let et = g.registry().find_edge_type("e").unwrap();
-        let old = g.clone();
-        g.remove_edge(NodeId(9), NodeId(2), et).unwrap();
-        rp.repair_and_push(&old, &g, &[NodeId(9)], &c);
-        for s in 0..10 {
-            let exact = ppr_power(&g, &c, NodeId(s as u32))[2];
-            assert!(
-                (rp.estimates[s] - exact).abs() < 1e-6,
-                "s={s}: {} vs {}",
-                rp.estimates[s],
-                exact
-            );
-        }
-    }
-
-    #[test]
     fn target_estimate_at_least_alpha() {
         let g = ring_with_chords(8);
         let c = cfg(1e-8);
-        let rp = ReversePush::compute(&g, &c, NodeId(3));
+        let rp = push(&g, &c, NodeId(3));
         assert!(rp.estimate(NodeId(3)) >= c.alpha - 1e-6);
     }
 
@@ -367,8 +225,9 @@ mod tests {
     fn forward_and_reverse_agree_on_single_pair() {
         let g = ring_with_chords(11);
         let c = cfg(1e-10);
-        let fp = crate::forward::ForwardPush::compute(&g, &c, NodeId(2));
-        let rp = ReversePush::compute(&g, &c, NodeId(8));
+        let csr = TransitionCsr::build(&g, c.transition);
+        let fp = ForwardPush::compute_kernel(&csr, &c, NodeId(2));
+        let rp = ReversePush::compute_kernel(&csr, &c, NodeId(8));
         assert!((fp.estimate(NodeId(8)) - rp.estimate(NodeId(2))).abs() < 1e-6);
     }
 }

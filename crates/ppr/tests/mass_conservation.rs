@@ -77,10 +77,8 @@ proptest! {
         seed_raw in 0usize..16,
     ) {
         let seed = NodeId((seed_raw % n) as u32);
-        for push in [
-            ForwardPush::compute(&g, &cfg, seed),
-            ForwardPush::compute_kernel(&TransitionCsr::build(&g, cfg.transition), &cfg, seed),
-        ] {
+        {
+            let push = ForwardPush::compute_kernel(&TransitionCsr::build(&g, cfg.transition), &cfg, seed);
             let residual: f64 = push.residuals.iter().sum();
             let estimates: f64 = push.estimates.iter().sum();
             prop_assert!(
@@ -104,10 +102,8 @@ proptest! {
         target_raw in 0usize..16,
     ) {
         let target = NodeId((target_raw % n) as u32);
-        for push in [
-            ReversePush::compute(&g, &cfg, target),
-            ReversePush::compute_kernel(&TransitionCsr::build(&g, cfg.transition), &cfg, target),
-        ] {
+        {
+            let push = ReversePush::compute_kernel(&TransitionCsr::build(&g, cfg.transition), &cfg, target);
             let estimates: f64 = push.estimates.iter().sum();
             prop_assert!(
                 (estimates - cfg.alpha * push.drained).abs() < TOL,

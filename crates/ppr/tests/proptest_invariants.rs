@@ -5,8 +5,11 @@
 
 #![allow(clippy::needless_range_loop)] // properties index parallel arrays by node id
 
-use emigre_hin::{EdgeKey, GraphDelta, Hin, NodeId};
-use emigre_ppr::{ppr_power, ForwardPush, PprConfig, ReversePush, TransitionModel};
+use emigre_hin::{EdgeKey, GraphDelta, GraphView, Hin, NodeId};
+use emigre_ppr::{
+    ppr_power, CsrRows, ForwardPush, PprConfig, PushWorkspace, ReversePush, TransitionCsr,
+    TransitionModel,
+};
 use proptest::prelude::*;
 
 /// A random directed weighted graph description: `n` nodes and a list of
@@ -82,7 +85,7 @@ proptest! {
         let seed = NodeId(seed_raw % desc.n as u32);
         let c = cfg(model);
         let exact = ppr_power(&g, &c, seed);
-        let fp = ForwardPush::compute(&g, &c, seed);
+        let fp = ForwardPush::compute_kernel(&TransitionCsr::build(&g, model), &c, seed);
         for t in 0..desc.n {
             prop_assert!((fp.estimates[t] - exact[t]).abs() < 1e-5,
                 "t={t}: push {} vs exact {}", fp.estimates[t], exact[t]);
@@ -95,7 +98,7 @@ proptest! {
         let g = build(&desc);
         let target = NodeId(target_raw % desc.n as u32);
         let c = cfg(model);
-        let rp = ReversePush::compute(&g, &c, target);
+        let rp = ReversePush::compute_kernel(&TransitionCsr::build(&g, model), &c, target);
         for s in 0..desc.n {
             let exact = ppr_power(&g, &c, NodeId(s as u32))[target.index()];
             prop_assert!((rp.estimates[s] - exact).abs() < 1e-5,
@@ -103,8 +106,9 @@ proptest! {
         }
     }
 
-    /// Dynamic repair after removing a random existing edge reproduces the
-    /// from-scratch state on the edited graph.
+    /// Dynamic repair (the workspace's residual repair plus a push over
+    /// the patched kernel) after removing a random existing edge reproduces
+    /// exact PPR on the edited graph.
     #[test]
     fn dynamic_repair_matches_recompute(desc in random_graph(10), pick in any::<prop::sample::Index>(), seed_raw in 0u32..10) {
         let g = build(&desc);
@@ -114,16 +118,24 @@ proptest! {
         let seed = NodeId(seed_raw % desc.n as u32);
         let c = cfg(TransitionModel::Weighted);
 
-        let base_fp = ForwardPush::compute(&g, &c, seed);
+        let csr = TransitionCsr::build(&g, c.transition);
+        let base_fp = ForwardPush::compute_kernel(&csr, &c, seed);
         let mut delta = GraphDelta::new();
         delta.remove_edge(EdgeKey::new(key.src, key.dst, key.etype));
-        let updated = emigre_ppr::dynamic::forward_after_delta(&g, &delta, &c, &base_fp);
-
         let view = delta.overlay(&g);
+        let touched = delta.touched_sources();
+        let patched = csr.patched(&view, &touched);
+        let mut ws = PushWorkspace::new(g.num_nodes());
+        ws.load_base(&base_fp);
+        for &u in &touched {
+            ws.repair_row_change(&c, u, csr.forward_row(u), patched.forward_row(u));
+        }
+        ws.push_stage(&patched, &c, c.epsilon);
+
         let exact = ppr_power(&view, &c, seed);
         for t in 0..desc.n {
-            prop_assert!((updated.estimates[t] - exact[t]).abs() < 1e-5,
-                "t={t}: dyn {} vs exact {}", updated.estimates[t], exact[t]);
+            prop_assert!((ws.estimates()[t] - exact[t]).abs() < 1e-5,
+                "t={t}: dyn {} vs exact {}", ws.estimates()[t], exact[t]);
         }
     }
 

@@ -24,7 +24,7 @@ pub mod recwalk;
 pub use itemknn::ItemKnn;
 pub use list::RecList;
 pub use popularity::PopularityRecommender;
-pub use ppr_rec::{PprRecommender, RecConfig, ScoreEngine};
+pub use ppr_rec::{PprRecommender, RecConfig};
 pub use recwalk::recwalk_graph;
 
 use emigre_hin::{GraphView, NodeId};

@@ -2,19 +2,9 @@
 
 use crate::Recommender;
 use emigre_hin::{GraphView, NodeId, NodeTypeId};
-use emigre_ppr::{ppr_power, ForwardPush, PprConfig};
+use emigre_ppr::{ForwardPush, PprConfig, TransitionCsr};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-
-/// Which engine computes the user's PPR vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ScoreEngine {
-    /// Dense power iteration — exact, O(iterations · E).
-    Power,
-    /// Forward Local Push — approximate within ε, usually much faster and
-    /// the engine the paper's pipeline uses.
-    ForwardPush,
-}
 
 /// Configuration of the PPR recommender.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -23,7 +13,6 @@ pub struct RecConfig {
     pub ppr: PprConfig,
     /// The node type that is recommendable (the paper's item set `I`).
     pub item_type: NodeTypeId,
-    pub engine: ScoreEngine,
 }
 
 impl RecConfig {
@@ -32,13 +21,7 @@ impl RecConfig {
         RecConfig {
             ppr: PprConfig::default(),
             item_type,
-            engine: ScoreEngine::ForwardPush,
         }
-    }
-
-    pub fn with_engine(mut self, engine: ScoreEngine) -> Self {
-        self.engine = engine;
-        self
     }
 
     pub fn with_ppr(mut self, ppr: PprConfig) -> Self {
@@ -84,11 +67,12 @@ impl PprRecommender {
 }
 
 impl Recommender for PprRecommender {
+    /// Forward Local Push from the user over a transition kernel of `g`,
+    /// built per call (`O(E)`); the explain path instead pushes over one
+    /// kernel shared by every question.
     fn scores<G: GraphView>(&self, g: &G, user: NodeId) -> Vec<f64> {
-        match self.config.engine {
-            ScoreEngine::Power => ppr_power(g, &self.config.ppr, user),
-            ScoreEngine::ForwardPush => ForwardPush::compute(g, &self.config.ppr, user).estimates,
-        }
+        let kernel = TransitionCsr::build(g, self.config.ppr.transition);
+        ForwardPush::compute_kernel(&kernel, &self.config.ppr, user).estimates
     }
 
     fn candidates<G: GraphView>(&self, g: &G, user: NodeId) -> Vec<NodeId> {
@@ -108,9 +92,9 @@ impl Recommender for PprRecommender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Recommender;
+    use crate::{RecList, Recommender};
     use emigre_hin::Hin;
-    use emigre_ppr::TransitionModel;
+    use emigre_ppr::{ppr_power, TransitionModel};
 
     /// A small two-community item graph: the user interacted with items in
     /// community A, so the uninteracted A item should outrank B items.
@@ -141,26 +125,26 @@ mod tests {
         (g, u, a3, b1, item_t)
     }
 
-    fn recommender(item_t: NodeTypeId, engine: ScoreEngine) -> PprRecommender {
+    fn recommender(item_t: NodeTypeId) -> PprRecommender {
         let ppr = PprConfig {
             transition: TransitionModel::Weighted,
             epsilon: 1e-9,
             ..PprConfig::default()
         };
-        PprRecommender::new(RecConfig::new(item_t).with_ppr(ppr).with_engine(engine))
+        PprRecommender::new(RecConfig::new(item_t).with_ppr(ppr))
     }
 
     #[test]
     fn recommends_same_community_item() {
         let (g, u, a3, _, item_t) = communities();
-        let rec = recommender(item_t, ScoreEngine::Power);
+        let rec = recommender(item_t);
         assert_eq!(rec.top1(&g, u).map(|(n, _)| n), Some(a3));
     }
 
     #[test]
     fn interacted_items_excluded_from_candidates() {
         let (g, u, a3, b1, item_t) = communities();
-        let rec = recommender(item_t, ScoreEngine::Power);
+        let rec = recommender(item_t);
         let cands = rec.candidates(&g, u);
         assert!(cands.contains(&a3));
         assert!(cands.contains(&b1));
@@ -170,7 +154,7 @@ mod tests {
     #[test]
     fn non_item_nodes_never_recommended() {
         let (g, u, _, _, item_t) = communities();
-        let rec = recommender(item_t, ScoreEngine::Power);
+        let rec = recommender(item_t);
         let list = rec.recommend(&g, u, 100);
         for &(n, _) in list.entries() {
             assert_eq!(g.node_type(n), item_t);
@@ -178,10 +162,12 @@ mod tests {
     }
 
     #[test]
-    fn push_and_power_engines_agree_on_ranking() {
+    fn push_and_power_agree_on_ranking() {
         let (g, u, _, _, item_t) = communities();
-        let power = recommender(item_t, ScoreEngine::Power).recommend(&g, u, 5);
-        let push = recommender(item_t, ScoreEngine::ForwardPush).recommend(&g, u, 5);
+        let rec = recommender(item_t);
+        let exact = ppr_power(&g, &rec.config().ppr, u);
+        let power = RecList::from_scores(&exact, rec.candidates(&g, u), 5);
+        let push = rec.recommend(&g, u, 5);
         assert_eq!(power.items(), push.items());
         for (a, b) in power.entries().iter().zip(push.entries()) {
             assert!((a.1 - b.1).abs() < 1e-6);
@@ -193,7 +179,7 @@ mod tests {
         let (mut g, _, _, _, item_t) = communities();
         let user_t = g.registry().find_node_type("user").unwrap();
         let loner = g.add_node(user_t, Some("loner"));
-        let rec = recommender(item_t, ScoreEngine::Power);
+        let rec = recommender(item_t);
         // No out-edges: PPR concentrates on the seed, all items score zero,
         // ranking falls back to node-id order; the list still has 5 items.
         let list = rec.recommend(&g, loner, 5);
@@ -205,7 +191,7 @@ mod tests {
         use emigre_hin::{EdgeKey, GraphDelta};
         let (g, u, a3, _, item_t) = communities();
         let rated = g.registry().find_edge_type("rated").unwrap();
-        let rec = recommender(item_t, ScoreEngine::Power);
+        let rec = recommender(item_t);
         // Counterfactually interact with a3: it must vanish from candidates
         // and something else takes the top slot.
         let mut d = GraphDelta::new();

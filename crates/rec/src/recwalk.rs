@@ -95,9 +95,9 @@ pub fn is_user_actionable(etype: EdgeTypeId, model_edge: EdgeTypeId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PprRecommender, RecConfig, Recommender, ScoreEngine};
+    use crate::{PprRecommender, RecConfig, RecList, Recommender};
     use emigre_hin::NodeId;
-    use emigre_ppr::{PprConfig, TransitionModel};
+    use emigre_ppr::{ppr_power, PprConfig, TransitionModel};
 
     fn world() -> (Hin, NodeTypeId, NodeTypeId, Vec<NodeId>, Vec<NodeId>) {
         let mut g = Hin::new();
@@ -177,13 +177,13 @@ mod tests {
             epsilon: 1e-9,
             ..PprConfig::default()
         };
-        let rec = PprRecommender::new(
-            RecConfig::new(item_t)
-                .with_ppr(ppr)
-                .with_engine(ScoreEngine::Power),
-        );
-        let plain = rec.recommend(&g, users[2], 4);
-        let blended = rec.recommend(&rw, users[2], 4);
+        let rec = PprRecommender::new(RecConfig::new(item_t).with_ppr(ppr));
+        let exact = |graph: &Hin| {
+            let scores = ppr_power(graph, &ppr, users[2]);
+            RecList::from_scores(&scores, rec.candidates(graph, users[2]), 4)
+        };
+        let plain = exact(&g);
+        let blended = exact(&rw);
         assert!(!blended.is_empty());
         // The item-model channel must actually shift the scores.
         let plain_top_score = plain.entries()[0].1;

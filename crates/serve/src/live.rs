@@ -15,7 +15,8 @@
 //! - Writers are serialised by a dedicated write lock and follow a
 //!   **two-step publish protocol**: (1) *apply* — validate the delta,
 //!   materialise the new graph, and rebuild the kernel's touched rows via
-//!   [`TransitionCsr::rebuild_rows`] (`O(Σ deg(touched))` recompute +
+//!   [`CompactCsr::rebuild_rows`](emigre_ppr::CompactCsr::rebuild_rows)
+//!   (`O(Σ deg(touched))` recompute +
 //!   `O(E)` copy, entirely outside the readers' lock); (2) *publish* —
 //!   swap the `Arc` under the current-epoch lock, an atomic pointer
 //!   replacement. There is no intermediate state a reader can observe:
@@ -332,7 +333,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use emigre_hin::NodeId;
-    use emigre_ppr::{TransitionKernel, TransitionModel};
+    use emigre_ppr::{CsrRows, TransitionModel};
 
     fn sample() -> (Arc<Hin>, Arc<TransitionCsr>) {
         let mut g = Hin::new();

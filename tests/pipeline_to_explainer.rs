@@ -114,7 +114,8 @@ fn combined_mode_dominates_single_modes() {
 fn csr_snapshot_gives_identical_explanations() {
     let (hin, cfg) = small_world();
     let g = &hin.graph;
-    let csr = emigre::hin::CsrGraph::from_view(g);
+    let image = emigre::hin::snapshot_to_bytes(g);
+    let csr = emigre::hin::Snapshot::from_bytes(image).expect("a fresh image opens");
     let scenarios = generate_scenarios(g, &cfg, &hin.users, 1);
     let explainer = Explainer::new(cfg.clone());
     for s in scenarios.iter().take(3) {
@@ -125,5 +126,26 @@ fn csr_snapshot_gives_identical_explanations() {
             (Err(_), Err(_)) => {}
             other => panic!("hin/csr disagree: {other:?}"),
         }
+    }
+}
+
+#[test]
+fn scenarios_match_the_contexts_built_for_them() {
+    // A scenario's `rec` and `wni_rank` come from the same list the
+    // explain context computes, so the two can never disagree — not even
+    // near score ties.
+    let (hin, cfg) = small_world();
+    let g = &hin.graph;
+    let scenarios = generate_scenarios(g, &cfg, &hin.users, cfg.target_list_size);
+    assert!(!scenarios.is_empty(), "pipeline produced no scenarios");
+    for s in &scenarios {
+        let ctx = ExplainContext::build(g, cfg.clone(), s.user, s.wni)
+            .unwrap_or_else(|e| panic!("scenario {s:?} has no context: {e:?}"));
+        assert_eq!(ctx.rec, s.rec, "rec differs for {s:?}");
+        assert_eq!(
+            ctx.rec_list.rank_of(s.wni),
+            Some(s.wni_rank),
+            "rank differs for {s:?}"
+        );
     }
 }
