@@ -13,9 +13,9 @@ use crate::combinations::{binomial, Combinations};
 use crate::context::ExplainContext;
 use crate::explanation::{Action, Explanation, Mode};
 use crate::failure::{classify_failure, ExplainFailure};
-use crate::search::SearchSpace;
-use crate::tester::Tester;
-use emigre_hin::{EdgeKey, GraphView};
+use crate::search::{subset_actions, SearchSpace};
+use crate::tester::{PreCheck, Tester};
+use emigre_hin::GraphView;
 
 /// Exhausts all removal subsets ascending by size. The candidate ordering
 /// within a size follows the search space's contribution ranking, which
@@ -27,61 +27,71 @@ pub fn brute_force<G: GraphView>(
 ) -> Result<Explanation, ExplainFailure> {
     assert_eq!(
         space.mode,
-        Mode::Remove,
+        Some(Mode::Remove),
         "brute force is defined for Remove mode (paper §6.2)"
     );
     let tester = Tester::new(ctx);
-    let pool = &space.candidates;
-    let capped = pool.len() > ctx.cfg.max_subset_candidates;
-    let n = pool.len().min(ctx.cfg.max_subset_candidates);
+    let capped = space.candidates.len() > ctx.cfg.max_subset_candidates;
+    let pool = &space.candidates[..space.candidates.len().min(ctx.cfg.max_subset_candidates)];
 
     let mut enumerated: usize = 0;
     let mut budget_hit = capped;
+    let mut result = None;
     let _test_loop = ctx.obs.span("test_loop");
-    for size in 1..=n {
-        if enumerated.saturating_add(binomial(n, size)) > ctx.cfg.max_enumerated_subsets {
+    for size in 1..=pool.len() {
+        if enumerated.saturating_add(binomial(pool.len(), size)) > ctx.cfg.max_enumerated_subsets {
             budget_hit = true;
             break;
         }
-        for idx in Combinations::new(n, size) {
-            enumerated += 1;
+        // Every subset of this size, in index order: independent pure
+        // CHECKs, so the (possibly parallel) in-order scan is exactly the
+        // sequential per-subset loop.
+        let mut sets: Vec<Vec<Action>> = Combinations::new(pool.len(), size)
+            .map(|idx| subset_actions(pool, &idx))
+            .collect();
+        let scan = tester.first_passing(&sets, |_| {
             if tester.budget_exhausted() {
-                budget_hit = true;
-                break;
+                PreCheck::Stop
+            } else {
+                PreCheck::Proceed
             }
-            let actions: Vec<Action> = idx
-                .iter()
-                .map(|&i| {
-                    let c = &pool[i];
-                    Action::remove(EdgeKey::new(ctx.user, c.node, c.etype), c.weight)
-                })
-                .collect();
-            if tester.test(&actions) {
-                ctx.obs
-                    .count(emigre_obs::Op::SubsetsEnumerated, enumerated as u64);
-                return Ok(Explanation {
-                    mode: Some(Mode::Remove),
-                    actions,
-                    new_top: ctx.wni,
-                    checks_performed: tester.checks_performed(),
-                    verified: true,
-                });
-            }
-        }
-        if budget_hit {
+        });
+        // `SubsetsEnumerated` counts up to and including the subset where
+        // the scan stopped, as the sequential loop would have.
+        if let Some(i) = scan.found {
+            enumerated += i + 1;
+            result = Some(sets.swap_remove(i));
             break;
+        }
+        if let Some(i) = scan.stopped {
+            enumerated += i + 1;
+            budget_hit = true;
+            break;
+        }
+        enumerated += sets.len();
+        if capped {
+            break; // a capped pool is searched at size 1 only
         }
     }
     ctx.obs
         .count(emigre_obs::Op::SubsetsEnumerated, enumerated as u64);
 
-    Err(classify_failure(
-        ctx,
-        Mode::Remove,
-        space.removable_actions,
-        tester.checks_performed(),
-        budget_hit,
-    ))
+    match result {
+        Some(actions) => Ok(Explanation {
+            mode: Some(Mode::Remove),
+            actions,
+            new_top: ctx.wni,
+            checks_performed: tester.checks_performed(),
+            verified: true,
+        }),
+        None => Err(classify_failure(
+            ctx,
+            Mode::Remove,
+            space.removable_actions,
+            tester.checks_performed(),
+            budget_hit,
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -134,13 +144,7 @@ mod tests {
         assert!(tester.test(&exp.actions));
         for size in 1..exp.size() {
             for idx in crate::combinations::Combinations::new(space.candidates.len(), size) {
-                let actions: Vec<Action> = idx
-                    .iter()
-                    .map(|&i| {
-                        let c = &space.candidates[i];
-                        Action::remove(EdgeKey::new(u, c.node, c.etype), c.weight)
-                    })
-                    .collect();
+                let actions = subset_actions(&space.candidates, &idx);
                 assert!(
                     !tester.test(&actions),
                     "smaller subset {idx:?} also works — brute force not minimal"

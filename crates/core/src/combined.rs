@@ -3,41 +3,29 @@
 //! Section 6.4 ("Out Of Scope Item") observes that some Why-Not questions
 //! cannot be answered by additions alone or removals alone, and Section 7
 //! proposes mixing past and future actions as future work. This module
-//! implements that extension with the same machinery as the single modes:
+//! implements that extension with the single modes' own algorithms; only
+//! the candidate list `H` changes:
 //!
 //! 1. build both search spaces;
-//! 2. merge their candidates into one descending-contribution list (each
-//!    candidate remembers which mode it came from);
-//! 3. run the Incremental accumulation over the merged list, CHECKing once
-//!    the shared dominance threshold is crossed;
-//! 4. optionally (the `minimal` flag) run a Powerset-style pass over the
-//!    merged positive pool to shrink the explanation.
+//! 2. merge their candidates into one descending-contribution list
+//!    ([`SearchSpace::merge`]) — each candidate's action says whether it
+//!    adds or removes an edge;
+//! 3. run Algorithm 3 ([`incremental`]) over the merged list, CHECKing
+//!    once the shared dominance threshold is crossed;
+//! 4. or, with the `minimal` flag, Algorithm 4 ([`powerset`]) over the
+//!    merged positive pool, to favour smaller explanations.
 //!
 //! The resulting [`Explanation`] has `mode == None` and can contain both
 //! added and removed edges.
 
-use crate::combinations::{binomial, Combinations};
 use crate::context::ExplainContext;
-use crate::explanation::{Action, Explanation, Mode};
-use crate::failure::{classify_failure, ExplainFailure, FailureReason};
-use crate::search::{add_search_space, remove_search_space, Candidate};
-use crate::tester::Tester;
-use emigre_hin::{EdgeKey, GraphView};
-
-/// One merged candidate: the action plus the mode it originated from.
-#[derive(Debug, Clone, Copy)]
-struct MergedCandidate {
-    candidate: Candidate,
-    mode: Mode,
-}
-
-fn to_action(user: emigre_hin::NodeId, mc: &MergedCandidate) -> Action {
-    let edge = EdgeKey::new(user, mc.candidate.node, mc.candidate.etype);
-    match mc.mode {
-        Mode::Remove => Action::remove(edge, mc.candidate.weight),
-        Mode::Add => Action::add(edge, mc.candidate.weight),
-    }
-}
+use crate::explainer::Explainer;
+use crate::explanation::Explanation;
+use crate::failure::{ExplainFailure, FailureReason};
+use crate::incremental::incremental;
+use crate::powerset::powerset;
+use crate::search::{add_search_space, remove_search_space, SearchSpace};
+use emigre_hin::GraphView;
 
 /// Runs the combined mode. With `minimal = false` this is the fast
 /// incremental variant; with `minimal = true` a powerset pass over the
@@ -50,160 +38,35 @@ pub fn combined<G: GraphView>(
     let remove_space = remove_search_space(ctx);
     let add_space = add_search_space(ctx);
     drop(space_span);
-    let tau = remove_space.tau;
-    let removable = remove_space.removable_actions;
 
     let ranking_span = ctx.obs.span("candidate_ranking");
-    let mut merged: Vec<MergedCandidate> = remove_space
-        .candidates
-        .iter()
-        .map(|&candidate| MergedCandidate {
-            candidate,
-            mode: Mode::Remove,
-        })
-        .chain(
-            add_space
-                .candidates
-                .iter()
-                .map(|&candidate| MergedCandidate {
-                    candidate,
-                    mode: Mode::Add,
-                }),
-        )
-        .collect();
-    merged.sort_by(|a, b| {
-        b.candidate
-            .contribution
-            .partial_cmp(&a.candidate.contribution)
-            .expect("finite contributions")
-            .then_with(|| a.candidate.node.cmp(&b.candidate.node))
-    });
+    let space = SearchSpace::merge(remove_space, add_space);
     drop(ranking_span);
-    if ctx.obs.is_enabled() {
-        ctx.obs.trace_candidates(
-            "combined",
-            merged
-                .iter()
-                .map(|mc| emigre_obs::TraceCandidate {
-                    node: mc.candidate.node.0,
-                    contribution: mc.candidate.contribution,
-                })
-                .collect(),
-        );
-    }
+    Explainer::trace_space(ctx, &space);
 
-    let tester = Tester::new(ctx);
     let result = if minimal {
-        powerset_pass(ctx, &tester, &merged, tau)
+        powerset(ctx, &space)
     } else {
-        incremental_pass(ctx, &tester, &merged, tau)
+        incremental(ctx, &space)
     };
-
-    result.ok_or_else(|| {
-        let failure = classify_failure(
-            ctx,
-            Mode::Remove,
-            removable,
-            tester.checks_performed(),
-            false,
-        );
-        // A combined-mode failure is never "out of scope for a single
-        // mode" — both modes were explored.
-        match failure.reason {
-            FailureReason::OutOfScope { .. } => ExplainFailure {
-                reason: FailureReason::BudgetExhausted {
-                    checks_performed: tester.checks_performed(),
-                },
-                ..failure
+    // A combined-mode failure is never "out of scope for a single mode" —
+    // both modes were explored.
+    result.map_err(|failure| match failure.reason {
+        FailureReason::OutOfScope { .. } => ExplainFailure {
+            reason: FailureReason::BudgetExhausted {
+                checks_performed: failure.checks_performed,
             },
-            _ => failure,
-        }
+            ..failure
+        },
+        _ => failure,
     })
-}
-
-fn incremental_pass<G: GraphView>(
-    ctx: &ExplainContext<'_, G>,
-    tester: &Tester<'_, '_, G>,
-    merged: &[MergedCandidate],
-    tau0: f64,
-) -> Option<Explanation> {
-    let mut tau = tau0;
-    let slack = crate::search::tau_slack(tau0);
-    let mut actions: Vec<Action> = Vec::new();
-    let _test_loop = ctx.obs.span("test_loop");
-    for (rank, mc) in merged.iter().enumerate() {
-        if mc.candidate.contribution <= 0.0 {
-            break;
-        }
-        actions.push(to_action(ctx.user, mc));
-        tau -= mc.candidate.contribution;
-        if tau <= slack {
-            ctx.obs.trace_crossing(rank as u64, tau);
-            if tester.budget_exhausted() {
-                return None;
-            }
-            if tester.test(&actions) {
-                return Some(Explanation {
-                    mode: None,
-                    actions,
-                    new_top: ctx.wni,
-                    checks_performed: tester.checks_performed(),
-                    verified: true,
-                });
-            }
-        }
-    }
-    None
-}
-
-fn powerset_pass<G: GraphView>(
-    ctx: &ExplainContext<'_, G>,
-    tester: &Tester<'_, '_, G>,
-    merged: &[MergedCandidate],
-    tau0: f64,
-) -> Option<Explanation> {
-    let pool: Vec<&MergedCandidate> = merged
-        .iter()
-        .filter(|mc| mc.candidate.contribution > 0.0)
-        .take(ctx.cfg.max_subset_candidates)
-        .collect();
-    let mut enumerated = 0usize;
-    let _test_loop = ctx.obs.span("test_loop");
-    for size in 1..=pool.len() {
-        if enumerated.saturating_add(binomial(pool.len(), size)) > ctx.cfg.max_enumerated_subsets {
-            return None;
-        }
-        for idx in Combinations::new(pool.len(), size) {
-            enumerated += 1;
-            ctx.obs.count(emigre_obs::Op::SubsetsEnumerated, 1);
-            let sum: f64 = idx.iter().map(|&i| pool[i].candidate.contribution).sum();
-            if tau0 - sum > crate::search::tau_slack(tau0) {
-                continue;
-            }
-            if tester.budget_exhausted() {
-                return None;
-            }
-            ctx.obs.trace_crossing(enumerated as u64, tau0 - sum);
-            let actions: Vec<Action> = idx.iter().map(|&i| to_action(ctx.user, pool[i])).collect();
-            if tester.test(&actions) {
-                return Some(Explanation {
-                    mode: None,
-                    actions,
-                    new_top: ctx.wni,
-                    checks_performed: tester.checks_performed(),
-                    verified: true,
-                });
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EmigreConfig;
-    use crate::incremental::incremental;
+    use crate::tester::Tester;
     use emigre_hin::{Hin, NodeId};
     use emigre_ppr::{PprConfig, TransitionModel};
     use emigre_rec::RecConfig;

@@ -38,9 +38,12 @@ use crate::combinations::{binomial, Combinations};
 use crate::context::ExplainContext;
 use crate::explanation::{Action, Explanation, Mode};
 use crate::failure::{classify_failure, ExplainFailure};
-use crate::search::{contribution_versus_target, target_threshold, Candidate, SearchSpace};
-use crate::tester::Tester;
-use emigre_hin::{EdgeKey, GraphView, NodeId};
+use crate::search::{
+    allowed_actions, contribution_versus_target, subset_actions, target_threshold, Candidate,
+    SearchSpace,
+};
+use crate::tester::{PreCheck, Tester};
+use emigre_hin::{GraphView, NodeId};
 use emigre_ppr::ReversePush;
 
 /// Intermediate matrices of Algorithm 5, exposed for inspection — this is
@@ -127,11 +130,15 @@ fn run<G: GraphView>(
         .map(|cand| {
             pushes
                 .iter()
-                .map(|p| contribution_versus_target(ctx, cand, space.mode, p))
+                .map(|p| contribution_versus_target(ctx, cand, p))
                 .collect()
         })
         .collect();
-    let threshold: Vec<f64> = pushes.iter().map(|p| target_threshold(ctx, p)).collect();
+    let user_actions = allowed_actions(ctx);
+    let threshold: Vec<f64> = pushes
+        .iter()
+        .map(|p| target_threshold(ctx, &user_actions, p))
+        .collect();
     drop(ranking_span);
 
     let mut accepted: Vec<Vec<usize>> = Vec::new();
@@ -180,17 +187,7 @@ fn run<G: GraphView>(
             } else {
                 0.0
             };
-            let actions: Vec<Action> = idx
-                .iter()
-                .map(|&i| {
-                    let c = &pool[i];
-                    let edge = EdgeKey::new(ctx.user, c.node, c.etype);
-                    match space.mode {
-                        Mode::Remove => Action::remove(edge, c.weight),
-                        Mode::Add => Action::add(edge, c.weight),
-                    }
-                })
-                .collect();
+            let actions = subset_actions(&pool, &idx);
             if direct {
                 // Baseline: trust the prediction, skip the CHECK and stop
                 // at the first candidate combination.
@@ -200,7 +197,7 @@ fn run<G: GraphView>(
                 accepted.push(idx.clone());
                 enumerated = before + scanned;
                 result = Some(Explanation {
-                    mode: Some(space.mode),
+                    mode: space.mode,
                     actions,
                     new_top: ctx.wni,
                     checks_performed: tester.checks_performed(),
@@ -216,24 +213,21 @@ fn run<G: GraphView>(
             continue;
         }
 
-        let mut stop_at: Option<usize> = None;
         let scan = tester.first_passing(&sets, |i| {
             if ctx.obs.is_enabled() {
                 ctx.obs.trace_crossing(qual[i].0 as u64, -qual[i].1);
             }
             accepted.push(qual[i].2.clone());
             if tester.budget_exhausted() {
-                budget_hit = true;
-                stop_at = Some(i);
-                crate::tester::PreCheck::Stop
+                PreCheck::Stop
             } else {
-                crate::tester::PreCheck::Proceed
+                PreCheck::Proceed
             }
         });
         if let Some(i) = scan.found {
             enumerated = qual[i].0;
             result = Some(Explanation {
-                mode: Some(space.mode),
+                mode: space.mode,
                 actions: sets.swap_remove(i),
                 new_top: ctx.wni,
                 checks_performed: tester.checks_performed(),
@@ -241,8 +235,9 @@ fn run<G: GraphView>(
             });
             break 'sizes;
         }
-        if scan.stopped {
-            enumerated = qual[stop_at.expect("stop implies a gated index")].0;
+        if let Some(i) = scan.stopped {
+            enumerated = qual[i].0;
+            budget_hit = true;
             break 'sizes;
         }
         enumerated = before + scanned;
@@ -262,7 +257,7 @@ fn run<G: GraphView>(
         Some(e) => Ok(e),
         None => Err(classify_failure(
             ctx,
-            space.mode,
+            space.mode.unwrap_or(Mode::Remove),
             space.removable_actions,
             tester.checks_performed(),
             budget_hit,
@@ -282,7 +277,7 @@ impl ExhaustiveTrace {
         }
         s.push('\n');
         for (i, c) in self.candidates.iter().enumerate() {
-            s.push_str(&format!("{:<16}", g.display_name(c.node)));
+            s.push_str(&format!("{:<16}", g.display_name(c.node())));
             for v in &self.contribution_matrix[i] {
                 s.push_str(&format!("{v:>12.4}"));
             }

@@ -42,19 +42,27 @@ pub enum Method {
 }
 
 impl Method {
+    /// Every method in the paper's reporting order (Figs. 4–6, Table 5),
+    /// followed by the combined-mode extensions. The one registry behind
+    /// label parsing, the CLI, and the serving cost classes.
+    pub const ALL: [Method; 10] = [
+        Method::AddIncremental,
+        Method::AddPowerset,
+        Method::AddExhaustive,
+        Method::RemoveIncremental,
+        Method::RemovePowerset,
+        Method::RemoveExhaustive,
+        Method::RemoveExhaustiveDirect,
+        Method::RemoveBruteForce,
+        Method::Combined,
+        Method::CombinedMinimal,
+    ];
+
     /// All methods in the paper's reporting order (Figs. 4–6, Table 5),
     /// without the extensions.
     pub fn paper_methods() -> [Method; 8] {
-        [
-            Method::AddIncremental,
-            Method::AddPowerset,
-            Method::AddExhaustive,
-            Method::RemoveIncremental,
-            Method::RemovePowerset,
-            Method::RemoveExhaustive,
-            Method::RemoveExhaustiveDirect,
-            Method::RemoveBruteForce,
-        ]
+        let [paper @ .., _combined, _combined_minimal] = Self::ALL;
+        paper
     }
 
     /// The label used in the paper's figures.
@@ -71,6 +79,11 @@ impl Method {
             Method::Combined => "combined",
             Method::CombinedMinimal => "combined_minimal",
         }
+    }
+
+    /// The method whose [`Method::label`] is `label`, if any.
+    pub fn from_label(label: &str) -> Option<Method> {
+        Self::ALL.into_iter().find(|m| m.label() == label)
     }
 
     /// The mode the method searches in (`None` for combined).
@@ -221,11 +234,15 @@ impl Explainer {
                 .candidates
                 .iter()
                 .map(|c| emigre_obs::TraceCandidate {
-                    node: c.node.0,
+                    node: c.node().0,
                     contribution: c.contribution,
                 })
                 .collect();
-            ctx.obs.trace_candidates(&space.mode.to_string(), cands);
+            let mode = match space.mode {
+                Some(mode) => mode.to_string(),
+                None => "combined".to_owned(),
+            };
+            ctx.obs.trace_candidates(&mode, cands);
         }
     }
 }
@@ -268,19 +285,7 @@ mod tests {
         let (g, cfg, u, wni) = fixture();
         let explainer = Explainer::new(cfg);
         let ctx = explainer.context(&g, u, wni).unwrap();
-        let all = [
-            Method::AddIncremental,
-            Method::AddPowerset,
-            Method::AddExhaustive,
-            Method::RemoveIncremental,
-            Method::RemovePowerset,
-            Method::RemoveExhaustive,
-            Method::RemoveExhaustiveDirect,
-            Method::RemoveBruteForce,
-            Method::Combined,
-            Method::CombinedMinimal,
-        ];
-        for method in all {
+        for method in Method::ALL {
             match Explainer::explain_with_context(&ctx, method) {
                 Ok(exp) => {
                     assert_eq!(exp.new_top, wni, "{method}: wrong target");
@@ -331,5 +336,35 @@ mod tests {
         assert_eq!(Method::RemoveBruteForce.label(), "remove_brute");
         assert_eq!(Method::paper_methods().len(), 8);
         assert_eq!(Method::AddPowerset.to_string(), "add_Powerset");
+    }
+
+    #[test]
+    fn brute_force_and_combined_scan_through_the_parallel_pool() {
+        // Both methods CHECK at least two candidate sets on this fixture
+        // (two singleton removals; two τ-crossing prefixes of the merged
+        // list), so at parallelism 4 the scan must fan out.
+        let (g, cfg, u, wni) = fixture();
+        let cfg = cfg.with_parallelism(4);
+        for method in [Method::RemoveBruteForce, Method::Combined] {
+            let obs = emigre_obs::ObsHandle::enabled();
+            let ctx = ExplainContext::build_with_obs(&g, cfg.clone(), u, wni, obs).unwrap();
+            let _ = Explainer::explain_with_context(&ctx, method);
+            let fanned_out = ctx
+                .obs
+                .span_tree()
+                .iter()
+                .any(|s| s.find("check_parallel").is_some());
+            assert!(fanned_out, "{method} bypassed Tester::first_passing's pool");
+        }
+    }
+
+    #[test]
+    fn labels_round_trip_through_the_registry() {
+        for (i, m) in Method::ALL.iter().enumerate() {
+            assert_eq!(Method::from_label(m.label()), Some(*m));
+            assert!(!Method::ALL[..i].contains(m), "{m} listed twice");
+        }
+        assert_eq!(Method::from_label("remove_Brute"), None);
+        assert_eq!(Method::paper_methods(), Method::ALL[..8]);
     }
 }

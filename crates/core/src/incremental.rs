@@ -12,13 +12,14 @@
 //! other method), which we reproduce.
 
 use crate::context::ExplainContext;
-use crate::explanation::{Action, Explanation};
+use crate::explanation::{Action, Explanation, Mode};
 use crate::failure::{classify_failure, ExplainFailure};
 use crate::search::SearchSpace;
 use crate::tester::{PreCheck, Tester};
-use emigre_hin::{EdgeKey, GraphView};
+use emigre_hin::GraphView;
 
-/// Runs Algorithm 3 over a prepared search space (either mode).
+/// Runs Algorithm 3 over a prepared search space (either mode, or the
+/// combined extension's mixed list).
 pub fn incremental<G: GraphView>(
     ctx: &ExplainContext<'_, G>,
     space: &SearchSpace,
@@ -43,11 +44,7 @@ pub fn incremental<G: GraphView>(
         if cand.contribution <= 0.0 {
             break;
         }
-        let edge = EdgeKey::new(ctx.user, cand.node, cand.etype);
-        actions.push(match space.mode {
-            crate::explanation::Mode::Remove => Action::remove(edge, cand.weight),
-            crate::explanation::Mode::Add => Action::add(edge, cand.weight),
-        });
+        actions.push(cand.action);
         tau -= cand.contribution;
         if tau <= slack {
             crossings.push((rank as u64, tau));
@@ -68,7 +65,7 @@ pub fn incremental<G: GraphView>(
     });
     if let Some(i) = scan.found {
         return Ok(Explanation {
-            mode: Some(space.mode),
+            mode: space.mode,
             actions: sets.swap_remove(i),
             new_top: ctx.wni,
             checks_performed: tester.checks_performed(),
@@ -76,9 +73,11 @@ pub fn incremental<G: GraphView>(
         });
     }
 
+    // A mixed list is diagnosed like Remove mode, whose τ and action count
+    // it carries.
     Err(classify_failure(
         ctx,
-        space.mode,
+        space.mode.unwrap_or(Mode::Remove),
         space.removable_actions,
         tester.checks_performed(),
         budget_hit,
@@ -89,7 +88,6 @@ pub fn incremental<G: GraphView>(
 mod tests {
     use super::*;
     use crate::config::EmigreConfig;
-    use crate::explanation::Mode;
     use crate::failure::FailureReason;
     use crate::search::{add_search_space, remove_search_space};
     use emigre_hin::{Hin, NodeId};
@@ -160,7 +158,7 @@ mod tests {
         let space = remove_search_space(&ctx);
         let exp = incremental(&ctx, &space).unwrap();
         for (i, action) in exp.actions.iter().enumerate() {
-            assert_eq!(action.edge.dst, space.candidates[i].node);
+            assert_eq!(*action, space.candidates[i].action);
         }
     }
 

@@ -20,9 +20,9 @@
 //! | Alg. 5 (Exhaustive Comparison, Eq. 7, Tables 1–3) | [`exhaustive`] |
 //! | Brute-force baseline (§6.2) | [`brute`] |
 //! | PRINCE Why-explanations (§3.2, Fig. 2) | [`prince`] |
-//! | CHECK / TEST step | [`tester`] |
+//! | CHECK / TEST step, and the one CHECK scan every search method runs (`Tester::first_passing`) | [`tester`] |
 //! | Failure meta-explanations (§6.4) | [`failure`] |
-//! | Combined Add+Remove mode (§7, future work) | [`combined`] |
+//! | Combined Add+Remove mode (§7, future work): Alg. 3 or 4 over the merged list (`SearchSpace::merge`) | [`combined`] |
 //! | Weighted explanations ("rate with 5 stars", §7) | [`weighted`] |
 //! | Group/category Why-Not questions (§4, future work) | [`group`] |
 //! | §6.2 list-wide batch loop | [`batch`] |

@@ -176,10 +176,7 @@ mod tests {
             // Find a second addable action that keeps the test passing.
             let space = crate::search::add_search_space(&ctx);
             for cand in &space.candidates {
-                let extra = Action::add(
-                    emigre_hin::EdgeKey::new(u, cand.node, cand.etype),
-                    cand.weight,
-                );
+                let extra = cand.action;
                 if extra.edge != exp.actions[0].edge {
                     let padded_actions = vec![exp.actions[0], extra];
                     if tester.test(&padded_actions) {

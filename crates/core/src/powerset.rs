@@ -11,35 +11,24 @@ use crate::combinations::{binomial, Combinations};
 use crate::context::ExplainContext;
 use crate::explanation::{Action, Explanation, Mode};
 use crate::failure::{classify_failure, ExplainFailure};
-use crate::search::{Candidate, SearchSpace};
+use crate::search::{subset_actions, SearchSpace};
 use crate::tester::Tester;
-use emigre_hin::{EdgeKey, GraphView};
+use emigre_hin::GraphView;
 
-fn to_action(mode: Mode, user: emigre_hin::NodeId, c: &Candidate) -> Action {
-    let edge = EdgeKey::new(user, c.node, c.etype);
-    match mode {
-        Mode::Remove => Action::remove(edge, c.weight),
-        Mode::Add => Action::add(edge, c.weight),
-    }
-}
-
-/// Runs Algorithm 4 over a prepared search space (either mode).
+/// Runs Algorithm 4 over a prepared search space (either mode, or the
+/// combined extension's mixed list).
 pub fn powerset<G: GraphView>(
     ctx: &ExplainContext<'_, G>,
     space: &SearchSpace,
 ) -> Result<Explanation, ExplainFailure> {
     let tester = Tester::new(ctx);
-    // Line 3–7: prune candidates that do not favour WNI.
-    let mut pool: Vec<&Candidate> = space
-        .candidates
-        .iter()
-        .filter(|c| c.contribution > 0.0)
-        .collect();
-    // Guard the 2^|H| blow-up: keep the highest contributions (the pool is
-    // already sorted descending). Dropped candidates are reflected in the
-    // failure bookkeeping via `budget_hit`.
-    let capped = pool.len() > ctx.cfg.max_subset_candidates;
-    pool.truncate(ctx.cfg.max_subset_candidates);
+    // Line 3–7: prune candidates that do not favour WNI — a prefix, since
+    // the list is sorted by descending contribution.
+    let positive = space.candidates.partition_point(|c| c.contribution > 0.0);
+    // Guard the 2^|H| blow-up: keep the highest contributions. Dropped
+    // candidates are reflected in the failure bookkeeping via `budget_hit`.
+    let capped = positive > ctx.cfg.max_subset_candidates;
+    let pool = &space.candidates[..positive.min(ctx.cfg.max_subset_candidates)];
 
     let mut enumerated: usize = 0;
     let mut budget_hit = capped;
@@ -80,11 +69,7 @@ pub fn powerset<G: GraphView>(
                 break; // the rest of this size cannot close the gap either
             }
             margins.push(space.tau - sum);
-            sets.push(
-                idx.iter()
-                    .map(|&i| to_action(space.mode, ctx.user, pool[i]))
-                    .collect(),
-            );
+            sets.push(subset_actions(pool, &idx));
         }
         let scan = tester.first_passing(&sets, |i| {
             if tester.budget_exhausted() {
@@ -99,21 +84,23 @@ pub fn powerset<G: GraphView>(
         });
         if let Some(i) = scan.found {
             return Ok(Explanation {
-                mode: Some(space.mode),
+                mode: space.mode,
                 actions: sets.swap_remove(i),
                 new_top: ctx.wni,
                 checks_performed: tester.checks_performed(),
                 verified: true,
             });
         }
-        if scan.stopped {
+        if scan.stopped.is_some() {
             break 'sizes;
         }
     }
 
+    // A mixed list is diagnosed like Remove mode, whose τ and action count
+    // it carries.
     Err(classify_failure(
         ctx,
-        space.mode,
+        space.mode.unwrap_or(Mode::Remove),
         space.removable_actions,
         tester.checks_performed(),
         budget_hit,
@@ -203,7 +190,7 @@ mod tests {
             let single_works = space
                 .candidates
                 .iter()
-                .any(|c| c.contribution > 0.0 && tester.test(&[super::to_action(Mode::Add, u, c)]));
+                .any(|c| c.contribution > 0.0 && tester.test(&[c.action]));
             if single_works {
                 assert_eq!(exp.size(), 1);
             }

@@ -20,8 +20,9 @@
 use crate::context::ExplainContext;
 use crate::explanation::{Action, Explanation, Mode};
 use crate::failure::{classify_failure, ExplainFailure};
+use crate::search::allowed_actions;
 use crate::tester::Tester;
-use emigre_hin::{EdgeKey, GraphView, NodeId};
+use emigre_hin::{GraphView, NodeId};
 use emigre_ppr::ReversePush;
 
 /// Result of a PRINCE run: the counterfactual set plus the replacement item
@@ -46,19 +47,8 @@ impl WhyExplanation {
 /// Why-Not item plays no role here beyond having built the context).
 pub fn prince<G: GraphView>(ctx: &ExplainContext<'_, G>) -> Result<WhyExplanation, ExplainFailure> {
     let tester = Tester::new(ctx);
-    let g = ctx.graph;
-    let u = ctx.user;
-    let deg = g.out_degree(u);
-    let wsum = if deg > 0 { g.out_weight_sum(u) } else { 1.0 };
-    let model = ctx.cfg.rec.ppr.transition;
-
-    // The user's removable actions.
-    let mut actions_pool: Vec<(NodeId, emigre_hin::EdgeTypeId, f64, f64)> = Vec::new();
-    g.for_each_out(u, |n, et, w| {
-        if n != u && ctx.cfg.edge_type_allowed(et) {
-            actions_pool.push((n, et, w, model.edge_probability(w, wsum, deg)));
-        }
-    });
+    // The user's removable actions, with their transition probabilities.
+    let actions_pool = allowed_actions(ctx);
     let removable = actions_pool.len();
 
     // Candidate replacement items: the rest of the recommendation list.
@@ -76,27 +66,22 @@ pub fn prince<G: GraphView>(ctx: &ExplainContext<'_, G>) -> Result<WhyExplanatio
         } else {
             ReversePush::compute_kernel(&*ctx.kernel, &ctx.cfg.rec.ppr, r_star)
         };
-        // Swap contributions towards replacing rec by r*.
-        let mut ranked: Vec<(usize, f64)> = actions_pool
+        // Swap contributions towards replacing rec by r*; their sum is the
+        // gap of rec over r* from the user's perspective.
+        let swap: Vec<f64> = actions_pool
             .iter()
-            .enumerate()
-            .map(|(i, &(n, _, _, p))| (i, p * (ctx.ppr_n_rec(n) - ppr_to_r.estimate(n))))
+            .map(|&(a, p)| p * (ctx.ppr_n_rec(a.edge.dst) - ppr_to_r.estimate(a.edge.dst)))
             .collect();
+        let gap: f64 = swap.iter().sum();
+        let mut ranked: Vec<(usize, f64)> = swap.into_iter().enumerate().collect();
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-
-        // Gap of rec over r* from the user's perspective.
-        let gap: f64 = actions_pool
-            .iter()
-            .map(|&(n, _, _, p)| p * (ctx.ppr_n_rec(n) - ppr_to_r.estimate(n)))
-            .sum();
         let mut acc = 0.0;
         let mut chosen: Vec<Action> = Vec::new();
         for (i, contribution) in ranked {
             if contribution <= 0.0 {
                 break;
             }
-            let (n, et, w, _) = actions_pool[i];
-            chosen.push(Action::remove(EdgeKey::new(u, n, et), w));
+            chosen.push(actions_pool[i].0);
             acc += contribution;
             if acc >= gap {
                 break;

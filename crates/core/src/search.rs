@@ -26,30 +26,35 @@
 //! ≤ 0 the candidate set plausibly flips the ranking and is CHECKed.
 
 use crate::context::ExplainContext;
-use crate::explanation::Mode;
-use emigre_hin::{EdgeTypeId, GraphView, NodeId};
+use crate::explanation::{Action, Mode};
+use emigre_hin::{EdgeKey, GraphView, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// One candidate action with its predicted contribution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Candidate {
-    /// The neighbour (existing or prospective) at the far end of the
-    /// user-rooted edge.
-    pub node: NodeId,
-    /// Edge type of the action (existing type for removals, the configured
-    /// `add_edge_type` for additions).
-    pub etype: EdgeTypeId,
-    /// Edge weight (existing weight for removals, configured weight for
-    /// additions).
-    pub weight: f64,
+    /// The counterfactual action: an existing user-rooted edge to remove
+    /// (its own type and weight), or a prospective one to add (the
+    /// configured `add_edge_type` and `added_edge_weight`).
+    pub action: Action,
     /// Predicted decrease of the rec-over-WNI dominance gap.
     pub contribution: f64,
+}
+
+impl Candidate {
+    /// The neighbour (existing or prospective) at the far end of the
+    /// user-rooted edge.
+    pub fn node(&self) -> NodeId {
+        self.action.edge.dst
+    }
 }
 
 /// The ranked search space `H` with its threshold `τ`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchSpace {
-    pub mode: Mode,
+    /// The mode every candidate belongs to; `None` for the combined
+    /// extension's mixed list ([`SearchSpace::merge`]).
+    pub mode: Option<Mode>,
     /// Candidates ordered by descending contribution (the paper's
     /// `DescendingOrderList`), ties broken by ascending node id.
     pub candidates: Vec<Candidate>,
@@ -63,12 +68,36 @@ pub struct SearchSpace {
     pub truncated: bool,
 }
 
-/// Enumerates the user's out-edges of allowed types — the action set `A` of
-/// Algorithms 1 and 2 — as `(neighbour, edge type, weight, transition
-/// probability)`.
-fn allowed_actions<G: GraphView>(
-    ctx: &ExplainContext<'_, G>,
-) -> Vec<(NodeId, EdgeTypeId, f64, f64)> {
+impl SearchSpace {
+    /// The combined extension's search space (§7): the candidates of both
+    /// single-mode spaces — each already truncated to `max_candidates` —
+    /// ranked as one list, against the remove space's τ and action count
+    /// (both modes estimate the same gap). The merged list is not truncated
+    /// again.
+    pub fn merge(remove: SearchSpace, add: SearchSpace) -> SearchSpace {
+        let mut candidates = remove.candidates;
+        candidates.extend(add.candidates);
+        sort_candidates(&mut candidates);
+        SearchSpace {
+            mode: None,
+            candidates,
+            tau: remove.tau,
+            removable_actions: remove.removable_actions,
+            truncated: remove.truncated || add.truncated,
+        }
+    }
+}
+
+/// The actions of the candidates at positions `idx` of `pool`: one
+/// enumerated candidate subset, as the action set a CHECK tests.
+pub(crate) fn subset_actions(pool: &[Candidate], idx: &[usize]) -> Vec<Action> {
+    idx.iter().map(|&i| pool[i].action).collect()
+}
+
+/// The user's out-edges of allowed types — the action set `A` of
+/// Algorithms 1 and 2 — each as its removal action paired with the edge's
+/// transition probability `W(u, n)`.
+pub fn allowed_actions<G: GraphView>(ctx: &ExplainContext<'_, G>) -> Vec<(Action, f64)> {
     let g = ctx.graph;
     let u = ctx.user;
     let deg = g.out_degree(u);
@@ -80,7 +109,10 @@ fn allowed_actions<G: GraphView>(
     let mut out = Vec::new();
     g.for_each_out(u, |n, et, w| {
         if n != u && ctx.cfg.edge_type_allowed(et) {
-            out.push((n, et, w, model.edge_probability(w, wsum, deg)));
+            out.push((
+                Action::remove(EdgeKey::new(u, n, et), w),
+                model.edge_probability(w, wsum, deg),
+            ));
         }
     });
     out
@@ -104,13 +136,10 @@ fn contribution_add<G: GraphView>(ctx: &ExplainContext<'_, G>, n: NodeId) -> f64
 
 /// The initial dominance gap τ: Σ over current allowed actions of the
 /// remove-mode contribution (Algorithm 1 lines 4–8; Algorithm 2 lines 4–7).
-fn initial_tau<G: GraphView>(
-    ctx: &ExplainContext<'_, G>,
-    actions: &[(NodeId, EdgeTypeId, f64, f64)],
-) -> f64 {
+fn initial_tau<G: GraphView>(ctx: &ExplainContext<'_, G>, actions: &[(Action, f64)]) -> f64 {
     actions
         .iter()
-        .map(|&(n, _, _, p)| contribution_remove(ctx, n, p))
+        .map(|&(a, p)| contribution_remove(ctx, a.edge.dst, p))
         .sum()
 }
 
@@ -119,8 +148,8 @@ fn sort_candidates(candidates: &mut [Candidate]) {
         b.contribution
             .partial_cmp(&a.contribution)
             .expect("contributions are finite")
-            .then_with(|| a.node.cmp(&b.node))
-            .then_with(|| a.etype.cmp(&b.etype))
+            .then_with(|| a.node().cmp(&b.node()))
+            .then_with(|| a.action.edge.etype.cmp(&b.action.edge.etype))
     });
 }
 
@@ -131,11 +160,9 @@ pub fn remove_search_space<G: GraphView>(ctx: &ExplainContext<'_, G>) -> SearchS
     let tau = initial_tau(ctx, &actions);
     let mut candidates: Vec<Candidate> = actions
         .iter()
-        .map(|&(n, et, w, p)| Candidate {
-            node: n,
-            etype: et,
-            weight: w,
-            contribution: contribution_remove(ctx, n, p),
+        .map(|&(action, p)| Candidate {
+            action,
+            contribution: contribution_remove(ctx, action.edge.dst, p),
         })
         .collect();
     sort_candidates(&mut candidates);
@@ -143,7 +170,7 @@ pub fn remove_search_space<G: GraphView>(ctx: &ExplainContext<'_, G>) -> SearchS
     let truncated = candidates.len() > ctx.cfg.max_candidates;
     candidates.truncate(ctx.cfg.max_candidates);
     SearchSpace {
-        mode: Mode::Remove,
+        mode: Some(Mode::Remove),
         candidates,
         tau,
         removable_actions,
@@ -167,9 +194,10 @@ pub fn add_search_space<G: GraphView>(ctx: &ExplainContext<'_, G>) -> SearchSpac
         .into_iter()
         .filter(|&n| n != u && n != ctx.wni && g.node_type(n) == item_type && !g.has_any_edge(u, n))
         .map(|n| Candidate {
-            node: n,
-            etype: ctx.cfg.add_edge_type,
-            weight: ctx.cfg.added_edge_weight,
+            action: Action::add(
+                EdgeKey::new(u, n, ctx.cfg.add_edge_type),
+                ctx.cfg.added_edge_weight,
+            ),
             contribution: contribution_add(ctx, n),
         })
         .collect();
@@ -177,7 +205,7 @@ pub fn add_search_space<G: GraphView>(ctx: &ExplainContext<'_, G>) -> SearchSpac
     let truncated = candidates.len() > ctx.cfg.max_candidates;
     candidates.truncate(ctx.cfg.max_candidates);
     SearchSpace {
-        mode: Mode::Add,
+        mode: Some(Mode::Add),
         candidates,
         tau,
         removable_actions: actions.len(),
@@ -195,15 +223,20 @@ pub fn tau_slack(tau0: f64) -> f64 {
 
 /// The switching threshold of Eq. 7 for one target `t`: the current
 /// dominance gap of `t` over `WNI`, estimated from the user's existing
-/// allowed actions — `Σ_{n ∈ N_out(u)} W(u,n)·(PPR(n,t) − PPR(n,WNI))`.
-/// Positive for targets currently ranked above `WNI`, negative below.
+/// allowed actions ([`allowed_actions`], computed once per question) —
+/// `Σ_{n ∈ N_out(u)} W(u,n)·(PPR(n,t) − PPR(n,WNI))`. Positive for targets
+/// currently ranked above `WNI`, negative below.
 pub fn target_threshold<G: GraphView>(
     ctx: &ExplainContext<'_, G>,
+    actions: &[(Action, f64)],
     ppr_to_t: &emigre_ppr::ReversePush,
 ) -> f64 {
-    allowed_actions(ctx)
+    actions
         .iter()
-        .map(|&(n, _, _, p)| p * (ppr_to_t.estimate(n) - ctx.ppr_n_wni(n)))
+        .map(|&(a, p)| {
+            let n = a.edge.dst;
+            p * (ppr_to_t.estimate(n) - ctx.ppr_n_wni(n))
+        })
         .sum()
 }
 
@@ -211,33 +244,30 @@ pub fn target_threshold<G: GraphView>(
 /// (Algorithm 5): the predicted decrease of target `t`'s dominance gap over
 /// `WNI` caused by applying the candidate action.
 ///
-/// Remove mode follows Eq. 5 with `t` in place of `rec`. For Add mode the
+/// Removals follow Eq. 5 with `t` in place of `rec`. For additions the
 /// paper's line 14 keeps the remove-mode sign, which would select additions
 /// that *help* the competitor; we negate so that positive always means
 /// "WNI gains on t" (DESIGN.md §4).
 pub fn contribution_versus_target<G: GraphView>(
     ctx: &ExplainContext<'_, G>,
     candidate: &Candidate,
-    mode: Mode,
     ppr_to_t: &emigre_ppr::ReversePush,
 ) -> f64 {
-    let n = candidate.node;
+    let n = candidate.node();
     let diff = ppr_to_t.estimate(n) - ctx.ppr_n_wni(n);
-    match mode {
-        Mode::Remove => {
-            let g = ctx.graph;
-            let deg = g.out_degree(ctx.user);
-            let wsum = g.out_weight_sum(ctx.user);
-            let p = ctx
-                .cfg
-                .rec
-                .ppr
-                .transition
-                .edge_probability(candidate.weight, wsum, deg);
-            p * diff
-        }
-        Mode::Add => -diff,
+    if candidate.action.added {
+        return -diff;
     }
+    let g = ctx.graph;
+    let deg = g.out_degree(ctx.user);
+    let wsum = g.out_weight_sum(ctx.user);
+    let p = ctx
+        .cfg
+        .rec
+        .ppr
+        .transition
+        .edge_probability(candidate.action.weight, wsum, deg);
+    p * diff
 }
 
 #[cfg(test)]
@@ -282,13 +312,13 @@ mod tests {
         let ctx = ExplainContext::build(&g, cfg, u, wni).unwrap();
         assert_eq!(ctx.rec, rec);
         let space = remove_search_space(&ctx);
-        assert_eq!(space.mode, Mode::Remove);
+        assert_eq!(space.mode, Some(Mode::Remove));
         assert_eq!(space.candidates.len(), 2); // the two rated items
                                                // Sorted descending.
         assert!(space.candidates[0].contribution >= space.candidates[1].contribution);
         // `a` only supports rec; `b` supports both — so removing `a` helps
         // WNI more.
-        assert_eq!(g.label(space.candidates[0].node), Some("a"));
+        assert_eq!(g.label(space.candidates[0].node()), Some("a"));
         // rec currently dominates, so τ > 0.
         assert!(space.tau > 0.0, "tau = {}", space.tau);
         assert_eq!(space.removable_actions, 2);
@@ -300,14 +330,17 @@ mod tests {
         let (g, cfg, u, _, wni, bridge) = setup();
         let ctx = ExplainContext::build(&g, cfg, u, wni).unwrap();
         let space = add_search_space(&ctx);
-        assert_eq!(space.mode, Mode::Add);
+        assert_eq!(space.mode, Some(Mode::Add));
         // bridge must be a candidate and must rank first (it feeds WNI).
         assert!(!space.candidates.is_empty());
-        assert_eq!(space.candidates[0].node, bridge);
+        assert_eq!(space.candidates[0].node(), bridge);
         assert!(space.candidates[0].contribution > 0.0);
         // Already-rated items and the WNI itself are excluded.
-        assert!(space.candidates.iter().all(|c| c.node != wni));
-        assert!(space.candidates.iter().all(|c| !g.has_any_edge(u, c.node)));
+        assert!(space.candidates.iter().all(|c| c.node() != wni));
+        assert!(space
+            .candidates
+            .iter()
+            .all(|c| !g.has_any_edge(u, c.node())));
         // τ is the same dominance gap in both modes.
         let rspace = remove_search_space(&ctx);
         assert!((space.tau - rspace.tau).abs() < 1e-12);

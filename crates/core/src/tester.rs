@@ -10,23 +10,25 @@
 //! [`Tester`] performs that verification. It owns nothing graph-sized: it
 //! borrows the question context and, when `dynamic_test` is enabled,
 //! derives each counterfactual PPR vector from the user's base-graph push
-//! state via residual repair ([`emigre_ppr::dynamic`]) instead of pushing
-//! from scratch.
+//! state via residual repair ([`PushWorkspace::repair_row_change`]) instead
+//! of pushing from scratch.
 //!
 //! The verification core lives in [`run_check`], a pure function of the
 //! shared question inputs ([`CheckShared`]) and one mutable scratch
 //! ([`CheckState`]): no observability, no budget, no interior mutability.
+//! It shares its counterfactual setup and rollback ([`counterfactual`])
+//! with [`Tester::recommendation_after`].
 //! That purity is what lets [`Tester::first_passing`] fan candidate sets
 //! across worker threads ([`crate::parallel`]) and still merge results in
 //! input order with bit-identical verdicts, counters, and traces.
 
 use crate::config::EmigreConfig;
-use crate::context::{CheckState, ExplainContext};
+use crate::context::{CandidateIndex, CheckState, ExplainContext};
 use crate::explanation::{actions_to_delta, actions_to_trace, Action};
 use crate::parallel::{speculative_scan, Consumed, ScanControl};
 use emigre_hin::{GraphDelta, GraphView, NodeId};
 use emigre_obs::Op;
-use emigre_ppr::{CsrRows, RowKey, TransitionCsr};
+use emigre_ppr::{CsrRows, PatchedCsr, PushWorkspace, RowKey, TransitionCsr};
 use emigre_rec::RecList;
 use std::cell::Cell;
 
@@ -61,15 +63,21 @@ impl<'a, G: GraphView, K: CsrRows> CheckShared<'a, G, K> {
     }
 }
 
-/// What one CHECK produced: the verdict plus the counter deltas the caller
-/// replays into observability (in consumption order, so parallel traces
-/// match sequential ones exactly).
+/// The op counts of one counterfactual evaluation, replayed into
+/// observability by the caller.
+pub(crate) struct CheckCost {
+    pushes: u64,
+    drained: f64,
+    rows_patched: u64,
+    index_hits: u64,
+}
+
+/// What one CHECK produced: the verdict plus the cost the caller replays
+/// into observability (in consumption order, so parallel traces match
+/// sequential ones exactly).
 pub(crate) struct CheckOutcome {
     pub(crate) verdict: bool,
-    pub(crate) pushes: u64,
-    pub(crate) drained: f64,
-    pub(crate) rows_patched: u64,
-    pub(crate) index_hits: u64,
+    cost: CheckCost,
 }
 
 /// Per-source signatures of a counterfactual delta: the patched transition
@@ -117,6 +125,64 @@ impl DeltaSignatures {
     }
 }
 
+/// Evaluates `decide` on the counterfactual graph of `actions` — the setup
+/// every CHECK-shaped evaluation shares. Builds the delta and its overlay,
+/// patches the touched transition rows (replaying rows an earlier CHECK
+/// left in the state's [`emigre_ppr::RowCache`]), overlays the candidate
+/// index, and starts the push state: the base state's residuals repaired
+/// for the changed rows (`dynamic_test`) or a fresh seed at the user.
+/// `decide` pushes over the patched rows as far as it needs and returns
+/// its answer with the candidate-index entries it scanned; the workspace
+/// and the index are then rolled back, and the evaluation's cost returned
+/// alongside the answer.
+fn counterfactual<G: GraphView, K: CsrRows, R>(
+    shared: &CheckShared<'_, G, K>,
+    state: &mut CheckState,
+    actions: &[Action],
+    decide: impl FnOnce(&mut PushWorkspace, &CandidateIndex, &PatchedCsr<'_, K>) -> (R, u64),
+) -> (R, CheckCost) {
+    let cfg = shared.cfg;
+    let delta = actions_to_delta(actions, cfg);
+    let view = delta.overlay(shared.graph);
+    let touched = delta.touched_sources();
+    let sigs = DeltaSignatures::new(&delta, shared.user);
+
+    let CheckState { ws, cand, rows } = state;
+    let patched = shared
+        .kernel
+        .patched_cached(&view, &touched, rows, |u| sigs.get(u));
+    cand.apply_delta(shared.user, &delta, &view);
+
+    // Per-evaluation counter baseline: the workspace tallies
+    // pushes/drained cumulatively, so the delta after rollback is this
+    // evaluation's cost.
+    let pushes_before = ws.pushes();
+    let drained_before = ws.mass_drained();
+    if cfg.dynamic_test {
+        for &u in &touched {
+            ws.repair_row_change(
+                &cfg.rec.ppr,
+                u,
+                shared.kernel.forward_row(u),
+                patched.forward_row(u),
+            );
+        }
+    } else {
+        ws.add_residual(shared.user, 1.0);
+    }
+    let (answer, index_hits) = decide(ws, cand, &patched);
+
+    ws.rollback();
+    cand.revert();
+    let cost = CheckCost {
+        pushes: (ws.pushes() - pushes_before) as u64,
+        drained: ws.mass_drained() - drained_before,
+        rows_patched: touched.len() as u64,
+        index_hits,
+    };
+    (answer, cost)
+}
+
 /// The TEST function of the paper: does applying `actions` make the Why-Not
 /// item the top-1 recommendation?
 ///
@@ -131,10 +197,9 @@ impl DeltaSignatures {
 ///
 /// The check is **allocation-free in the graph size**: the push runs in a
 /// reusable [`emigre_ppr::PushWorkspace`] over the precomputed flat kernel
-/// with only the delta's rows patched — endpoint rows replayed from the
-/// state's [`emigre_ppr::RowCache`] when an earlier CHECK already built
-/// them — and is rolled back through an undo log. No push-state clone, no
-/// per-call `O(n)` vectors, no full residual scans.
+/// with only the delta's rows patched ([`counterfactual`]) and is rolled
+/// back through an undo log. No push-state clone, no per-call `O(n)`
+/// vectors, no full residual scans.
 pub(crate) fn run_check<G: GraphView, K: CsrRows>(
     shared: &CheckShared<'_, G, K>,
     state: &mut CheckState,
@@ -142,95 +207,58 @@ pub(crate) fn run_check<G: GraphView, K: CsrRows>(
 ) -> CheckOutcome {
     check_fault::trip();
     let cfg = shared.cfg;
-    let delta = actions_to_delta(actions, cfg);
-    let view = delta.overlay(shared.graph);
     let target_eps = cfg.rec.ppr.epsilon;
     let floor = score_floor(cfg);
     let wni = shared.wni;
-    let touched = delta.touched_sources();
-    let sigs = DeltaSignatures::new(&delta, shared.user);
-
-    let CheckState { ws, cand, rows } = state;
-    let patched = shared
-        .kernel
-        .patched_cached(&view, &touched, rows, |u| sigs.get(u));
-    cand.apply_delta(shared.user, &delta, &view);
-
-    // Per-CHECK counter baseline: the workspace tallies pushes/drained
-    // cumulatively, so the delta after rollback is this check's cost.
-    let pushes_before = ws.pushes();
-    let drained_before = ws.mass_drained();
-    let mut index_hits = 0u64;
-
-    let verdict = 'verdict: {
-        if cand.is_interacted(wni) {
-            break 'verdict false; // an interacted item can never be recommended
-        }
-
-        // Counterfactual push state: repaired residuals (dynamic) or a
-        // fresh seed, pushed in stages of decreasing ε.
-        if cfg.dynamic_test {
-            for &u in &touched {
-                ws.repair_row_change(
-                    &cfg.rec.ppr,
-                    u,
-                    shared.kernel.forward_row(u),
-                    patched.forward_row(u),
-                );
+    let (verdict, cost) = counterfactual(shared, state, actions, |ws, cand, patched| {
+        let mut index_hits = 0u64;
+        let verdict = 'verdict: {
+            if cand.is_interacted(wni) {
+                break 'verdict false; // an interacted item can never be recommended
             }
-        } else {
-            ws.add_residual(shared.user, 1.0);
-        }
-
-        let mut eps = 1e-3_f64.max(target_eps);
-        loop {
-            ws.push_stage(&patched, &cfg.rec.ppr, eps);
-            let r = ws.residual_mass();
-            let p_wni = ws.estimate(wni);
-            if p_wni + r <= floor {
-                break 'verdict false; // cannot clear the recommendability floor
-            }
-            // Strongest competitor among valid candidates.
-            index_hits += cand.items().len() as u64;
-            let mut best_other = f64::NEG_INFINITY;
-            for &n in cand.items() {
-                if n != wni && !cand.is_interacted(n) {
-                    best_other = best_other.max(ws.estimate(n));
+            // Push in stages of decreasing ε.
+            let mut eps = 1e-3_f64.max(target_eps);
+            loop {
+                ws.push_stage(patched, &cfg.rec.ppr, eps);
+                let r = ws.residual_mass();
+                let p_wni = ws.estimate(wni);
+                if p_wni + r <= floor {
+                    break 'verdict false; // cannot clear the recommendability floor
                 }
+                // Strongest competitor among valid candidates.
+                index_hits += cand.items().len() as u64;
+                let mut best_other = f64::NEG_INFINITY;
+                for &n in cand.items() {
+                    if n != wni && !cand.is_interacted(n) {
+                        best_other = best_other.max(ws.estimate(n));
+                    }
+                }
+                if best_other - r > p_wni + r && best_other - r > floor {
+                    break 'verdict false; // some competitor provably wins
+                }
+                if p_wni - r > floor && p_wni - r > best_other + r {
+                    break 'verdict true; // WNI provably wins
+                }
+                if eps <= target_eps {
+                    break; // fully converged yet numerically undecided: ties
+                }
+                eps = (eps * 0.03).max(target_eps);
             }
-            if best_other - r > p_wni + r && best_other - r > floor {
-                break 'verdict false; // some competitor provably wins
-            }
-            if p_wni - r > floor && p_wni - r > best_other + r {
-                break 'verdict true; // WNI provably wins
-            }
-            if eps <= target_eps {
-                break; // fully converged yet numerically undecided: ties
-            }
-            eps = (eps * 0.03).max(target_eps);
-        }
 
-        // Tie region at target precision: replicate the exact ranking
-        // rule (floor + score-desc + id-asc) of `recommendation_after`.
-        index_hits += cand.items().len() as u64;
-        let scores = ws.estimates();
-        let candidates = cand
-            .items()
-            .iter()
-            .copied()
-            .filter(|&n| scores[n.index()] > floor && !cand.is_interacted(n));
-        RecList::from_scores(scores, candidates, 1).top() == Some(wni)
-    };
-
-    ws.rollback();
-    cand.revert();
-    CheckOutcome {
-        verdict,
-        pushes: (ws.pushes() - pushes_before) as u64,
-        drained: ws.mass_drained() - drained_before,
-        rows_patched: touched.len() as u64,
-        index_hits,
-    }
+            // Tie region at target precision: replicate the exact ranking
+            // rule (floor + score-desc + id-asc) of `recommendation_after`.
+            index_hits += cand.items().len() as u64;
+            let scores = ws.estimates();
+            let candidates = cand
+                .items()
+                .iter()
+                .copied()
+                .filter(|&n| scores[n.index()] > floor && !cand.is_interacted(n));
+            RecList::from_scores(scores, candidates, 1).top() == Some(wni)
+        };
+        (verdict, index_hits)
+    });
+    CheckOutcome { verdict, cost }
 }
 
 /// Caller-side gate run before each candidate in [`Tester::first_passing`],
@@ -245,8 +273,9 @@ pub enum PreCheck {
 pub struct FirstPass {
     /// Index of the first candidate set whose CHECK passed.
     pub found: Option<usize>,
-    /// The pre-check gate stopped the scan before any set passed.
-    pub stopped: bool,
+    /// Index at which the pre-check gate stopped the scan, before any set
+    /// passed (that set was not CHECKed).
+    pub stopped: Option<usize>,
 }
 
 /// Verifies candidate action sets for one Why-Not question.
@@ -294,15 +323,23 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
     /// consumption order by both the sequential and the parallel path, so
     /// traces and counters are independent of evaluation order.
     fn record(&self, actions: &[Action], outcome: &CheckOutcome) {
-        let ctx = self.ctx;
-        if ctx.obs.is_enabled() {
-            let obs = &ctx.obs;
-            obs.count(Op::Checks, 1);
-            obs.count(Op::ForwardPushes, outcome.pushes);
-            obs.add_mass(outcome.drained);
-            obs.count(Op::RowsPatched, outcome.rows_patched);
-            obs.count(Op::CandidateIndexHits, outcome.index_hits);
+        self.record_cost(&outcome.cost);
+        let obs = &self.ctx.obs;
+        if obs.is_enabled() {
             obs.trace_test(actions_to_trace(actions), outcome.verdict);
+        }
+    }
+
+    /// Replays one counterfactual evaluation's op counts into
+    /// observability.
+    fn record_cost(&self, cost: &CheckCost) {
+        let obs = &self.ctx.obs;
+        if obs.is_enabled() {
+            obs.count(Op::Checks, 1);
+            obs.count(Op::ForwardPushes, cost.pushes);
+            obs.add_mass(cost.drained);
+            obs.count(Op::RowsPatched, cost.rows_patched);
+            obs.count(Op::CandidateIndexHits, cost.index_hits);
         }
     }
 
@@ -333,19 +370,19 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
                 if matches!(pre(i), PreCheck::Stop) {
                     return FirstPass {
                         found: None,
-                        stopped: true,
+                        stopped: Some(i),
                     };
                 }
                 if self.test(actions) {
                     return FirstPass {
                         found: Some(i),
-                        stopped: false,
+                        stopped: None,
                     };
                 }
             }
             return FirstPass {
                 found: None,
-                stopped: false,
+                stopped: None,
             };
         }
 
@@ -354,7 +391,7 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
         let states = ctx.take_check_states(threads);
         let span = ctx.obs.span("check_parallel");
         let mut found = None;
-        let mut stopped = false;
+        let mut stopped = None;
         let outcome = speculative_scan(
             threads,
             sets,
@@ -362,7 +399,7 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
             |state, _idx, actions: &Vec<Action>| run_check(&shared, state, actions),
             |i, consumed| {
                 if matches!(pre(i), PreCheck::Stop) {
-                    stopped = true;
+                    stopped = Some(i);
                     return ScanControl::Stop;
                 }
                 let verdict = match consumed {
@@ -395,63 +432,38 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
         self.recommendation_after(actions, 1).top()
     }
 
-    /// Full counterfactual top-k list.
+    /// Full counterfactual top-k list. Counted like a CHECK (budget and op
+    /// counters) but recorded without a TEST trace entry.
     pub fn recommendation_after(&self, actions: &[Action], k: usize) -> RecList {
         self.checks.set(self.checks.get() + 1);
         let ctx = self.ctx;
-        let delta = actions_to_delta(actions, &ctx.cfg);
-        let view = delta.overlay(ctx.graph);
-        let touched = delta.touched_sources();
-        let sigs = DeltaSignatures::new(&delta, ctx.user);
-
-        let mut check = ctx.check.borrow_mut();
-        let CheckState { ws, cand, rows } = &mut *check;
-        let patched = ctx
-            .kernel
-            .patched_cached(&view, &touched, rows, |u| sigs.get(u));
-        cand.apply_delta(ctx.user, &delta, &view);
-        let pushes_before = ws.pushes();
-        let drained_before = ws.mass_drained();
-
-        // Same engine as `test`, run straight to the target ε.
-        if ctx.cfg.dynamic_test {
-            for &u in &touched {
-                ws.repair_row_change(
-                    &ctx.cfg.rec.ppr,
-                    u,
-                    ctx.kernel.forward_row(u),
-                    patched.forward_row(u),
-                );
-            }
-        } else {
-            ws.add_residual(ctx.user, 1.0);
-        }
-        ws.push_stage(&patched, &ctx.cfg.rec.ppr, ctx.cfg.rec.ppr.epsilon);
-
-        // Candidates on the EDITED graph: removals free their items for
-        // recommendation again; additions disqualify theirs. Items whose
-        // score sits at the push-noise floor are not recommendable: a
-        // zero-score "recommendation" is vacuous and its tie-breaking would
-        // differ between the dynamic and from-scratch engines.
-        let floor = score_floor(&ctx.cfg);
-        let scores = ws.estimates();
-        let candidates = cand
-            .items()
-            .iter()
-            .copied()
-            .filter(|&n| scores[n.index()] > floor && !cand.is_interacted(n));
-        let list = RecList::from_scores(scores, candidates, k);
-
-        ws.rollback();
-        cand.revert();
-        if ctx.obs.is_enabled() {
-            let obs = &ctx.obs;
-            obs.count(Op::Checks, 1);
-            obs.count(Op::ForwardPushes, (ws.pushes() - pushes_before) as u64);
-            obs.add_mass(ws.mass_drained() - drained_before);
-            obs.count(Op::RowsPatched, touched.len() as u64);
-            obs.count(Op::CandidateIndexHits, cand.items().len() as u64);
-        }
+        let cfg = &ctx.cfg;
+        let shared = CheckShared::of(ctx);
+        let (list, cost) = counterfactual(
+            &shared,
+            &mut ctx.check.borrow_mut(),
+            actions,
+            |ws, cand, patched| {
+                // Same engine as `test`, run straight to the target ε.
+                ws.push_stage(patched, &cfg.rec.ppr, cfg.rec.ppr.epsilon);
+                // Candidates on the EDITED graph: removals free their items
+                // for recommendation again; additions disqualify theirs.
+                // Items whose score sits at the push-noise floor are not
+                // recommendable: a zero-score "recommendation" is vacuous
+                // and its tie-breaking would differ between the dynamic and
+                // from-scratch engines.
+                let floor = score_floor(cfg);
+                let scores = ws.estimates();
+                let candidates = cand
+                    .items()
+                    .iter()
+                    .copied()
+                    .filter(|&n| scores[n.index()] > floor && !cand.is_interacted(n));
+                let list = RecList::from_scores(scores, candidates, k);
+                (list, cand.items().len() as u64)
+            },
+        );
+        self.record_cost(&cost);
         list
     }
 }
@@ -729,7 +741,7 @@ mod tests {
             let ctx = ExplainContext::build(&f.g, cfg, f.u, f.wni).unwrap();
             let tester = Tester::new(&ctx);
             let fp = tester.first_passing(&sets, |_| PreCheck::Proceed);
-            assert!(!fp.stopped);
+            assert_eq!(fp.stopped, None);
             let got = (fp.found, tester.checks_performed());
             match &reference {
                 None => reference = Some(got),
@@ -757,7 +769,7 @@ mod tests {
                     PreCheck::Proceed
                 }
             });
-            assert!(fp.stopped, "gate at index 1 must stop the scan");
+            assert_eq!(fp.stopped, Some(1), "gate at index 1 must stop the scan");
             assert_eq!(fp.found, None);
             assert_eq!(tester.checks_performed(), 1, "only index 0 was checked");
         }

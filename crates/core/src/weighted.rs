@@ -18,7 +18,7 @@ use crate::explanation::{Action, Explanation, Mode};
 use crate::failure::{classify_failure, ExplainFailure};
 use crate::search::add_search_space;
 use crate::tester::Tester;
-use emigre_hin::{EdgeKey, GraphView};
+use emigre_hin::GraphView;
 
 /// Result of the weight search: the single suggested action with the
 /// smallest sufficient weight found.
@@ -77,8 +77,9 @@ pub fn minimal_weight_suggestion<G: GraphView>(
     let space = add_search_space(ctx);
     let tester = Tester::new(ctx);
 
-    let action_at = |cand: &crate::search::Candidate, w: f64| {
-        Action::add(EdgeKey::new(ctx.user, cand.node, cand.etype), w)
+    let action_at = |cand: &crate::search::Candidate, weight: f64| Action {
+        weight,
+        ..cand.action
     };
 
     for cand in space.candidates.iter().filter(|c| c.contribution > 0.0) {

@@ -79,7 +79,7 @@ fn main() {
                 .iter()
                 .map(|combi| combi
                     .iter()
-                    .map(|&i| g.display_name(trace.candidates[i].node))
+                    .map(|&i| g.display_name(trace.candidates[i].node()))
                     .collect::<Vec<_>>())
                 .collect::<Vec<_>>()
         );

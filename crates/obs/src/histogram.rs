@@ -40,9 +40,10 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Index of the bucket covering `us` microseconds.
+/// Index of the bucket covering `us` microseconds (shared with
+/// [`crate::window`], whose per-second histograms use the same layout).
 #[inline]
-fn bucket_of(us: u64) -> usize {
+pub(crate) fn bucket_of(us: u64) -> usize {
     // 0 → bucket 0, otherwise 1 + floor(log2(us)), clamped to the last.
     if us == 0 {
         0
@@ -106,6 +107,25 @@ impl LatencyHistogram {
     }
 }
 
+/// Upper-edge estimate of the `q`-quantile over bucket counts in this
+/// module's layout, holding `count` observations whose largest is
+/// `max_us` (shared with [`crate::window`]). See
+/// [`HistogramSnapshot::quantile_us`].
+pub(crate) fn quantile_us(buckets: &[u64], count: u64, max_us: u64, q: f64) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+    let mut seen = 0u64;
+    for (i, &c) in buckets.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return bucket_upper_us(i).min(max_us.max(1));
+        }
+    }
+    max_us
+}
+
 /// Plain-old-data copy of a [`LatencyHistogram`], serializable for
 /// `/metrics` responses and `BENCH_serve.json`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -125,18 +145,7 @@ impl HistogramSnapshot {
     /// empty. Never under-reports: the true quantile lies in the returned
     /// bucket, whose exclusive upper edge is reported (capped at `max_us`).
     pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper_us(i).min(self.max_us.max(1));
-            }
-        }
-        self.max_us
+        quantile_us(&self.buckets, self.count, self.max_us, q)
     }
 
     /// Mean observation in µs (0 when empty).

@@ -15,7 +15,7 @@
 //! a mutex for concurrent recording — one short lock per request, which is
 //! noise next to the request itself.
 
-use crate::histogram::HISTOGRAM_BUCKETS;
+use crate::histogram::{bucket_of, quantile_us, HISTOGRAM_BUCKETS};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,17 +59,6 @@ impl SecondBucket {
 /// Deterministic core of the sliding window. Not internally synchronised.
 pub struct WindowRing {
     buckets: Vec<SecondBucket>,
-}
-
-/// Index of the log₂ bucket covering `us` (same layout as
-/// `LatencyHistogram`).
-#[inline]
-fn bucket_of(us: u64) -> usize {
-    if us == 0 {
-        0
-    } else {
-        ((64 - us.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-    }
 }
 
 impl WindowRing {
@@ -134,28 +123,11 @@ impl WindowRing {
         } else {
             sum_us as f64 / out.count as f64
         };
-        out.p50_us = quantile(&merged, out.count, out.max_us, 0.50);
-        out.p95_us = quantile(&merged, out.count, out.max_us, 0.95);
-        out.p99_us = quantile(&merged, out.count, out.max_us, 0.99);
+        out.p50_us = quantile_us(&merged, out.count, out.max_us, 0.50);
+        out.p95_us = quantile_us(&merged, out.count, out.max_us, 0.95);
+        out.p99_us = quantile_us(&merged, out.count, out.max_us, 0.99);
         out
     }
-}
-
-/// Upper-edge quantile over merged log₂ buckets (same estimate as
-/// `HistogramSnapshot::quantile_us`).
-fn quantile(buckets: &[u64; HISTOGRAM_BUCKETS], count: u64, max_us: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut seen = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return (1u64 << i).min(max_us.max(1));
-        }
-    }
-    max_us
 }
 
 /// Trailing-window summary, serialisable for `/metrics` in both JSON and

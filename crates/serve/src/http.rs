@@ -111,25 +111,6 @@ impl Default for HttpConfig {
     }
 }
 
-/// Resolves a paper method label (`add_Powerset`, `remove_Incremental`,
-/// ...) to its [`Method`].
-pub fn method_from_label(label: &str) -> Option<Method> {
-    [
-        Method::AddIncremental,
-        Method::AddPowerset,
-        Method::AddExhaustive,
-        Method::RemoveIncremental,
-        Method::RemovePowerset,
-        Method::RemoveExhaustive,
-        Method::RemoveExhaustiveDirect,
-        Method::RemoveBruteForce,
-        Method::Combined,
-        Method::CombinedMinimal,
-    ]
-    .into_iter()
-    .find(|m| m.label() == label)
-}
-
 #[derive(Deserialize)]
 struct ExplainBody {
     user: u32,
@@ -555,7 +536,7 @@ fn handle_explain(service: &ExplanationService, body: &[u8]) -> (u16, &'static s
     };
     let method = match req.method.as_deref() {
         None => Method::AddPowerset,
-        Some(label) => match method_from_label(label) {
+        Some(label) => match Method::from_label(label) {
             Some(m) => m,
             None => {
                 return (

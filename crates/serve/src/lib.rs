@@ -40,7 +40,7 @@ pub mod slow;
 pub use cache::{CacheStats, EpochCache, LruCache};
 pub use events::{EventLogStats, EventLogger, RequestEvent};
 pub use fault::{FaultHandle, FaultHooks, FaultPlan, FaultRelease, UpdatePhase, FAULT_PANIC};
-pub use http::{method_from_label, FrontendMode, HttpConfig, HttpServer};
+pub use http::{FrontendMode, HttpConfig, HttpServer};
 pub use live::{
     events_to_delta, FeedbackError, FeedbackEvent, FeedbackOutcome, GraphEpoch, LiveGraph,
 };

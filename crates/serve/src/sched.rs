@@ -107,24 +107,11 @@ pub enum JobClass {
     Explain(Method),
 }
 
-const EXPLAIN_METHODS: [Method; 10] = [
-    Method::AddIncremental,
-    Method::AddPowerset,
-    Method::AddExhaustive,
-    Method::RemoveIncremental,
-    Method::RemovePowerset,
-    Method::RemoveExhaustive,
-    Method::RemoveExhaustiveDirect,
-    Method::RemoveBruteForce,
-    Method::Combined,
-    Method::CombinedMinimal,
-];
-
 impl JobClass {
     fn index(&self) -> usize {
         match self {
             JobClass::Recommend => 0,
-            JobClass::Explain(m) => 1 + EXPLAIN_METHODS.iter().position(|x| x == m).unwrap_or(0),
+            JobClass::Explain(m) => 1 + Method::ALL.iter().position(|x| x == m).unwrap_or(0),
         }
     }
 
@@ -170,7 +157,7 @@ const PRIOR_WEIGHT: u64 = 4;
 impl CostModel {
     fn new() -> Self {
         let mut classes = vec![(JobClass::Recommend, LatencyHistogram::new())];
-        for m in EXPLAIN_METHODS {
+        for m in Method::ALL {
             classes.push((JobClass::Explain(m), LatencyHistogram::new()));
         }
         CostModel { classes }

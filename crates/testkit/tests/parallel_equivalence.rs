@@ -73,9 +73,12 @@ fn assert_equivalent(world: &World, user: NodeId, wni: NodeId, method: Method) -
     1
 }
 
+/// Every subset-enumerating method: the paper's eight plus the combined
+/// extension's two (Algorithms 3 and 4 over the merged list).
 fn all_methods() -> Vec<Method> {
     let mut methods = FIVE_ALGORITHMS.to_vec();
     methods.extend(ADD_METHODS);
+    methods.extend([Method::Combined, Method::CombinedMinimal]);
     methods
 }
 
@@ -86,7 +89,7 @@ fn parallel_check_is_bit_identical_to_sequential() {
     let methods = all_methods();
     let mut compared = 0usize;
     let mut seed = 0u64;
-    while compared < 40 {
+    while compared < 60 {
         let world = WorldSpec::sample_seeded(seed, &WorldParams::default()).build();
         seed += 1;
         for (user, wni) in viable_questions(&world, 2) {

@@ -53,7 +53,7 @@ fn scale_kernel(total_nodes: usize, seed: u64) -> CompactCsr<f64> {
 #[test]
 fn forward_push_conserves_mass_at_scale() {
     for (total, epsilon) in scale_sizes() {
-        let kernel = scale_kernel(total, 0xE5CA_1E ^ total as u64);
+        let kernel = scale_kernel(total, 0x00E5_CA1E ^ total as u64);
         let cfg = PprConfig::default().with_epsilon(epsilon);
         // Users are ids 0..num_users; user 0 always has out-edges.
         let fwd = ForwardPush::compute_kernel(&kernel, &cfg, NodeId(0));
@@ -126,7 +126,8 @@ fn reverse_push_invariants_hold_at_scale() {
 fn f32_kernel_satisfies_same_invariants() {
     let (total, epsilon) = scale_sizes()[0];
     let spec = ScaleSpec::with_total_nodes(total, 0xF32 ^ total as u64);
-    let kernel = ScaleGen::new(spec).build_compact::<f32>(TransitionModel::RecWalk { beta: 0.5 }, 8_192);
+    let kernel =
+        ScaleGen::new(spec).build_compact::<f32>(TransitionModel::RecWalk { beta: 0.5 }, 8_192);
     let cfg = PprConfig::default().with_epsilon(epsilon);
     let fwd = ForwardPush::compute_kernel(&kernel, &cfg, NodeId(0));
     let est: f64 = fwd.estimates.iter().sum();

@@ -123,21 +123,7 @@ fn config_for(g: &Hin) -> Result<EmigreConfig, String> {
 
 fn parse_method(args: &[String]) -> Result<Method, String> {
     let raw = flag(args, "--method")?.unwrap_or_else(|| "add_Powerset".to_owned());
-    [
-        Method::AddIncremental,
-        Method::AddPowerset,
-        Method::AddExhaustive,
-        Method::RemoveIncremental,
-        Method::RemovePowerset,
-        Method::RemoveExhaustive,
-        Method::RemoveExhaustiveDirect,
-        Method::RemoveBruteForce,
-        Method::Combined,
-        Method::CombinedMinimal,
-    ]
-    .into_iter()
-    .find(|m| m.label() == raw)
-    .ok_or_else(|| format!("unknown method {raw:?}"))
+    Method::from_label(&raw).ok_or_else(|| format!("unknown method {raw:?}"))
 }
 
 /// `emigre explain --why-not all`: answer the Why-Not question for every
