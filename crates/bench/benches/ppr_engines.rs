@@ -27,14 +27,12 @@ fn bench_engines(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("forward_push_flat", items),
             &items,
-            |b, _| b.iter(|| black_box(ForwardPush::compute_kernel(&kernel, &w.cfg.rec.ppr, user))),
+            |b, _| b.iter(|| black_box(ForwardPush::compute(&kernel, &w.cfg.rec.ppr, user))),
         );
         group.bench_with_input(
             BenchmarkId::new("reverse_push_flat", items),
             &items,
-            |b, _| {
-                b.iter(|| black_box(ReversePush::compute_kernel(&kernel, &w.cfg.rec.ppr, target)))
-            },
+            |b, _| b.iter(|| black_box(ReversePush::compute(&kernel, &w.cfg.rec.ppr, target))),
         );
         group.bench_with_input(BenchmarkId::new("csr_build", items), &items, |b, _| {
             b.iter(|| black_box(TransitionCsr::build(g, w.cfg.rec.ppr.transition)))
@@ -58,7 +56,7 @@ fn bench_epsilon_sweep(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{eps:.1e}")),
             &eps,
-            |b, _| b.iter(|| black_box(ForwardPush::compute_kernel(&kernel, &cfg, user))),
+            |b, _| b.iter(|| black_box(ForwardPush::compute(&kernel, &cfg, user))),
         );
     }
     group.finish();

@@ -2,8 +2,8 @@
 //!
 //! Measures, on the synthetic Amazon graph of [`emigre_bench::world`]:
 //!
-//! * forward and reverse push: `ForwardPush::compute_kernel` /
-//!   `ReversePush::compute_kernel` over a precomputed [`TransitionCsr`];
+//! * forward and reverse push: `ForwardPush::compute` /
+//!   `ReversePush::compute` over a precomputed [`TransitionCsr`];
 //! * CHECK: one remove-mode and one add-mode `Tester::test` verdict on the
 //!   allocation-free workspace path;
 //! * the batched CHECK thread sweep, the obs-enabled and allocation-tracked
@@ -247,7 +247,7 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
         .with_epsilon(1e-6);
     let seed = NodeId(0); // users occupy ids 0..num_users; user 0 always has edges
     let fwd_ms = timed_ms(times, || {
-        std::hint::black_box(ForwardPush::compute_kernel(&kernel, &cfg, seed));
+        std::hint::black_box(ForwardPush::compute(&kernel, &cfg, seed));
     });
     entries.push(entry(
         "scale_forward_push",
@@ -259,7 +259,7 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
 
     let target = NodeId((total - items) as u32); // head item of the popularity Zipf
     let rev_ms = timed_ms(times, || {
-        std::hint::black_box(ReversePush::compute_kernel(&kernel, &cfg, target));
+        std::hint::black_box(ReversePush::compute(&kernel, &cfg, target));
     });
     entries.push(entry(
         "scale_reverse_push",
@@ -284,7 +284,7 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
         .collect();
     let check_ms = timed_ms(times, || {
         let patched = kernel.patched_rows(vec![(seed.0, new_dsts.clone(), new_probs.clone())]);
-        std::hint::black_box(ForwardPush::compute_kernel(&patched, &cfg, seed));
+        std::hint::black_box(ForwardPush::compute(&patched, &cfg, seed));
     });
     let mut e = entry(
         "scale_check",
@@ -365,12 +365,12 @@ fn main() {
         let kernel = TransitionCsr::build(g, cfg.transition);
 
         let fwd = measure_us(1, || {
-            std::hint::black_box(ForwardPush::compute_kernel(&kernel, cfg, user));
+            std::hint::black_box(ForwardPush::compute(&kernel, cfg, user));
         });
         entries.push(entry("forward_push", items, n, None, fwd));
 
         let rev = measure_us(1, || {
-            std::hint::black_box(ReversePush::compute_kernel(&kernel, cfg, wni));
+            std::hint::black_box(ReversePush::compute(&kernel, cfg, wni));
         });
         entries.push(entry("reverse_push", items, n, None, rev));
 

@@ -199,12 +199,12 @@ impl<K: CsrRows> UserArtifacts<K> {
         if user.0 >= graph.num_nodes() as u32 {
             return Err(QuestionError::InvalidUser(user));
         }
-        let user_push = ForwardPush::compute_kernel(&*kernel, &cfg.rec.ppr, user);
+        let user_push = ForwardPush::compute(&*kernel, &cfg.rec.ppr, user);
         obs.count(Op::ForwardPushes, user_push.pushes as u64);
         obs.add_mass(user_push.drained);
         let rec_list = target_list(graph, cfg, user, &user_push);
         let rec = rec_list.top().ok_or(QuestionError::InvalidUser(user))?;
-        let ppr_to_rec = ReversePush::compute_kernel(&*kernel, &cfg.rec.ppr, rec);
+        let ppr_to_rec = ReversePush::compute(&*kernel, &cfg.rec.ppr, rec);
         obs.count(Op::ReversePushes, ppr_to_rec.pushes as u64);
         obs.add_mass(ppr_to_rec.drained);
         let cand_base = CandidateIndex::build(graph, cfg.rec.item_type, user);
@@ -357,7 +357,7 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
         obs: ObsHandle,
     ) -> Result<Self, QuestionError> {
         WhyNotQuestion::validate(graph, &cfg, artifacts.user, wni, Some(artifacts.rec))?;
-        let ppr_to_wni = ReversePush::compute_kernel(&*artifacts.kernel, &cfg.rec.ppr, wni);
+        let ppr_to_wni = ReversePush::compute(&*artifacts.kernel, &cfg.rec.ppr, wni);
         obs.count(Op::ReversePushes, ppr_to_wni.pushes as u64);
         obs.add_mass(ppr_to_wni.drained);
         Self::from_artifacts(graph, cfg, artifacts, wni, Arc::new(ppr_to_wni), ws, obs)

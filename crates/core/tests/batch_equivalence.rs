@@ -45,7 +45,7 @@ fn dataset(seed: u64) -> (AmazonHin, EmigreConfig) {
 /// The user's recommendation list, computed exactly as the batch path does.
 fn top_list(hin: &AmazonHin, cfg: &EmigreConfig, user: NodeId) -> Vec<NodeId> {
     let kernel = TransitionCsr::build(&hin.graph, cfg.rec.ppr.transition);
-    let push = ForwardPush::compute_kernel(&kernel, &cfg.rec.ppr, user);
+    let push = ForwardPush::compute(&kernel, &cfg.rec.ppr, user);
     let floor = score_floor(cfg);
     let candidates = PprRecommender::new(cfg.rec)
         .candidates(&hin.graph, user)

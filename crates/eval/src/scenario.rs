@@ -37,7 +37,7 @@ fn list_over<G: GraphView>(
     kernel: &TransitionCsr,
     user: NodeId,
 ) -> RecList {
-    let push = ForwardPush::compute_kernel(kernel, &cfg.rec.ppr, user);
+    let push = ForwardPush::compute(kernel, &cfg.rec.ppr, user);
     target_list(g, cfg, user, &push)
 }
 

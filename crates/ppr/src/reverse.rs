@@ -48,7 +48,7 @@ impl ReversePush {
     /// The kernel's reverse CSR has every `W(u, v)` entry materialised, so
     /// the inner loop is a flat slice walk: no per-in-edge out-degree or
     /// weight-sum lookup at the source.
-    pub fn compute_kernel<K: CsrRows>(kernel: &K, cfg: &PprConfig, target: NodeId) -> Self {
+    pub fn compute<K: CsrRows>(kernel: &K, cfg: &PprConfig, target: NodeId) -> Self {
         cfg.validate();
         let n = kernel.num_nodes();
         let mut state = ReversePush {
@@ -59,7 +59,7 @@ impl ReversePush {
             drained: 0.0,
         };
         state.residuals[target.index()] = 1.0;
-        state.push_until_converged_kernel(kernel, cfg);
+        state.push_until_converged(kernel, cfg);
         state
     }
 
@@ -70,7 +70,7 @@ impl ReversePush {
     /// ε. Push order does not affect the Eq. (4) invariant or the ε
     /// guarantee, and sequential row access beats a FIFO queue's
     /// random-order traversal.
-    pub fn push_until_converged_kernel<K: CsrRows>(&mut self, kernel: &K, cfg: &PprConfig) {
+    pub fn push_until_converged<K: CsrRows>(&mut self, kernel: &K, cfg: &PprConfig) {
         let eps = cfg.epsilon;
         let n = self.residuals.len();
         loop {
@@ -153,7 +153,7 @@ mod tests {
     }
 
     fn push<G: GraphView>(g: &G, c: &PprConfig, target: NodeId) -> ReversePush {
-        ReversePush::compute_kernel(&TransitionCsr::build(g, c.transition), c, target)
+        ReversePush::compute(&TransitionCsr::build(g, c.transition), c, target)
     }
 
     #[test]
@@ -226,8 +226,8 @@ mod tests {
         let g = ring_with_chords(11);
         let c = cfg(1e-10);
         let csr = TransitionCsr::build(&g, c.transition);
-        let fp = ForwardPush::compute_kernel(&csr, &c, NodeId(2));
-        let rp = ReversePush::compute_kernel(&csr, &c, NodeId(8));
+        let fp = ForwardPush::compute(&csr, &c, NodeId(2));
+        let rp = ReversePush::compute(&csr, &c, NodeId(8));
         assert!((fp.estimate(NodeId(8)) - rp.estimate(NodeId(2))).abs() < 1e-6);
     }
 }

@@ -78,7 +78,7 @@ proptest! {
     ) {
         let seed = NodeId((seed_raw % n) as u32);
         {
-            let push = ForwardPush::compute_kernel(&TransitionCsr::build(&g, cfg.transition), &cfg, seed);
+            let push = ForwardPush::compute(&TransitionCsr::build(&g, cfg.transition), &cfg, seed);
             let residual: f64 = push.residuals.iter().sum();
             let estimates: f64 = push.estimates.iter().sum();
             prop_assert!(
@@ -103,7 +103,7 @@ proptest! {
     ) {
         let target = NodeId((target_raw % n) as u32);
         {
-            let push = ReversePush::compute_kernel(&TransitionCsr::build(&g, cfg.transition), &cfg, target);
+            let push = ReversePush::compute(&TransitionCsr::build(&g, cfg.transition), &cfg, target);
             let estimates: f64 = push.estimates.iter().sum();
             prop_assert!(
                 (estimates - cfg.alpha * push.drained).abs() < TOL,

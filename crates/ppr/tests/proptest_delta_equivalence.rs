@@ -114,8 +114,8 @@ proptest! {
 
         let overlay_kernel = TransitionCsr::build(&overlay, model);
         let material_kernel = TransitionCsr::build(&materialised, model);
-        let fw_overlay = ForwardPush::compute_kernel(&overlay_kernel, &cfg, seed);
-        let fw_material = ForwardPush::compute_kernel(&material_kernel, &cfg, seed);
+        let fw_overlay = ForwardPush::compute(&overlay_kernel, &cfg, seed);
+        let fw_material = ForwardPush::compute(&material_kernel, &cfg, seed);
         for t in 0..desc.n {
             prop_assert!(
                 (fw_overlay.estimates[t] - fw_material.estimates[t]).abs() < 1e-7,
@@ -124,8 +124,8 @@ proptest! {
             );
         }
 
-        let rv_overlay = ReversePush::compute_kernel(&overlay_kernel, &cfg, seed);
-        let rv_material = ReversePush::compute_kernel(&material_kernel, &cfg, seed);
+        let rv_overlay = ReversePush::compute(&overlay_kernel, &cfg, seed);
+        let rv_material = ReversePush::compute(&material_kernel, &cfg, seed);
         for s in 0..desc.n {
             prop_assert!(
                 (rv_overlay.estimates[s] - rv_material.estimates[s]).abs() < 1e-7,

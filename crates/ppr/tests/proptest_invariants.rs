@@ -85,7 +85,7 @@ proptest! {
         let seed = NodeId(seed_raw % desc.n as u32);
         let c = cfg(model);
         let exact = ppr_power(&g, &c, seed);
-        let fp = ForwardPush::compute_kernel(&TransitionCsr::build(&g, model), &c, seed);
+        let fp = ForwardPush::compute(&TransitionCsr::build(&g, model), &c, seed);
         for t in 0..desc.n {
             prop_assert!((fp.estimates[t] - exact[t]).abs() < 1e-5,
                 "t={t}: push {} vs exact {}", fp.estimates[t], exact[t]);
@@ -98,7 +98,7 @@ proptest! {
         let g = build(&desc);
         let target = NodeId(target_raw % desc.n as u32);
         let c = cfg(model);
-        let rp = ReversePush::compute_kernel(&TransitionCsr::build(&g, model), &c, target);
+        let rp = ReversePush::compute(&TransitionCsr::build(&g, model), &c, target);
         for s in 0..desc.n {
             let exact = ppr_power(&g, &c, NodeId(s as u32))[target.index()];
             prop_assert!((rp.estimates[s] - exact).abs() < 1e-5,
@@ -119,7 +119,7 @@ proptest! {
         let c = cfg(TransitionModel::Weighted);
 
         let csr = TransitionCsr::build(&g, c.transition);
-        let base_fp = ForwardPush::compute_kernel(&csr, &c, seed);
+        let base_fp = ForwardPush::compute(&csr, &c, seed);
         let mut delta = GraphDelta::new();
         delta.remove_edge(EdgeKey::new(key.src, key.dst, key.etype));
         let view = delta.overlay(&g);

@@ -187,7 +187,7 @@ proptest! {
             .map(|s| ppr_power(&g, &c, NodeId(s)))
             .collect();
 
-        let fp = ForwardPush::compute_kernel(&csr, &c, seed);
+        let fp = ForwardPush::compute(&csr, &c, seed);
         for (t, (&est, &exact)) in fp.estimates.iter().zip(&exact_from[seed.index()]).enumerate() {
             prop_assert!(
                 (est - exact).abs() < 1e-5,
@@ -196,7 +196,7 @@ proptest! {
             );
         }
 
-        let rp = ReversePush::compute_kernel(&csr, &c, seed);
+        let rp = ReversePush::compute(&csr, &c, seed);
         for (s, (&est, row)) in rp.estimates.iter().zip(&exact_from).enumerate() {
             let exact = row[seed.index()];
             prop_assert!(
@@ -229,9 +229,9 @@ proptest! {
 
         let csr = TransitionCsr::build(&g, TransitionModel::Weighted);
         let patched = csr.patched(&view, &d.touched_sources());
-        let from_patched = ForwardPush::compute_kernel(&patched, &c, seed);
+        let from_patched = ForwardPush::compute(&patched, &c, seed);
         let rebuilt = TransitionCsr::build(&view, TransitionModel::Weighted);
-        let from_scratch = ForwardPush::compute_kernel(&rebuilt, &c, seed);
+        let from_scratch = ForwardPush::compute(&rebuilt, &c, seed);
         for t in 0..desc.n {
             prop_assert!(
                 (from_patched.estimates[t] - from_scratch.estimates[t]).abs() < 1e-5,

@@ -72,7 +72,7 @@ impl Recommender for PprRecommender {
     /// kernel shared by every question.
     fn scores<G: GraphView>(&self, g: &G, user: NodeId) -> Vec<f64> {
         let kernel = TransitionCsr::build(g, self.config.ppr.transition);
-        ForwardPush::compute_kernel(&kernel, &self.config.ppr, user).estimates
+        ForwardPush::compute(&kernel, &self.config.ppr, user).estimates
     }
 
     fn candidates<G: GraphView>(&self, g: &G, user: NodeId) -> Vec<NodeId> {

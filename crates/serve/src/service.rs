@@ -1203,7 +1203,7 @@ fn column(
         ServeMetrics::bump(&shared.metrics.cache_poison_detected);
         shared.columns.lock().remove(&wni.0);
     }
-    let col = ReversePush::compute_kernel(&*snap.kernel, &shared.cfg.rec.ppr, wni);
+    let col = ReversePush::compute(&*snap.kernel, &shared.cfg.rec.ppr, wni);
     obs.count(Op::ReversePushes, col.pushes as u64);
     obs.add_mass(col.drained);
     let col = Arc::new(col);

@@ -83,7 +83,7 @@ pub fn assert_forward_agrees(
     seed: NodeId,
     tol: f64,
 ) -> f64 {
-    let push = ForwardPush::compute_kernel(kernel, &world.cfg.rec.ppr, seed);
+    let push = ForwardPush::compute(kernel, &world.cfg.rec.ppr, seed);
     let exact = oracle.ppr_row(seed);
     let mut max_err = 0.0f64;
     for (i, (&est, &ex)) in push.estimates.iter().zip(exact.iter()).enumerate() {
@@ -108,7 +108,7 @@ pub fn assert_reverse_agrees(
     target: NodeId,
     tol: f64,
 ) -> f64 {
-    let push = ReversePush::compute_kernel(kernel, &world.cfg.rec.ppr, target);
+    let push = ReversePush::compute(kernel, &world.cfg.rec.ppr, target);
     let exact = oracle.ppr_column(target);
     let mut max_err = 0.0f64;
     for (s, (&est, &ex)) in push.estimates.iter().zip(exact.iter()).enumerate() {

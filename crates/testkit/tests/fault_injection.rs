@@ -319,8 +319,7 @@ fn poisoned_cache_entries_are_quarantined_not_served() {
         .copied()
         .find(|&i| i != wni)
         .expect("worlds have several items");
-    let bad_col =
-        ReversePush::compute_kernel(&*service.kernel(), &service.config().rec.ppr, wrong_target);
+    let bad_col = ReversePush::compute(&*service.kernel(), &service.config().rec.ppr, wrong_target);
     service.poison_column_for_test(wni, Arc::new(bad_col));
 
     // Served answers after poisoning: detected, quarantined, rebuilt —

@@ -100,7 +100,7 @@ fn patched_kernel_agrees_with_oracle_on_edited_graphs() {
                 .expect("removal of an existing edge must apply");
             let oracle = DenseOracle::build(&edited, &world.cfg.rec.ppr);
 
-            let fwd = ForwardPush::compute_kernel(&patched, &world.cfg.rec.ppr, user);
+            let fwd = ForwardPush::compute(&patched, &world.cfg.rec.ppr, user);
             let exact_row = oracle.ppr_row(user);
             for (i, &exact) in exact_row.iter().enumerate() {
                 let err = (fwd.estimates[i] - exact).abs();
@@ -111,7 +111,7 @@ fn patched_kernel_agrees_with_oracle_on_edited_graphs() {
                 );
             }
             let target = world.items[user.index() % world.items.len()];
-            let rev = ReversePush::compute_kernel(&patched, &world.cfg.rec.ppr, target);
+            let rev = ReversePush::compute(&patched, &world.cfg.rec.ppr, target);
             let exact_col = oracle.ppr_column(target);
             for (s, &exact) in exact_col.iter().enumerate() {
                 let err = (rev.estimates[s] - exact).abs();

@@ -56,7 +56,7 @@ fn forward_push_conserves_mass_at_scale() {
         let kernel = scale_kernel(total, 0x00E5_CA1E ^ total as u64);
         let cfg = PprConfig::default().with_epsilon(epsilon);
         // Users are ids 0..num_users; user 0 always has out-edges.
-        let fwd = ForwardPush::compute_kernel(&kernel, &cfg, NodeId(0));
+        let fwd = ForwardPush::compute(&kernel, &cfg, NodeId(0));
         let est: f64 = fwd.estimates.iter().sum();
         let res: f64 = fwd.residuals.iter().sum();
         let tol = ulp_budget(fwd.pushes);
@@ -82,7 +82,7 @@ fn forward_push_work_is_bounded_at_scale() {
     for (total, epsilon) in scale_sizes() {
         let kernel = scale_kernel(total, 0xB0B ^ total as u64);
         let cfg = PprConfig::default().with_epsilon(epsilon);
-        let fwd = ForwardPush::compute_kernel(&kernel, &cfg, NodeId(0));
+        let fwd = ForwardPush::compute(&kernel, &cfg, NodeId(0));
         let bound = fwd.drained / epsilon;
         assert!(
             (fwd.pushes as f64) <= bound * (1.0 + 1e-9) + 1.0,
@@ -101,7 +101,7 @@ fn reverse_push_invariants_hold_at_scale() {
         // first item is the head of the distribution, guaranteeing edges.
         let spec = ScaleSpec::with_total_nodes(total, 0xCAFE ^ total as u64);
         let target = NodeId(spec.num_users as u32);
-        let rev = ReversePush::compute_kernel(&kernel, &cfg, target);
+        let rev = ReversePush::compute(&kernel, &cfg, target);
         let tol = ulp_budget(rev.pushes);
         let est: f64 = rev.estimates.iter().sum();
         assert!(
@@ -129,7 +129,7 @@ fn f32_kernel_satisfies_same_invariants() {
     let kernel =
         ScaleGen::new(spec).build_compact::<f32>(TransitionModel::RecWalk { beta: 0.5 }, 8_192);
     let cfg = PprConfig::default().with_epsilon(epsilon);
-    let fwd = ForwardPush::compute_kernel(&kernel, &cfg, NodeId(0));
+    let fwd = ForwardPush::compute(&kernel, &cfg, NodeId(0));
     let est: f64 = fwd.estimates.iter().sum();
     let res: f64 = fwd.residuals.iter().sum();
     // f32 rows are quantised: a degree-d row's probabilities sum to 1 only
@@ -166,7 +166,7 @@ proptest! {
         let kernel = CompactCsr::<f64>::build(&world.graph, model);
         let cfg = world.cfg.rec.ppr;
         for &user in world.users.iter().take(3) {
-            let fwd = ForwardPush::compute_kernel(&kernel, &cfg, user);
+            let fwd = ForwardPush::compute(&kernel, &cfg, user);
             let est: f64 = fwd.estimates.iter().sum();
             let res: f64 = fwd.residuals.iter().sum();
             let tol = ulp_budget(fwd.pushes);
@@ -197,7 +197,7 @@ proptest! {
         let kernel = CompactCsr::<f64>::build(&world.graph, model);
         let cfg = world.cfg.rec.ppr;
         if let Some(&user) = world.users.first() {
-            let fwd = ForwardPush::compute_kernel(&kernel, &cfg, user);
+            let fwd = ForwardPush::compute(&kernel, &cfg, user);
             // A user with no actions is a dangling row even here; skip.
             if kernel.forward_row(user).0.is_empty() {
                 return Ok(());
