@@ -80,16 +80,16 @@ pub(crate) struct CheckOutcome {
     cost: CheckCost,
 }
 
+/// Canonical signature of one delta edge:
+/// `(src, dst, edge type, weight bits, added?)`.
+type EdgeSig = (u32, u32, u16, u64, bool);
+
 /// Per-source signatures of a counterfactual delta: the patched transition
 /// row of a node depends only on its base row and the delta edges rooted at
 /// it, so those edges — sorted canonically — key the context's
 /// [`emigre_ppr::RowCache`]. The user's own row is excluded (`None`): every
 /// action is rooted at the user, so that row differs per candidate subset
 /// and could never hit.
-/// Canonical signature of one delta edge:
-/// `(src, dst, edge type, weight bits, added?)`.
-type EdgeSig = (u32, u32, u16, u64, bool);
-
 struct DeltaSignatures {
     by_src: Vec<(u32, EdgeSig)>,
     user: u32,

@@ -58,6 +58,16 @@ fn bucket_upper_us(i: usize) -> u64 {
     1u64 << i
 }
 
+/// Lower edge (inclusive) of bucket `i` in microseconds.
+#[inline]
+fn bucket_lower_us(i: usize) -> u64 {
+    if i == 0 {
+        0
+    } else {
+        1u64 << (i - 1)
+    }
+}
+
 impl LatencyHistogram {
     pub fn new() -> Self {
         Self::default()
@@ -120,7 +130,10 @@ pub(crate) fn quantile_us(buckets: &[u64], count: u64, max_us: u64, q: f64) -> u
     for (i, &c) in buckets.iter().enumerate() {
         seen += c;
         if seen >= rank {
-            return bucket_upper_us(i).min(max_us.max(1));
+            // The largest observation caps the estimate, clamped into the
+            // bucket so a quantile can never exceed the max it reports
+            // beside (an all-zero histogram reads 0, not bucket 0's edge).
+            return bucket_upper_us(i).min(max_us.max(bucket_lower_us(i)));
         }
     }
     max_us
@@ -143,7 +156,8 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Upper-edge estimate of the `q`-quantile (0 < q ≤ 1) in µs; 0 when
     /// empty. Never under-reports: the true quantile lies in the returned
-    /// bucket, whose exclusive upper edge is reported (capped at `max_us`).
+    /// bucket, whose exclusive upper edge is reported, capped at `max_us`
+    /// (or at the bucket's lower edge, if that is higher).
     pub fn quantile_us(&self, q: f64) -> u64 {
         quantile_us(&self.buckets, self.count, self.max_us, q)
     }
@@ -244,12 +258,25 @@ mod tests {
         let h = LatencyHistogram::new();
         h.record_us(0);
         let s = h.snapshot();
-        // Bucket 0's upper edge is 1µs but max_us=0 → capped to max(1)=1;
-        // the estimate stays within one bucket of the truth.
+        // Bucket 0's upper edge is 1µs, but max_us = 0 caps the estimate.
         assert_eq!(s.count, 1);
         assert_eq!(s.max_us, 0);
-        assert!(s.quantile_us(0.5) <= 1);
-        assert!(s.quantile_us(1.0) <= 1);
+        assert_eq!(s.quantile_us(0.5), 0);
+        assert_eq!(s.quantile_us(1.0), 0);
+    }
+
+    #[test]
+    fn all_zero_histogram_reports_zero_quantiles() {
+        // Sub-microsecond stages (e.g. a parallel CHECK pool that finishes
+        // within the same microsecond) record only zeros; no quantile may
+        // read above the max of 0 reported beside it.
+        let h = LatencyHistogram::new();
+        for _ in 0..27 {
+            h.record_us(0);
+        }
+        let s = h.snapshot();
+        assert_eq!((s.count, s.max_us), (27, 0));
+        assert_eq!((s.p50_us, s.p95_us, s.p99_us), (0, 0, 0));
     }
 
     #[test]
