@@ -2,13 +2,16 @@
 //!
 //! The benches live under `benches/`:
 //!
-//! * `ppr_engines` — power iteration vs forward/reverse local push vs
-//!   dynamic residual repair, across graph sizes and ε;
+//! * `ppr_engines` — exact power iteration vs the flat-kernel forward and
+//!   reverse local push across graph sizes, the kernel build they
+//!   amortise, and the forward push's cost as ε tightens;
 //! * `explainers` — every EMiGRe method on a fixed mid-size scenario (the
-//!   micro-benchmark behind Table 5's runtime ordering);
-//! * `ablations` — the design choices DESIGN.md calls out: delta overlay
-//!   vs graph clone, dynamic CHECK vs from-scratch CHECK, CSR snapshot vs
-//!   pointer-chasing adjacency.
+//!   micro-benchmark behind Table 5's runtime ordering), plus the context
+//!   build;
+//! * `ablations` — the CHECK design choice DESIGN.md calls out: dynamic
+//!   CHECK vs from-scratch CHECK (`EmigreConfig::dynamic_test`);
+//! * `evaluation_sweep` — the per-scenario cost of the §6.2 experiment
+//!   loop: all eight paper methods on one scenario.
 //!
 //! This library crate only hosts the fixture builders so every bench
 //! measures the same graphs.

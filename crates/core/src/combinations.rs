@@ -1,9 +1,11 @@
 //! Lexicographic k-subset enumeration.
 //!
-//! The Powerset heuristic, the Exhaustive Comparison and the brute-force
-//! baseline all walk subsets of the candidate list in ascending size.
+//! The Powerset heuristic, the brute-force baseline and minimality
+//! certification walk subsets of the candidate list in ascending size.
 //! [`Combinations`] yields the index vectors of all k-subsets of `0..n` in
-//! lexicographic order without materialising the whole powerset.
+//! lexicographic order without materialising the whole powerset. The
+//! Exhaustive Comparison visits the same order with a bound-pruned scan of
+//! its own, and shares only [`binomial`] for its subset budget.
 
 /// Iterator over all k-subsets of `0..n` as sorted index vectors, in
 /// lexicographic order.

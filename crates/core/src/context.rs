@@ -9,7 +9,8 @@
 //!   inputs of the contribution equations (5) and (6).
 //!
 //! [`ExplainContext::build`] computes them once; every algorithm in this
-//! crate then borrows the context.
+//! crate then borrows the context. Any other item's column — Algorithm 5
+//! needs one per target — comes from [`ExplainContext::column`].
 
 use crate::config::EmigreConfig;
 use crate::question::{QuestionError, WhyNotQuestion};
@@ -277,6 +278,10 @@ pub struct ExplainContext<'g, G: GraphView, K = TransitionCsr> {
     /// (counters, spans, the per-question trace). Disabled by default;
     /// see [`ExplainContext::build_with_obs`].
     pub obs: ObsHandle,
+    /// Where [`ExplainContext::column`] finds `PPR(·, t)` for items other
+    /// than `rec` and the Why-Not item, if the caller attached a source
+    /// ([`ExplainContext::with_column_source`]).
+    columns: Option<Box<dyn Fn(NodeId) -> Arc<ReversePush> + 'g>>,
 }
 
 impl<'g, G: GraphView> ExplainContext<'g, G> {
@@ -406,7 +411,37 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
             }),
             spare_states: RefCell::new(Vec::new()),
             obs,
+            columns: None,
         })
+    }
+
+    /// Attaches the source [`ExplainContext::column`] reads every item
+    /// column from, other than `rec`'s and the Why-Not item's. The source
+    /// must return `PPR(·, t)` on this context's graph, as a fresh push
+    /// would, and count any push it runs itself.
+    pub fn with_column_source(mut self, source: impl Fn(NodeId) -> Arc<ReversePush> + 'g) -> Self {
+        self.columns = Some(Box::new(source));
+        self
+    }
+
+    /// `PPR(·, t)` for an item `t`. `rec` and the Why-Not item answer with
+    /// the context's own columns; any other item goes to the attached
+    /// source. Without one, the column is pushed on the context's kernel
+    /// and counted into its observability handle.
+    pub fn column(&self, t: NodeId) -> Arc<ReversePush> {
+        if t == self.rec {
+            return Arc::clone(&self.ppr_to_rec);
+        }
+        if t == self.wni {
+            return Arc::clone(&self.ppr_to_wni);
+        }
+        if let Some(source) = &self.columns {
+            return source(t);
+        }
+        let p = ReversePush::compute(&*self.kernel, &self.cfg.rec.ppr, t);
+        self.obs.count(Op::ReversePushes, p.pushes as u64);
+        self.obs.add_mass(p.drained);
+        Arc::new(p)
     }
 
     /// Takes `count` CHECK states for parallel workers, building the ones

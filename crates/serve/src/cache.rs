@@ -1,8 +1,8 @@
 //! A small size-bounded LRU cache for serving state.
 //!
 //! Two instances back the service: the **session cache** (user →
-//! [`emigre_core::UserArtifacts`]) and the **column cache** (Why-Not item
-//! → reverse-push `PPR(·, WNI)` column). Both hold `Arc`ed values, so a
+//! [`emigre_core::UserArtifacts`]) and the **column cache** (item →
+//! reverse-push `PPR(·, item)` column). Both hold `Arc`ed values, so a
 //! hit is a pointer clone and an eviction never invalidates state a
 //! worker is still using.
 //!

@@ -6,7 +6,7 @@
 //!    admission queue, per-request deadlines, an LRU **session cache** of
 //!    per-user artefacts (forward push, recommendation list, `PPR(·,rec)`
 //!    column, candidate index) and an LRU **column cache** of reverse-push
-//!    `PPR(·,WNI)` columns. Graceful shutdown drains every admitted
+//!    `PPR(·,item)` columns. Graceful shutdown drains every admitted
 //!    request.
 //! 2. [`HttpServer`] — a std-only HTTP/1.1 JSON front end (`POST
 //!    /explain`, `POST /recommend`, `POST /feedback`, `GET /healthz`,

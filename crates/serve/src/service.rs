@@ -8,7 +8,7 @@
 //!     ▲                      │ (QoS policy:          │
 //!     │   Overloaded when    │  fifo/deadline/sjf    ├─ pinned GraphEpoch (graph + kernel)
 //!     └── full or over the   │  + per-user fairness, ├─ session cache (user → UserArtifacts)
-//!         per-user share:    │  see crate::sched)    ├─ column cache  (WNI → PPR(·,WNI))
+//!         per-user share:    │  see crate::sched)    ├─ column cache  (item → PPR(·,item))
 //!         admission control, │                       ├─ per-worker PushWorkspace
 //!         never unbounded    │                       └─ per-request ObsHandle (spans + trace)
 //!                            └─ jobs carry a deadline; expired jobs are
@@ -103,7 +103,8 @@ pub struct ServiceConfig {
     pub default_deadline: Duration,
     /// Users whose [`UserArtifacts`] stay cached (LRU).
     pub session_capacity: usize,
-    /// Why-Not items whose `PPR(·, WNI)` column stays cached (LRU).
+    /// Items whose `PPR(·, item)` column stays cached (LRU): Why-Not
+    /// items, and the targets Exhaustive Comparison reads.
     pub column_capacity: usize,
     /// Recent requests whose [`ExplainTrace`] stays replayable via
     /// `/trace/<id>` (LRU by request id).
@@ -738,12 +739,12 @@ impl ExplanationService {
         self.shared.sessions.lock().insert_at(user.0, epoch, art);
     }
 
-    /// Plants an arbitrary `PPR(·, WNI)` column in the column cache,
+    /// Plants an arbitrary column under `item`'s key in the column cache,
     /// stamped with the current epoch.
     #[doc(hidden)]
-    pub fn poison_column_for_test(&self, wni: NodeId, col: Arc<ReversePush>) {
+    pub fn poison_column_for_test(&self, item: NodeId, col: Arc<ReversePush>) {
         let epoch = self.shared.live.current_epoch();
-        self.shared.columns.lock().insert_at(wni.0, epoch, col);
+        self.shared.columns.lock().insert_at(item.0, epoch, col);
     }
 
     /// The serving configuration (recommender + explanation settings).
@@ -1142,9 +1143,9 @@ fn session_artifacts_valid(snap: &GraphEpoch, user: NodeId, art: &UserArtifacts)
 }
 
 /// Integrity check on a column-cache hit: the column must actually be
-/// `PPR(·, wni)` for this graph.
-fn column_valid(snap: &GraphEpoch, wni: NodeId, col: &ReversePush) -> bool {
-    col.target == wni && col.estimates.len() == snap.graph.num_nodes()
+/// `PPR(·, item)` for this graph.
+fn column_valid(snap: &GraphEpoch, item: NodeId, col: &ReversePush) -> bool {
+    col.target == item && col.estimates.len() == snap.graph.num_nodes()
 }
 
 /// User artefacts from the session cache, building on miss; the bool is
@@ -1186,31 +1187,31 @@ fn artifacts(
     Ok((art, false))
 }
 
-/// `PPR(·, wni)` from the column cache, computing on miss; the bool is
+/// `PPR(·, item)` from the column cache, computing on miss; the bool is
 /// the cache-hit flag. Epoch-keyed like [`artifacts`]. The caller must
-/// have validated `wni` (in bounds) first.
+/// have validated `item` (in bounds) first.
 fn column(
     shared: &Shared,
     snap: &GraphEpoch,
-    wni: NodeId,
+    item: NodeId,
     obs: &ObsHandle,
 ) -> (Arc<ReversePush>, bool) {
-    let cached = shared.columns.lock().get_at(&wni.0, snap.epoch);
+    let cached = shared.columns.lock().get_at(&item.0, snap.epoch);
     if let Some(hit) = cached {
-        if column_valid(snap, wni, &hit) {
+        if column_valid(snap, item, &hit) {
             return (hit, true);
         }
         ServeMetrics::bump(&shared.metrics.cache_poison_detected);
-        shared.columns.lock().remove(&wni.0);
+        shared.columns.lock().remove(&item.0);
     }
-    let col = ReversePush::compute(&*snap.kernel, &shared.cfg.rec.ppr, wni);
+    let col = ReversePush::compute(&*snap.kernel, &shared.cfg.rec.ppr, item);
     obs.count(Op::ReversePushes, col.pushes as u64);
     obs.add_mass(col.drained);
     let col = Arc::new(col);
     shared
         .columns
         .lock()
-        .insert_at(wni.0, snap.epoch, Arc::clone(&col));
+        .insert_at(item.0, snap.epoch, Arc::clone(&col));
     (col, false)
 }
 
@@ -1246,6 +1247,11 @@ fn run_explain(
     ) {
         Ok(ctx) => {
             drop(cb); // context stage ends where the search begins
+
+            // Every other item column the search reads (Exhaustive
+            // Comparison's targets) comes from the same epoch cache; a
+            // miss pushes inside the search's own span.
+            let ctx = ctx.with_column_source(|t| column(shared, snap, t, obs).0);
             let outcome = Explainer::explain_with_context(&ctx, method);
             *ws_slot = ctx.into_workspace();
             Ok((outcome, session_hit, column_hit))

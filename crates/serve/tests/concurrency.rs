@@ -1,9 +1,10 @@
 //! The service's contract under concurrency: answers are bit-identical to
 //! the single-threaded reference path, admission control rejects
 //! deterministically, shutdown drains every admitted request, and the
-//! session/column caches actually get hit.
+//! session/column caches actually get hit, Exhaustive Comparison's target
+//! columns included.
 
-use emigre_core::Method;
+use emigre_core::{ExplainContext, Method};
 use emigre_data::pipeline::{AmazonHin, PreprocessConfig};
 use emigre_data::synth::{SynthConfig, SynthDataset};
 use emigre_hin::{Hin, NodeId};
@@ -335,6 +336,52 @@ fn caches_reuse_session_and_column_artifacts() {
     assert_eq!(m.column_cache.hits, 1);
     assert_eq!(m.session_cache.len, 1);
     assert_eq!(m.column_cache.len, 2);
+}
+
+#[test]
+fn exhaustive_targets_reuse_cached_columns() {
+    let (graph, cfg, users) = test_world();
+    let (user, wni) = build_calls(&graph, &cfg, &users)
+        .into_iter()
+        .find_map(|c| match c {
+            Call::Explain(u, w, _) => Some((u, w)),
+            _ => None,
+        })
+        .expect("the mix has explains");
+    let method = Method::RemoveExhaustive;
+    // `rec`'s column rides in the session's artefacts, not the column
+    // cache; every other target is one column lookup.
+    let other_targets = {
+        let ctx = ExplainContext::build(&graph, cfg.clone(), user, wni).unwrap();
+        ctx.targets().iter().filter(|&&t| t != ctx.rec).count() as u64
+    };
+    assert!(other_targets >= 2, "the question needs several targets");
+    let reference = reference_explain(&graph, &cfg, user, wni, method).unwrap();
+
+    let service = ExplanationService::start(
+        graph,
+        cfg,
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let first = service.explain(user, wni, method).unwrap();
+    let m1 = service.metrics();
+    // One miss for the WNI, one per target other than `rec`.
+    assert_eq!(m1.column_cache.misses, 1 + other_targets);
+    assert_eq!(m1.column_cache.hits, 0);
+
+    let second = service.explain(user, wni, method).unwrap();
+    let m2 = service.metrics();
+    assert_eq!(m2.column_cache.misses, m1.column_cache.misses);
+    assert_eq!(m2.column_cache.hits, 1 + other_targets);
+    assert_eq!(
+        m2.ops.reverse_pushes, m1.ops.reverse_pushes,
+        "the repeat reads every column from the cache"
+    );
+    assert_eq!(first, reference);
+    assert_eq!(second, reference);
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! completed_total + rejected_overload`, and (where an event log is
 //! attached) exactly one JSON line per admitted request id.
 
-use emigre_core::Method;
+use emigre_core::{ExplainContext, Method};
 use emigre_hin::NodeId;
 use emigre_obs::ObsHandle;
 use emigre_ppr::ReversePush;
@@ -344,7 +344,33 @@ fn poisoned_cache_entries_are_quarantined_not_served() {
         m.cache_poison_detected >= 2,
         "both poisoned entries were detected: {m:?}"
     );
+
+    // Poison a column only Exhaustive Comparison reads: a push on the
+    // wrong target under the key of a target other than `rec` (whose
+    // column rides in the session) and the Why-Not item.
+    let (user, wni, target) = viable_questions(&world, usize::MAX)
+        .into_iter()
+        .find_map(|(user, wni)| {
+            let ctx = ExplainContext::build(&world.graph, world.cfg.clone(), user, wni).ok()?;
+            let target = ctx.targets().into_iter().find(|&t| t != ctx.rec)?;
+            Some((user, wni, target))
+        })
+        .expect("some question has a target besides rec");
+    let bad_col = ReversePush::compute(&*service.kernel(), &service.config().rec.ppr, wni);
+    service.poison_column_for_test(target, Arc::new(bad_col));
+    let method = Method::RemoveExhaustive;
+    let (_, r3) = service.explain_request(user, wni, method, deadline);
+    let served = r3.expect("a poisoned target column never fails the request");
+    assert_eq!(
+        served.outcome,
+        reference_explain(&world.graph, &world.cfg, user, wni, method).unwrap()
+    );
+    let m = service.metrics();
     assert_eq!(m.worker_panics, 0);
+    assert_eq!(
+        m.cache_poison_detected, 3,
+        "the poisoned target column was detected: {m:?}"
+    );
     accounting_holds(&service);
     service.shutdown();
 }
