@@ -394,9 +394,7 @@ fn main() {
         // incremental-style prefix ladder of the user's removals, at 1, 2,
         // 4, and 8 CHECK workers. The 1-thread time is the sequential
         // baseline of every row, so `speedup` is wall-clock scaling and
-        // `parallel_efficiency` its fraction of ideal. Consecutive prefixes
-        // share all but one patched row, so this path also exercises the
-        // shared-patch-prefix row cache.
+        // `parallel_efficiency` its fraction of ideal.
         let mut prefix = Vec::new();
         let mut sets: Vec<Vec<Action>> = Vec::new();
         g.for_each_out(user, |v, et, wt| {

@@ -16,8 +16,8 @@ use crate::config::EmigreConfig;
 use crate::question::{QuestionError, WhyNotQuestion};
 use emigre_hin::{GraphDelta, GraphView, NodeId, NodeTypeId};
 use emigre_obs::{HeapSize, ObsHandle, Op};
-use emigre_ppr::{CsrRows, ForwardPush, PushWorkspace, ReversePush, RowCache, TransitionCsr};
-use emigre_rec::{PprRecommender, RecList, Recommender};
+use emigre_ppr::{CsrRows, ForwardPush, PushWorkspace, ReversePush, TransitionCsr};
+use emigre_rec::{PprRecommender, RecList};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -118,13 +118,12 @@ impl CandidateIndex {
 }
 
 /// Mutable per-check scratch shared through the context: the reusable push
-/// workspace, the candidate index, and the patched-row cache. Borrowed
-/// exclusively for the duration of one CHECK — or moved wholesale into a
-/// CHECK worker thread by the parallel path.
+/// workspace and the candidate index. Borrowed exclusively for the
+/// duration of one CHECK — or moved wholesale into a CHECK worker thread
+/// by the parallel path.
 pub(crate) struct CheckState {
     pub(crate) ws: PushWorkspace,
     pub(crate) cand: CandidateIndex,
-    pub(crate) rows: RowCache,
 }
 
 /// The per-user half of a question's pre-computed state: everything that
@@ -272,7 +271,7 @@ pub struct ExplainContext<'g, G: GraphView, K = TransitionCsr> {
     pub(crate) check: RefCell<CheckState>,
     /// Recycled CHECK states for parallel workers: taken before a fan-out,
     /// returned after, so repeated parallel sessions within one question
-    /// reuse their `O(n)` buffers and warmed row caches.
+    /// reuse their `O(n)` buffers.
     pub(crate) spare_states: RefCell<Vec<CheckState>>,
     /// Observability sink for everything computed through this context
     /// (counters, spans, the per-question trace). Disabled by default;
@@ -407,7 +406,6 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
             check: RefCell::new(CheckState {
                 ws,
                 cand: artifacts.cand_base.clone(),
-                rows: RowCache::new(),
             }),
             spare_states: RefCell::new(Vec::new()),
             obs,
@@ -467,11 +465,7 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
                 ws.clear(self.graph.num_nodes());
             }
             let cand = self.check.borrow().cand.clone();
-            states.push(CheckState {
-                ws,
-                cand,
-                rows: RowCache::new(),
-            });
+            states.push(CheckState { ws, cand });
         }
         states
     }

@@ -9,7 +9,6 @@
 use crate::context::ExplainContext;
 use crate::explanation::Mode;
 use emigre_hin::{GraphView, NodeId};
-use emigre_rec::PopularityRecommender;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -81,12 +80,17 @@ impl fmt::Display for ExplainFailure {
 
 impl std::error::Error for ExplainFailure {}
 
-/// Weighted popularity of an item counted over incoming user-typed edges.
+/// Weighted popularity of an item: its in-degree counted over incoming
+/// user-typed edges only, so category links do not make an item popular.
 fn user_popularity<G: GraphView>(ctx: &ExplainContext<'_, G>, item: NodeId) -> f64 {
     let user_type = ctx.graph.node_type(ctx.user);
-    PopularityRecommender::new(ctx.cfg.rec.item_type)
-        .from_sources(user_type)
-        .popularity(ctx.graph, item)
+    let mut s = 0.0;
+    ctx.graph.for_each_in(item, |src, _, w| {
+        if ctx.graph.node_type(src) == user_type {
+            s += w;
+        }
+    });
+    s
 }
 
 /// How much more popular (by user interactions) the recommendation must be

@@ -13,22 +13,23 @@
 //! state via residual repair ([`PushWorkspace::repair_row_change`]) instead
 //! of pushing from scratch.
 //!
-//! The verification core lives in [`run_check`], a pure function of the
-//! shared question inputs ([`CheckShared`]) and one mutable scratch
-//! ([`CheckState`]): no observability, no budget, no interior mutability.
-//! It shares its counterfactual setup and rollback ([`counterfactual`])
+//! The verification core lives in `run_check`, a pure function of the
+//! shared question inputs (`CheckShared`) and one mutable scratch
+//! (`CheckState`): no observability, no budget, no interior mutability.
+//! It shares its counterfactual setup and rollback (`counterfactual`)
 //! with [`Tester::recommendation_after`].
 //! That purity is what lets [`Tester::first_passing`] fan candidate sets
-//! across worker threads ([`crate::parallel`]) and still merge results in
-//! input order with bit-identical verdicts, counters, and traces.
+//! across worker threads (the crate's `parallel` module) and still merge
+//! results in input order with bit-identical verdicts, counters, and
+//! traces.
 
 use crate::config::EmigreConfig;
 use crate::context::{CandidateIndex, CheckState, ExplainContext};
 use crate::explanation::{actions_to_delta, actions_to_trace, Action};
 use crate::parallel::{speculative_scan, Consumed, ScanControl};
-use emigre_hin::{GraphDelta, GraphView, NodeId};
+use emigre_hin::{GraphView, NodeId};
 use emigre_obs::Op;
-use emigre_ppr::{CsrRows, PatchedCsr, PushWorkspace, RowKey, TransitionCsr};
+use emigre_ppr::{CsrRows, PatchedCsr, PushWorkspace, TransitionCsr};
 use emigre_rec::RecList;
 use std::cell::Cell;
 
@@ -80,57 +81,11 @@ pub(crate) struct CheckOutcome {
     cost: CheckCost,
 }
 
-/// Canonical signature of one delta edge:
-/// `(src, dst, edge type, weight bits, added?)`.
-type EdgeSig = (u32, u32, u16, u64, bool);
-
-/// Per-source signatures of a counterfactual delta: the patched transition
-/// row of a node depends only on its base row and the delta edges rooted at
-/// it, so those edges — sorted canonically — key the context's
-/// [`emigre_ppr::RowCache`]. The user's own row is excluded (`None`): every
-/// action is rooted at the user, so that row differs per candidate subset
-/// and could never hit.
-struct DeltaSignatures {
-    by_src: Vec<(u32, EdgeSig)>,
-    user: u32,
-}
-
-impl DeltaSignatures {
-    fn new(delta: &GraphDelta, user: NodeId) -> Self {
-        let mut by_src = Vec::with_capacity(delta.added().len() + delta.removed().len());
-        for a in delta.added() {
-            let k = a.key;
-            by_src.push((
-                k.src.0,
-                (k.src.0, k.dst.0, k.etype.0, a.weight.to_bits(), true),
-            ));
-        }
-        for r in delta.removed() {
-            by_src.push((r.src.0, (r.src.0, r.dst.0, r.etype.0, 0, false)));
-        }
-        by_src.sort_unstable();
-        DeltaSignatures {
-            by_src,
-            user: user.0,
-        }
-    }
-
-    fn get(&self, u: NodeId) -> Option<RowKey> {
-        if u.0 == self.user {
-            return None;
-        }
-        let lo = self.by_src.partition_point(|e| e.0 < u.0);
-        let hi = self.by_src.partition_point(|e| e.0 <= u.0);
-        Some(self.by_src[lo..hi].iter().map(|e| e.1).collect())
-    }
-}
-
 /// Evaluates `decide` on the counterfactual graph of `actions` — the setup
 /// every CHECK-shaped evaluation shares. Builds the delta and its overlay,
-/// patches the touched transition rows (replaying rows an earlier CHECK
-/// left in the state's [`emigre_ppr::RowCache`]), overlays the candidate
-/// index, and starts the push state: the base state's residuals repaired
-/// for the changed rows (`dynamic_test`) or a fresh seed at the user.
+/// patches the touched transition rows, overlays the candidate index, and
+/// starts the push state: the base state's residuals repaired for the
+/// changed rows (`dynamic_test`) or a fresh seed at the user.
 /// `decide` pushes over the patched rows as far as it needs and returns
 /// its answer with the candidate-index entries it scanned; the workspace
 /// and the index are then rolled back, and the evaluation's cost returned
@@ -145,12 +100,9 @@ fn counterfactual<G: GraphView, K: CsrRows, R>(
     let delta = actions_to_delta(actions, cfg);
     let view = delta.overlay(shared.graph);
     let touched = delta.touched_sources();
-    let sigs = DeltaSignatures::new(&delta, shared.user);
 
-    let CheckState { ws, cand, rows } = state;
-    let patched = shared
-        .kernel
-        .patched_cached(&view, &touched, rows, |u| sigs.get(u));
+    let CheckState { ws, cand } = state;
+    let patched = shared.kernel.patched(&view, &touched);
     cand.apply_delta(shared.user, &delta, &view);
 
     // Per-evaluation counter baseline: the workspace tallies
@@ -307,7 +259,7 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
     }
 
     /// Runs one CHECK through the context's scratch state and records its
-    /// cost (see [`run_check`] for the verification semantics).
+    /// cost (see `run_check` for the verification semantics).
     pub fn test(&self, actions: &[Action]) -> bool {
         self.checks.set(self.checks.get() + 1);
         let shared = CheckShared::of(self.ctx);
@@ -352,7 +304,7 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
     ///
     /// When the config's `parallelism` resolves to ≥ 2 workers and there is
     /// more than one set, the CHECKs are evaluated speculatively on a
-    /// work-stealing pool ([`crate::parallel::speculative_scan`]) while
+    /// work-stealing pool (`parallel::speculative_scan`) while
     /// this thread consumes outcomes in input order; verdicts, budget
     /// accounting, counters, and traces are bit-identical to the sequential
     /// scan at any thread count.

@@ -14,7 +14,7 @@
 //! through a shared hub).
 
 use crate::context::ExplainContext;
-use crate::explanation::{Action, Explanation, Mode};
+use crate::explanation::{Action, Mode};
 use crate::failure::{classify_failure, ExplainFailure};
 use crate::search::add_search_space;
 use crate::tester::Tester;
@@ -45,17 +45,6 @@ impl WeightedSuggestion {
             self.sufficient_weight,
             g.display_name(wni)
         )
-    }
-
-    /// Converts into a standard single-action Add explanation.
-    pub fn into_explanation(self, wni: emigre_hin::NodeId) -> Explanation {
-        Explanation {
-            mode: Some(Mode::Add),
-            actions: vec![self.action],
-            new_top: wni,
-            checks_performed: self.checks_performed,
-            verified: true,
-        }
     }
 }
 

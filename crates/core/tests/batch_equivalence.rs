@@ -16,7 +16,7 @@ use emigre_data::pipeline::{AmazonHin, PreprocessConfig};
 use emigre_data::synth::{SynthConfig, SynthDataset};
 use emigre_hin::NodeId;
 use emigre_ppr::{ForwardPush, TransitionCsr};
-use emigre_rec::{PprRecommender, RecList, Recommender};
+use emigre_rec::{PprRecommender, RecList};
 
 fn dataset(seed: u64) -> (AmazonHin, EmigreConfig) {
     let synth = SynthConfig {

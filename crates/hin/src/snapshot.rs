@@ -411,7 +411,7 @@ impl Backing {
 
 /// A loaded, validated snapshot: a zero-copy [`GraphView`] over the raw
 /// bytes (mapped or owned). All structural invariants are checked once in
-/// [`Snapshot::from_backing`], so the view accessors are infallible.
+/// `Snapshot::from_backing`, so the view accessors are infallible.
 pub struct Snapshot {
     backing: Backing,
     registry: TypeRegistry,

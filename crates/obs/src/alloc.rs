@@ -145,12 +145,6 @@ pub fn set_tracking(on: bool) -> bool {
     ENABLED.swap(on, Ordering::SeqCst)
 }
 
-/// Whether the runtime switch is currently on (it is by default). Note
-/// this does *not* say whether a tracking allocator is installed.
-pub fn tracking_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// Process-wide heap watermarks. All zero unless a [`TrackingAlloc`] is
 /// installed as the global allocator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -26,7 +26,6 @@ use crate::transition::{transition_row_into, TransitionModel};
 use emigre_hin::{GraphView, NodeId};
 use emigre_obs::HeapSize;
 use std::cell::OnceCell;
-use std::collections::HashMap;
 
 /// Probability element of a CSR layout.
 ///
@@ -101,70 +100,6 @@ pub trait CsrRows {
             let dsts: Vec<u32> = row.iter().map(|&(v, _)| v.0).collect();
             let probs: Vec<Self::P> = row.iter().map(|&(_, p)| Self::P::from_f64(p)).collect();
             fwd_patches.push((u.0, dsts, probs));
-        }
-        fwd_patches.sort_unstable_by_key(|&(u, _, _)| u);
-
-        PatchedCsr {
-            base: self,
-            fwd_patches,
-            rev_patches: OnceCell::new(),
-        }
-    }
-
-    /// [`CsrRows::patched`] with a per-question row cache: touched sources
-    /// whose patch signature (see [`RowCache`]) is unchanged since an
-    /// earlier CHECK reuse the cached row bit-for-bit instead of
-    /// re-evaluating `view`'s edges.
-    ///
-    /// `signature(u)` returns the cache key for `u`'s row under the current
-    /// delta, or `None` to always rebuild (e.g. the user's row, whose delta
-    /// footprint differs per candidate subset). A row is a pure function of
-    /// `(base graph, model, delta edges rooted at u)`, so a signature that
-    /// captures exactly those delta edges makes cached reuse exact.
-    ///
-    /// Cached rows are stored at `f64` precision and narrowed to `Self::P`
-    /// on both the hit and the miss path, so a replayed row is always
-    /// bitwise equal to a freshly built one regardless of the layout.
-    fn patched_cached<'a, G: GraphView, S>(
-        &'a self,
-        view: &G,
-        touched: &[NodeId],
-        cache: &mut RowCache,
-        mut signature: S,
-    ) -> PatchedCsr<'a, Self>
-    where
-        Self: Sized,
-        S: FnMut(NodeId) -> Option<RowKey>,
-    {
-        let narrow = |probs: &[f64]| -> Vec<Self::P> {
-            probs.iter().map(|&p| Self::P::from_f64(p)).collect()
-        };
-        let mut fwd_patches: Vec<PatchRow<Self::P>> = Vec::with_capacity(touched.len());
-        let mut row: Vec<(NodeId, f64)> = Vec::new();
-        for &u in touched {
-            let key = signature(u);
-            if let Some(key) = key {
-                if let Some((k, dsts, probs)) = cache.entries.get(&u.0) {
-                    if *k == key {
-                        cache.hits += 1;
-                        fwd_patches.push((u.0, dsts.clone(), narrow(probs)));
-                        continue;
-                    }
-                }
-                cache.misses += 1;
-                transition_row_into(view, self.model(), u, &mut row);
-                let dsts: Vec<u32> = row.iter().map(|&(v, _)| v.0).collect();
-                let probs: Vec<f64> = row.iter().map(|&(_, p)| p).collect();
-                let converted = narrow(&probs);
-                cache.entries.insert(u.0, (key, dsts.clone(), probs));
-                fwd_patches.push((u.0, dsts, converted));
-            } else {
-                cache.misses += 1;
-                transition_row_into(view, self.model(), u, &mut row);
-                let dsts: Vec<u32> = row.iter().map(|&(v, _)| v.0).collect();
-                let probs: Vec<Self::P> = row.iter().map(|&(_, p)| Self::P::from_f64(p)).collect();
-                fwd_patches.push((u.0, dsts, probs));
-            }
         }
         fwd_patches.sort_unstable_by_key(|&(u, _, _)| u);
 
@@ -427,56 +362,6 @@ fn checked_u32(v: usize) -> u32 {
     u32::try_from(v).expect("compact CSR exceeds u32 entry offsets")
 }
 
-/// Identity of one patched row: the delta edges rooted at the row's source,
-/// as `(src, dst, edge type, weight bits, added)` tuples in a canonical
-/// order. Stored in full (not hashed) so a cache hit is provably exact.
-pub type RowKey = Vec<(u32, u32, u16, u64, bool)>;
-
-/// Caches patched forward rows across the CHECKs of one explanation.
-///
-/// EMiGRe's candidate actions are user-rooted edges `(user, n)` mirrored
-/// bidirectionally, so a CHECK of the subset `{n_1 … n_k}` patches the
-/// user's row plus one row per endpoint — and endpoint `n_i`'s patched row
-/// depends only on *its own* action, not on the other subset members. Across
-/// the hundreds of CHECKs of one search, each endpoint row is therefore
-/// computed once and replayed from here (`Σ` sizes shrink from quadratic in
-/// the prefix length to linear for Incremental's prefix chain).
-///
-/// Shared-patch-prefix reuse, in cache form: the common prefix's row deltas
-/// are forked (cloned) per CHECK instead of rebuilt. Cached rows are kept
-/// at `f64` precision and narrowed to the consuming layout's element on
-/// replay, so CHECK verdicts are bit-identical with and without the cache
-/// on every layout — which also makes the cache safe for the parallel
-/// CHECK path (each worker owns one).
-#[derive(Debug, Default)]
-pub struct RowCache {
-    /// `node → (key, dsts, probs)`.
-    entries: HashMap<u32, (RowKey, Vec<u32>, Vec<f64>)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl RowCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rows served from cache across the cache's lifetime.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Rows built fresh (uncacheable or signature changed).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Drops all cached rows, keeping the map's capacity.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
 impl<P: Prob> CsrRows for CompactCsr<P> {
     type P = P;
 
@@ -649,15 +534,6 @@ impl<P: Prob> HeapSize for CompactCsr<P> {
 impl<B: CsrRows> HeapSize for PatchedCsr<'_, B> {
     fn heap_bytes(&self) -> usize {
         self.fwd_patches.heap_bytes() + self.rev_patches.get().map_or(0, |p| p.heap_bytes())
-    }
-}
-
-/// Approximate: the map's bucket array at capacity plus the cached rows'
-/// buffers (hashbrown's control bytes and padding are not modelled).
-impl HeapSize for RowCache {
-    fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(u32, (RowKey, Vec<u32>, Vec<f64>))>()
-            + self.entries.values().map(|v| v.heap_bytes()).sum::<usize>()
     }
 }
 
@@ -876,62 +752,6 @@ mod tests {
             assert_eq!(sa, sb);
             assert!((f64::from_bits(*pa) - f64::from_bits(*pb)).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn row_cache_replays_bit_identical_rows() {
-        let g = sample_graph();
-        let et = g.registry().find_edge_type("a").unwrap();
-        let csr = TransitionCsr::build(&g, model());
-        let mut cache = RowCache::new();
-
-        // Two checks sharing the patch on node 2; node 0's row is the
-        // "user" row rebuilt each time (no signature).
-        let sig_of = |d: &GraphDelta, u: NodeId| -> Option<RowKey> {
-            if u == NodeId(0) {
-                return None;
-            }
-            let mut key: RowKey = Vec::new();
-            for a in d.added() {
-                if a.key.src == u {
-                    key.push((
-                        a.key.src.0,
-                        a.key.dst.0,
-                        a.key.etype.0,
-                        a.weight.to_bits(),
-                        true,
-                    ));
-                }
-            }
-            for r in d.removed() {
-                if r.src == u {
-                    key.push((r.src.0, r.dst.0, r.etype.0, 0, false));
-                }
-            }
-            key.sort_unstable();
-            Some(key)
-        };
-
-        for round in 0..3 {
-            let mut d = GraphDelta::new();
-            d.add_edge(EdgeKey::new(NodeId(2), NodeId(5), et), 2.0);
-            // The varying half of the delta (the "user" row).
-            d.remove_edge(EdgeKey::new(NodeId(0), NodeId((round % 2) + 1), et));
-            let view = d.overlay(&g);
-            let touched = d.touched_sources();
-            let plain = csr.patched(&view, &touched);
-            let cached = csr.patched_cached(&view, &touched, &mut cache, |u| sig_of(&d, u));
-            for &u in &touched {
-                let (pd, pp) = plain.forward_row(u);
-                let (cd, cp) = cached.forward_row(u);
-                assert_eq!(pd, cd, "round {round} node {u:?}");
-                for (a, b) in pp.iter().zip(cp) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "round {round} node {u:?}");
-                }
-            }
-        }
-        assert_eq!(cache.hits(), 2, "node 2's row replayed from round 2 on");
-        assert!(cache.misses() >= 3);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod workspace;
 
 pub use config::PprConfig;
 pub use forward::ForwardPush;
-pub use kernel::{CompactCsr, CsrRows, PatchedCsr, Prob, RowCache, RowKey, TransitionCsr};
+pub use kernel::{CompactCsr, CsrRows, PatchedCsr, Prob, TransitionCsr};
 pub use power::ppr_power;
 pub use reverse::ReversePush;
 pub use topk::{rank_of, top_k};

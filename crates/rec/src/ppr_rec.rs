@@ -1,6 +1,6 @@
 //! The Personalized-PageRank recommender (RecWalk-style).
 
-use crate::Recommender;
+use crate::RecList;
 use emigre_hin::{GraphView, NodeId, NodeTypeId};
 use emigre_ppr::{ForwardPush, PprConfig, TransitionCsr};
 use serde::{Deserialize, Serialize};
@@ -34,7 +34,7 @@ impl RecConfig {
 ///
 /// ```
 /// use emigre_hin::{Hin, GraphView};
-/// use emigre_rec::{PprRecommender, RecConfig, Recommender};
+/// use emigre_rec::{PprRecommender, RecConfig};
 ///
 /// let mut g = Hin::new();
 /// let user_t = g.registry_mut().node_type("user");
@@ -64,18 +64,19 @@ impl PprRecommender {
     pub fn config(&self) -> &RecConfig {
         &self.config
     }
-}
 
-impl Recommender for PprRecommender {
-    /// Forward Local Push from the user over a transition kernel of `g`,
-    /// built per call (`O(E)`); the explain path instead pushes over one
-    /// kernel shared by every question.
-    fn scores<G: GraphView>(&self, g: &G, user: NodeId) -> Vec<f64> {
+    /// Dense per-node PPR scores personalised for `user`: Forward Local
+    /// Push from the user over a transition kernel of `g`, built per call
+    /// (`O(E)`); the explain path instead pushes over one kernel shared by
+    /// every question.
+    pub fn scores<G: GraphView>(&self, g: &G, user: NodeId) -> Vec<f64> {
         let kernel = TransitionCsr::build(g, self.config.ppr.transition);
         ForwardPush::compute(&kernel, &self.config.ppr, user).estimates
     }
 
-    fn candidates<G: GraphView>(&self, g: &G, user: NodeId) -> Vec<NodeId> {
+    /// The candidate set: recommendable nodes the user has not interacted
+    /// with (paper: `I \ N_out(u)`).
+    pub fn candidates<G: GraphView>(&self, g: &G, user: NodeId) -> Vec<NodeId> {
         let mut interacted: HashSet<NodeId> = HashSet::new();
         g.for_each_out(user, |v, _, _| {
             interacted.insert(v);
@@ -87,12 +88,23 @@ impl Recommender for PprRecommender {
             })
             .collect()
     }
+
+    /// Top-`k` ranked recommendations.
+    pub fn recommend<G: GraphView>(&self, g: &G, user: NodeId, k: usize) -> RecList {
+        let scores = self.scores(g, user);
+        let candidates = self.candidates(g, user);
+        RecList::from_scores(&scores, candidates, k)
+    }
+
+    /// The single top recommendation, if any candidate exists.
+    pub fn top1<G: GraphView>(&self, g: &G, user: NodeId) -> Option<(NodeId, f64)> {
+        self.recommend(g, user, 1).entries().first().copied()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RecList, Recommender};
     use emigre_hin::Hin;
     use emigre_ppr::{ppr_power, TransitionModel};
 

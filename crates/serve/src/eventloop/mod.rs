@@ -1,8 +1,7 @@
 //! Readiness-driven connection layer: the event-loop front end.
 //!
-//! Replaces thread-per-connection with a small **reactor pool** that
-//! multiplexes every socket over [`poller::Poller`] (a vendored epoll
-//! shim on Linux, `poll(2)` elsewhere on unix):
+//! A small **reactor pool** multiplexes every socket over `poller::Poller`
+//! (a vendored epoll shim on Linux, `poll(2)` elsewhere on unix):
 //!
 //! ```text
 //!             accept            round-robin injection

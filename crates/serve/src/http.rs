@@ -2,9 +2,10 @@
 //!
 //! No HTTP framework: the whole protocol surface this service needs is
 //! request-line + headers + `Content-Length` framing, which `std::net`
-//! covers. One thread per connection (keep-alive supported), a
-//! non-blocking accept loop that polls the shutdown flag, and JSON bodies
-//! via the workspace's serde.
+//! covers. Connections are multiplexed by the event loop
+//! ([`crate::eventloop`]: keep-alive, pipelining, write backpressure), so
+//! serving needs a unix target; this module routes parsed requests and
+//! renders JSON bodies via the workspace's serde.
 //!
 //! ## Endpoints
 //!
@@ -30,54 +31,23 @@
 //! worker panicked — the previous epoch stays current either way).
 
 use crate::live::{FeedbackError, FeedbackEvent};
-use crate::metrics::{prometheus_text, FrontendStats};
-use crate::parse::{HttpRequest, ParseError, RequestParser};
+use crate::metrics::prometheus_text;
+use crate::parse::{HttpRequest, ParseError};
 use crate::service::{ExplanationService, ServeError};
 use emigre_core::{Explanation, Method};
 use emigre_obs::StageLatencies;
 use serde::{Deserialize, Serialize};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which connection layer multiplexes the sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontendMode {
-    /// Readiness-driven reactor pool ([`crate::eventloop`]): all
-    /// connections on a few threads, keep-alive, pipelining, write
-    /// backpressure, idle reaping. The default on unix.
-    EventLoop,
-    /// One thread per connection (the pre-reactor design). The fallback
-    /// on non-unix targets and an escape hatch via `--frontend threaded`.
-    Threaded,
-}
-
-impl FrontendMode {
-    pub fn parse(s: &str) -> Option<FrontendMode> {
-        match s {
-            "eventloop" | "event-loop" => Some(FrontendMode::EventLoop),
-            "threaded" => Some(FrontendMode::Threaded),
-            _ => None,
-        }
-    }
-
-    fn default_for_target() -> FrontendMode {
-        if cfg!(unix) {
-            FrontendMode::EventLoop
-        } else {
-            FrontendMode::Threaded
-        }
-    }
-}
-
 /// Front-end knobs (`emigre serve` flags map onto these).
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
-    pub mode: FrontendMode,
-    /// Reactor threads in event-loop mode (connections are sharded
-    /// across them round-robin; reactor 0 also owns the listener).
+    /// Reactor threads (connections are sharded across them
+    /// round-robin; reactor 0 also owns the listener).
     pub reactor_threads: usize,
     /// How long an idle keep-alive connection may sit before the server
     /// closes it. `Duration::ZERO` disables keep-alive entirely (every
@@ -101,7 +71,6 @@ pub struct HttpConfig {
 impl Default for HttpConfig {
     fn default() -> Self {
         HttpConfig {
-            mode: FrontendMode::default_for_target(),
             reactor_threads: 1,
             keep_alive: Duration::from_secs(30),
             handler_threads: 0,
@@ -238,18 +207,13 @@ impl HttpServer {
         self.listener.local_addr()
     }
 
-    /// A flag that stops the accept loop when set — the programmatic
-    /// equivalent of `POST /shutdown`.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
-    /// Serves until `POST /shutdown` (or the shutdown flag). On exit the
-    /// underlying service drains every admitted request before this
-    /// returns — a SIGTERM-style graceful stop.
+    /// Serves until `POST /shutdown`. On exit the underlying service
+    /// drains every admitted request before this returns — a
+    /// SIGTERM-style graceful stop. The event loop needs a unix target;
+    /// elsewhere this returns [`io::ErrorKind::Unsupported`].
     pub fn run(self) -> io::Result<()> {
         #[cfg(unix)]
-        if self.config.mode == FrontendMode::EventLoop {
+        {
             let HttpServer {
                 service,
                 listener,
@@ -258,139 +222,20 @@ impl HttpServer {
             } = self;
             let result = crate::eventloop::run(listener, Arc::clone(&service), shutdown, config);
             service.shutdown();
-            return result;
+            result
         }
-        self.run_threaded()
-    }
-
-    /// The thread-per-connection loop (fallback mode).
-    fn run_threaded(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let stats = self.service.frontend_stats();
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    stream.set_nonblocking(false)?;
-                    stats.on_accept();
-                    let service = Arc::clone(&self.service);
-                    let shutdown = Arc::clone(&self.shutdown);
-                    let stats = Arc::clone(&stats);
-                    let keep_alive = self.config.keep_alive;
-                    conns.push(std::thread::spawn(move || {
-                        handle_connection(stream, service, shutdown, &stats, keep_alive);
-                        stats.on_close();
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-            conns.retain(|h| !h.is_finished());
-        }
-        // Drain: answer everything admitted, reject the rest, then stop.
-        self.service.shutdown();
-        for c in conns {
-            let _ = c.join();
-        }
-        Ok(())
-    }
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-enum ReadOutcome {
-    Request(HttpRequest),
-    /// Peer closed, or the connection idled past the keep-alive budget.
-    Closed,
-    /// Framing violation: answer 400/431, then close.
-    Malformed(ParseError),
-}
-
-/// Reads until the parser yields one request. Blocking-socket variant of
-/// the event loop's feed-and-drain; the 250ms read timeout doubles as
-/// the shutdown-flag poll and the idle clock.
-fn read_request(
-    stream: &mut TcpStream,
-    parser: &mut RequestParser,
-    shutdown: &AtomicBool,
-    keep_alive: Duration,
-) -> io::Result<ReadOutcome> {
-    let mut chunk = [0u8; 4096];
-    let mut idle = Duration::ZERO;
-    loop {
-        match parser.next_request() {
-            Ok(Some(req)) => return Ok(ReadOutcome::Request(req)),
-            Ok(None) => {}
-            Err(e) => return Ok(ReadOutcome::Malformed(e)),
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(ReadOutcome::Closed),
-            Ok(n) => parser.feed(&chunk[..n]),
-            Err(e) if is_timeout(&e) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return Ok(ReadOutcome::Closed);
-                }
-                if !parser.mid_request() {
-                    // Between requests: enforce the idle budget.
-                    idle += Duration::from_millis(250);
-                    if !keep_alive.is_zero() && idle >= keep_alive {
-                        return Ok(ReadOutcome::Closed);
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+        #[cfg(not(unix))]
+        {
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the HTTP front end needs a unix target",
+            ))
         }
     }
 }
 
-fn handle_connection(
-    mut stream: TcpStream,
-    service: Arc<ExplanationService>,
-    shutdown: Arc<AtomicBool>,
-    stats: &FrontendStats,
-    keep_alive: Duration,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let mut parser = RequestParser::new();
-    let mut served = 0u64;
-    loop {
-        match read_request(&mut stream, &mut parser, &shutdown, keep_alive) {
-            Ok(ReadOutcome::Request(req)) => {
-                if served > 0 {
-                    stats.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
-                }
-                served += 1;
-                let keep = req.keep_alive && !keep_alive.is_zero();
-                let (status, content_type, body) = route(&service, &shutdown, &req);
-                if write_response(&mut stream, status, content_type, &body, keep).is_err() || !keep
-                {
-                    return;
-                }
-            }
-            Ok(ReadOutcome::Malformed(e)) => {
-                // Answer the framing violation before closing — never
-                // drop the connection silently.
-                stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                let (status, body) = parse_error_response(&e);
-                let _ = write_response(&mut stream, status, JSON, &body, false);
-                return;
-            }
-            Ok(ReadOutcome::Closed) | Err(_) => return,
-        }
-    }
-}
-
-/// The JSON error answer for a framing violation (shared by both front
-/// ends): status 400 (malformed) or 431 (oversized head).
+/// The JSON error answer for a framing violation: status 400 (malformed)
+/// or 431 (oversized head).
 pub(crate) fn parse_error_response(e: &ParseError) -> (u16, String) {
     (e.status(), json_error(e.label(), e.detail()))
 }
@@ -674,9 +519,8 @@ fn status_reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes one complete response (head + body) into a byte buffer.
-/// The event loop appends this to a connection's write buffer; the
-/// threaded path writes it straight to the socket.
+/// Serializes one complete response (head + body) into a byte buffer,
+/// which the event loop appends to a connection's write buffer.
 pub(crate) fn render_response(
     status: u16,
     content_type: &str,
@@ -693,15 +537,4 @@ pub(crate) fn render_response(
     out.extend_from_slice(head.as_bytes());
     out.extend_from_slice(body.as_bytes());
     out
-}
-
-fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    stream.write_all(&render_response(status, content_type, body, keep_alive))?;
-    stream.flush()
 }

@@ -22,9 +22,8 @@ use emigre_obs::{
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Connection-layer counters, shared between the front end (either the
-/// event loop or the threaded fallback) and `/metrics`. All relaxed
-/// atomics; one instance per service.
+/// Connection-layer counters, shared between the event-loop front end and
+/// `/metrics`. All relaxed atomics; one instance per service.
 #[derive(Default)]
 pub struct FrontendStats {
     /// Connections currently open (gauge: accept increments, close
@@ -32,11 +31,12 @@ pub struct FrontendStats {
     pub connections_active: AtomicU64,
     pub connections_accepted: AtomicU64,
     /// Requests served on an already-used connection — the keep-alive
-    /// payoff the old one-thread-per-connection loop never measured.
+    /// payoff.
     pub keepalive_reuses: AtomicU64,
     /// Requests answered 400/431 for framing violations (then closed).
     pub parse_errors: AtomicU64,
-    /// Reactor threads multiplexing the sockets (0 in threaded mode).
+    /// Reactor threads multiplexing the sockets (0 until the front end
+    /// runs).
     pub reactor_threads: AtomicU64,
 }
 
@@ -502,7 +502,7 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
     p.header(
         "emigre_reactor_threads",
         "gauge",
-        "Reactor threads multiplexing sockets (0 in threaded mode)",
+        "Reactor threads multiplexing sockets (0 until the front end runs)",
     );
     p.sample_u64("emigre_reactor_threads", &[], s.frontend.reactor_threads);
 

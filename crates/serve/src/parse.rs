@@ -4,15 +4,13 @@
 //! whatever bytes arrived (a torn header, half a body, three pipelined
 //! requests — any framing the network produces) and asks for complete
 //! requests. It never blocks and never loses bytes, which is what lets
-//! both front ends share it: the event loop feeds it from readiness
-//! callbacks, the threaded fallback from blocking reads.
+//! the event loop feed it straight from readiness callbacks.
 //!
 //! Malformed input is a first-class outcome, not a dropped connection:
 //! every framing violation maps to a [`ParseError`] carrying the HTTP
 //! status (`400` for malformed lines/bodies, `431` for oversized
 //! headers) and a human-readable detail, so the caller can answer with
-//! a JSON error body before closing — the old `read_request` silently
-//! dropped these.
+//! a JSON error body before closing.
 
 /// Maximum bytes of request line + headers before `431`.
 pub const MAX_HEAD: usize = 64 * 1024;

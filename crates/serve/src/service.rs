@@ -82,7 +82,7 @@ use emigre_core::{
 use emigre_hin::{GraphView, Hin, NodeId};
 use emigre_obs::{AllocScope, ExplainTrace, HeapSize, ObsHandle, Op, StageLatencies};
 use emigre_ppr::{ForwardPush, PushWorkspace, ReversePush, TransitionCsr};
-use emigre_rec::{PprRecommender, RecList, Recommender};
+use emigre_rec::{PprRecommender, RecList};
 use parking_lot::Mutex;
 use std::fmt;
 use std::path::PathBuf;
@@ -562,8 +562,7 @@ impl ExplanationService {
     }
 
     /// The connection-layer counters the HTTP front end updates; exposed
-    /// so either front end (event loop or threaded) can share one
-    /// instance with `/metrics`.
+    /// so the event loop shares one instance with `/metrics`.
     pub fn frontend_stats(&self) -> Arc<FrontendStats> {
         Arc::clone(&self.shared.frontend)
     }

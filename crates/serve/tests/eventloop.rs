@@ -1,7 +1,7 @@
 //! End-to-end tests of the event-driven HTTP front end: keep-alive
 //! reuse, pipelined bursts answered in order, malformed framing answered
-//! with JSON 400/431 before the close, connection-level Prometheus
-//! gauges, and the threaded fallback behaving identically.
+//! with JSON 400/431 before the close, and connection-level Prometheus
+//! gauges.
 
 #![cfg(unix)]
 
@@ -9,7 +9,7 @@ use emigre_data::pipeline::{AmazonHin, PreprocessConfig};
 use emigre_data::synth::{SynthConfig, SynthDataset};
 use emigre_hin::{Hin, NodeId};
 use emigre_serve::{
-    reference_recommend, ExplanationService, FrontendMode, HttpConfig, HttpServer, ServiceConfig,
+    reference_recommend, ExplanationService, HttpConfig, HttpServer, ServiceConfig,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -43,9 +43,9 @@ struct RunningServer {
     thread: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
-/// Starts a server in `mode` and returns a user id whose recommendation
-/// list has at least 3 items (so `/recommend` bodies below are valid).
-fn spawn_server(mode: FrontendMode) -> (Arc<ExplanationService>, RunningServer, u32) {
+/// Starts a server and returns a user id whose recommendation list has
+/// at least 3 items (so `/recommend` bodies below are valid).
+fn spawn_server() -> (Arc<ExplanationService>, RunningServer, u32) {
     let (graph, cfg, users) = test_world();
     let user = users
         .iter()
@@ -64,7 +64,6 @@ fn spawn_server(mode: FrontendMode) -> (Arc<ExplanationService>, RunningServer, 
         Arc::clone(&service),
         "127.0.0.1:0",
         HttpConfig {
-            mode,
             reactor_threads: 2,
             ..HttpConfig::default()
         },
@@ -165,7 +164,7 @@ fn keep_alive_request(path: &str, body: &str) -> String {
 
 #[test]
 fn keep_alive_serves_many_requests_on_one_connection() {
-    let (service, server, user) = spawn_server(FrontendMode::EventLoop);
+    let (service, server, user) = spawn_server();
     let addr = server.addr;
 
     let mut conn = ResponseReader::new(TcpStream::connect(addr).expect("connect"));
@@ -201,7 +200,7 @@ fn keep_alive_serves_many_requests_on_one_connection() {
 
 #[test]
 fn pipelined_burst_is_answered_in_request_order() {
-    let (_service, server, user) = spawn_server(FrontendMode::EventLoop);
+    let (_service, server, user) = spawn_server();
     let addr = server.addr;
 
     // Queue six requests in ONE write: alternating recommends (with
@@ -233,7 +232,7 @@ fn pipelined_burst_is_answered_in_request_order() {
 
 #[test]
 fn malformed_framing_answers_json_then_closes() {
-    let (_service, server, _user) = spawn_server(FrontendMode::EventLoop);
+    let (_service, server, _user) = spawn_server();
     let addr = server.addr;
 
     // Garbage request line → 400 with a machine-readable JSON body.
@@ -261,7 +260,7 @@ fn malformed_framing_answers_json_then_closes() {
 
 #[test]
 fn oversized_head_answers_431() {
-    let (_service, server, _user) = spawn_server(FrontendMode::EventLoop);
+    let (_service, server, _user) = spawn_server();
     let addr = server.addr;
 
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -309,7 +308,7 @@ fn oversized_head_answers_431() {
 
 #[test]
 fn parse_errors_surface_in_the_prometheus_exposition() {
-    let (_service, server, _user) = spawn_server(FrontendMode::EventLoop);
+    let (_service, server, _user) = spawn_server();
     let addr = server.addr;
 
     let (status, _) = one_shot(&addr, "garbage\r\n\r\n");
@@ -329,46 +328,6 @@ fn parse_errors_surface_in_the_prometheus_exposition() {
         "emigre_sched_reordered_total",
     ] {
         assert!(metrics.contains(family), "{family} missing from exposition");
-    }
-    stop(&addr, server);
-}
-
-#[test]
-fn threaded_fallback_behaves_identically() {
-    let (service, server, user) = spawn_server(FrontendMode::Threaded);
-    let addr = server.addr;
-
-    // Keep-alive reuse on the threaded path.
-    let mut conn = ResponseReader::new(TcpStream::connect(addr).expect("connect"));
-    for _ in 0..3 {
-        conn.send(&keep_alive_request(
-            "/recommend",
-            &format!(r#"{{"user":{user},"k":2}}"#),
-        ));
-        let response = conn.next_response();
-        assert_eq!(status_of(&response), 200, "{response}");
-    }
-    drop(conn);
-
-    // Malformed framing gets the same JSON answer.
-    let (status, response) = one_shot(&addr, "garbage\r\n\r\n");
-    assert_eq!(status, 400, "{response}");
-    assert!(
-        response.contains("\"error\":\"bad_request_line\""),
-        "{response}"
-    );
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let f = service.metrics().frontend;
-        if f.keepalive_reuses_total >= 2 && f.parse_errors_total >= 1 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "threaded counters never converged: {f:?}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
     }
     stop(&addr, server);
 }

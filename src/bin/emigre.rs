@@ -44,7 +44,6 @@ usage:
                [--event-log FILE]                 JSON-lines request event log
                [--feedback-log FILE]              replay edge updates before serving
                [--trace-cap N]                    replayable /trace/<id> store size
-               [--frontend eventloop|threaded]    connection layer (default eventloop)
                [--reactor-threads N]              event-loop reactor pool size
                [--keep-alive-secs N]              idle connection budget (0 = close)
                [--sched fifo|deadline|sjf]        admission scheduling policy (default deadline)
@@ -191,8 +190,10 @@ fn run(args: &[String]) -> Result<(), String> {
                 .transpose()?
                 .unwrap_or(10);
             let cfg = config_for(&g)?;
-            let rec = PprRecommender::new(cfg.rec);
-            let list = rec.recommend(&g, user, top);
+            // The single-threaded reference of `POST /recommend`, so every
+            // user id gets the answer the server gives.
+            let list = emigre::serve::reference_recommend(&g, &cfg, user, top)
+                .map_err(|e| format!("invalid question: {e}"))?;
             if list.is_empty() {
                 println!(
                     "no recommendations for {} (no actions?)",
@@ -201,7 +202,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 return Ok(());
             }
             println!("top-{} for {}:", list.len(), g.display_name(user));
-            for (i, (item, score)) in list.entries().iter().enumerate() {
+            for (i, (item, score)) in list.iter().enumerate() {
                 println!(
                     "  {:>2}. [{:>4}] {:<28} PPR {score:.5}",
                     i + 1,
@@ -346,10 +347,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
             }
             let mut hc = emigre::serve::HttpConfig::default();
-            if let Some(f) = flag(args, "--frontend")? {
-                hc.mode = emigre::serve::FrontendMode::parse(&f)
-                    .ok_or("--frontend must be eventloop or threaded")?;
-            }
             if let Some(r) = flag(args, "--reactor-threads")? {
                 hc.reactor_threads = r.parse().map_err(|_| "bad --reactor-threads")?;
                 if hc.reactor_threads == 0 {

@@ -15,7 +15,7 @@
 //!   CSR snapshots, k-hop extraction, degree statistics);
 //! * [`ppr`] — Personalized PageRank (power iteration, forward/reverse
 //!   local push, dynamic residual repair);
-//! * [`rec`] — the PPR recommender and a popularity baseline;
+//! * [`rec`] — the PPR recommender and its ranked lists;
 //! * [`core`] — EMiGRe itself (search spaces, Incremental / Powerset /
 //!   Exhaustive Comparison heuristics, brute-force and PRINCE baselines,
 //!   combined add+remove extension, failure meta-explanations);
@@ -63,5 +63,5 @@ pub mod prelude {
     };
     pub use emigre_hin::{EdgeKey, EdgeTypeId, GraphDelta, GraphView, Hin, NodeId, NodeTypeId};
     pub use emigre_ppr::{PprConfig, TransitionModel};
-    pub use emigre_rec::{PprRecommender, RecConfig, RecList, Recommender};
+    pub use emigre_rec::{PprRecommender, RecConfig, RecList};
 }

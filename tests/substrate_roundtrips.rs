@@ -1,12 +1,10 @@
 //! Integration tests for the supporting substrates through the public
-//! facade: graph serialisation, the RecWalk blend, and the batch
-//! explanation loop — each exercised on the paper's running example rather
-//! than synthetic micro-fixtures.
+//! facade: graph serialisation, DOT export and the batch explanation loop
+//! — each exercised on the paper's running example rather than synthetic
+//! micro-fixtures.
 
 use emigre::core::{batch, Explainer, Method};
 use emigre::data::examples::running_example;
-use emigre::prelude::*;
-use emigre::rec::{recwalk_graph, ItemKnn, Recommender};
 
 #[test]
 fn running_example_survives_serialisation() {
@@ -31,20 +29,6 @@ fn dot_export_mentions_the_cast() {
     for name in ["Paul", "Harry Potter", "Candide", "Python"] {
         assert!(dot.contains(name), "missing {name} in DOT output");
     }
-}
-
-#[test]
-fn recwalk_blend_is_stochastic_and_recommends() {
-    let ex = running_example();
-    let g = &ex.graph;
-    let user_t = g.registry().find_node_type("user").unwrap();
-    let item_t = g.registry().find_node_type("item").unwrap();
-    let knn = ItemKnn::fit(g, user_t, item_t, vec![ex.rated], 5);
-    let (rw, _) = recwalk_graph(g, &knn, item_t, 0.5);
-    assert!(emigre::rec::recwalk::rows_are_stochastic(&rw));
-    let rec = emigre::rec::PprRecommender::new(ex.config.rec);
-    let list = rec.recommend(&rw, ex.paul, 5);
-    assert!(!list.is_empty(), "RecWalk graph must still yield a list");
 }
 
 #[test]
