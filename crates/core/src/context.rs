@@ -16,9 +16,9 @@ use crate::config::EmigreConfig;
 use crate::question::{QuestionError, WhyNotQuestion};
 use emigre_hin::{GraphDelta, GraphView, NodeId, NodeTypeId};
 use emigre_obs::{HeapSize, ObsHandle, Op};
-use emigre_ppr::{CsrRows, ForwardPush, PushWorkspace, ReversePush, TransitionCsr};
+use emigre_ppr::{ColumnBound, CsrRows, ForwardPush, PushWorkspace, ReversePush, TransitionCsr};
 use emigre_rec::{PprRecommender, RecList};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::sync::Arc;
 
 /// Index over the recommendation candidate pool: the item-typed nodes and
@@ -273,6 +273,10 @@ pub struct ExplainContext<'g, G: GraphView, K = TransitionCsr> {
     /// returned after, so repeated parallel sessions within one question
     /// reuse their `O(n)` buffers.
     pub(crate) spare_states: RefCell<Vec<CheckState>>,
+    /// The `rec` and Why-Not columns prepared as CHECK bounds against the
+    /// workspace base, built at the context's first CHECK
+    /// ([`ExplainContext::column_bounds`]).
+    bounds: OnceCell<[ColumnBound; 2]>,
     /// Observability sink for everything computed through this context
     /// (counters, spans, the per-question trace). Disabled by default;
     /// see [`ExplainContext::build_with_obs`].
@@ -408,6 +412,7 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
                 cand: artifacts.cand_base.clone(),
             }),
             spare_states: RefCell::new(Vec::new()),
+            bounds: OnceCell::new(),
             obs,
             columns: None,
         })
@@ -468,6 +473,20 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
             states.push(CheckState { ws, cand });
         }
         states
+    }
+
+    /// `[rec, wni]`: the context's two columns as [`ColumnBound`]s over the
+    /// CHECK workspace's base, which every worker state shares. One `O(n)`
+    /// pass per column, at the first call; must be called between CHECKs.
+    pub(crate) fn column_bounds(&self) -> &[ColumnBound; 2] {
+        self.bounds.get_or_init(|| {
+            let check = self.check.borrow();
+            let ppr = &self.cfg.rec.ppr;
+            [
+                ColumnBound::new(ppr, &check.ws, Arc::clone(&self.ppr_to_rec)),
+                ColumnBound::new(ppr, &check.ws, Arc::clone(&self.ppr_to_wni)),
+            ]
+        })
     }
 
     /// Returns worker CHECK states to the spare pool for the next fan-out.

@@ -13,9 +13,16 @@
 //! state via residual repair ([`PushWorkspace::repair_row_change`]) instead
 //! of pushing from scratch.
 //!
+//! A CHECK pushes in stages of decreasing ε and stops as soon as an
+//! interval proves the verdict. Failing CHECKs, the bulk of a long search,
+//! mostly stop at the first stage: `rec`'s score and the Why-Not item's
+//! are bounded through their base-graph columns, which the context already
+//! holds ([`emigre_ppr::ColumnBound`]).
+//!
 //! The verification core lives in `run_check`, a pure function of the
-//! shared question inputs (`CheckShared`) and one mutable scratch
-//! (`CheckState`): no observability, no budget, no interior mutability.
+//! shared question inputs (`CheckShared`, which carries the two column
+//! bounds) and one mutable scratch (`CheckState`): no observability, no
+//! budget, no interior mutability.
 //! It shares its counterfactual setup and rollback (`counterfactual`)
 //! with [`Tester::recommendation_after`].
 //! That purity is what lets [`Tester::first_passing`] fan candidate sets
@@ -29,7 +36,7 @@ use crate::explanation::{actions_to_delta, actions_to_trace, Action};
 use crate::parallel::{speculative_scan, Consumed, ScanControl};
 use emigre_hin::{GraphView, NodeId};
 use emigre_obs::Op;
-use emigre_ppr::{CsrRows, PatchedCsr, PushWorkspace, TransitionCsr};
+use emigre_ppr::{ColumnBound, CsrRows, PatchedCsr, PushWorkspace, TransitionCsr};
 use emigre_rec::RecList;
 use std::cell::Cell;
 
@@ -50,6 +57,9 @@ pub(crate) struct CheckShared<'a, G: GraphView, K = TransitionCsr> {
     kernel: &'a K,
     user: NodeId,
     wni: NodeId,
+    rec: NodeId,
+    /// `[rec, wni]` column bounds ([`ExplainContext::column_bounds`]).
+    bounds: &'a [ColumnBound; 2],
 }
 
 impl<'a, G: GraphView, K: CsrRows> CheckShared<'a, G, K> {
@@ -60,6 +70,8 @@ impl<'a, G: GraphView, K: CsrRows> CheckShared<'a, G, K> {
             kernel: &ctx.kernel,
             user: ctx.user,
             wni: ctx.wni,
+            rec: ctx.rec,
+            bounds: ctx.column_bounds(),
         }
     }
 }
@@ -71,6 +83,7 @@ pub(crate) struct CheckCost {
     drained: f64,
     rows_patched: u64,
     index_hits: u64,
+    stages: u64,
 }
 
 /// What one CHECK produced: the verdict plus the cost the caller replays
@@ -110,6 +123,7 @@ fn counterfactual<G: GraphView, K: CsrRows, R>(
     // evaluation's cost.
     let pushes_before = ws.pushes();
     let drained_before = ws.mass_drained();
+    let stages_before = ws.stages();
     if cfg.dynamic_test {
         for &u in &touched {
             ws.repair_row_change(
@@ -131,6 +145,7 @@ fn counterfactual<G: GraphView, K: CsrRows, R>(
         drained: ws.mass_drained() - drained_before,
         rows_patched: touched.len() as u64,
         index_hits,
+        stages: (ws.stages() - stages_before) as u64,
     };
     (answer, cost)
 }
@@ -139,12 +154,27 @@ fn counterfactual<G: GraphView, K: CsrRows, R>(
 /// item the top-1 recommendation?
 ///
 /// Uses **staged precision**: the counterfactual push runs at a coarse
-/// threshold first, and the decision is returned as soon as the residual
-/// bound proves it — `PPR ∈ [p − R, p + R]` with `R = Σ|residual|` (from
-/// the Eq. 3 invariant with `PPR(x,t) ≤ 1`), so once the Why-Not item's
-/// interval clears (or is cleared by) every competitor's interval, pushing
-/// further cannot change the answer. Undecidable cases fall through to the
-/// full-precision comparison, which matches
+/// threshold first (ε = 1e-3, then ×0.03 down to the target ε), and the
+/// decision is returned as soon as an interval test proves it, so pushing
+/// further cannot change the answer. Each stage runs, in order:
+///
+/// 1. the floor test: the Why-Not item's residual-mass interval
+///    `[p − R, p + R]`, `R = Σ|residual|` (Eq. 3 with `PPR(x,t) ≤ 1`),
+///    lies at or below the score floor → `false`;
+/// 2. the column test, while `rec` is still a candidate on the edited
+///    graph: `rec`'s certified lower bound clears both the floor and the
+///    Why-Not item's certified upper bound → `false`. Both bounds read the
+///    forward residuals through the context's base-graph columns
+///    `PPR(·, rec)` and `PPR(·, wni)` ([`emigre_ppr::ColumnBound`]), which
+///    price residual mass far from the two items at nearly nothing; the
+///    ΔW row terms are computed once per CHECK;
+/// 3. the competitor scan: some valid item's residual-mass interval lies
+///    wholly above the Why-Not item's → `false`; or the Why-Not item's lies
+///    above the floor and every competitor's → `true`.
+///
+/// Every test certifies the verdict of the exact PPR on the edited graph,
+/// so they agree wherever more than one decides. Cases no stage decides
+/// fall through to the full-precision comparison, which matches
 /// [`Tester::recommendation_after`] exactly.
 ///
 /// The check is **allocation-free in the graph size**: the push runs in a
@@ -162,12 +192,17 @@ pub(crate) fn run_check<G: GraphView, K: CsrRows>(
     let target_eps = cfg.rec.ppr.epsilon;
     let floor = score_floor(cfg);
     let wni = shared.wni;
+    let [rec_bound, wni_bound] = shared.bounds;
     let (verdict, cost) = counterfactual(shared, state, actions, |ws, cand, patched| {
         let mut index_hits = 0u64;
         let verdict = 'verdict: {
             if cand.is_interacted(wni) {
                 break 'verdict false; // an interacted item can never be recommended
             }
+            // The column bounds' row terms, when `rec` is still a
+            // candidate on the edited graph.
+            let shifts = (!cand.is_interacted(shared.rec))
+                .then(|| (rec_bound.edit_shift(patched), wni_bound.edit_shift(patched)));
             // Push in stages of decreasing ε.
             let mut eps = 1e-3_f64.max(target_eps);
             loop {
@@ -176,6 +211,13 @@ pub(crate) fn run_check<G: GraphView, K: CsrRows>(
                 let p_wni = ws.estimate(wni);
                 if p_wni + r <= floor {
                     break 'verdict false; // cannot clear the recommendability floor
+                }
+                if let Some((rec_shift, wni_shift)) = shifts {
+                    let (rec_lo, _) = rec_bound.interval(ws, rec_shift, r);
+                    let (_, wni_hi) = wni_bound.interval(ws, wni_shift, r);
+                    if rec_lo > floor && rec_lo > wni_hi {
+                        break 'verdict false; // `rec` provably still beats the WNI
+                    }
                 }
                 // Strongest competitor among valid candidates.
                 index_hits += cand.items().len() as u64;
@@ -292,6 +334,7 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
             obs.add_mass(cost.drained);
             obs.count(Op::RowsPatched, cost.rows_patched);
             obs.count(Op::CandidateIndexHits, cost.index_hits);
+            obs.count(Op::CheckStages, cost.stages);
         }
     }
 
@@ -645,6 +688,75 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A bipartite world big enough that a coarse stage leaves its
+    /// residual mass spread over many nodes: 40 users rating 6 of 120
+    /// items each (mirrored), weights from a fixed LCG.
+    fn spread_world() -> (
+        Hin,
+        EmigreConfig,
+        NodeId,
+        emigre_hin::EdgeTypeId,
+        Vec<NodeId>,
+    ) {
+        let mut g = Hin::new();
+        let user_t = g.registry_mut().node_type("user");
+        let item_t = g.registry_mut().node_type("item");
+        let rated = g.registry_mut().edge_type("rated");
+        let users: Vec<NodeId> = (0..40).map(|_| g.add_node(user_t, None)).collect();
+        let items: Vec<NodeId> = (0..120).map(|_| g.add_node(item_t, None)).collect();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % m
+        };
+        for &u in &users {
+            for _ in 0..6 {
+                let i = items[next(items.len() as u64) as usize];
+                let w = 1.0 + next(4) as f64;
+                let _ = g.add_edge_bidirectional(u, i, rated, w);
+            }
+        }
+        let ppr = PprConfig {
+            transition: TransitionModel::Weighted,
+            epsilon: 1e-7,
+            ..PprConfig::default()
+        };
+        let cfg = EmigreConfig::new(RecConfig::new(item_t).with_ppr(ppr), rated);
+        (g, cfg, users[0], rated, items)
+    }
+
+    #[test]
+    fn a_failing_check_that_rec_dominates_runs_one_stage() {
+        let (g, cfg, u, rated, _) = spread_world();
+        let (wni, item) = (NodeId(98), NodeId(48));
+        let obs = emigre_obs::ObsHandle::enabled();
+        let ctx = ExplainContext::build_with_obs(&g, cfg, u, wni, obs).unwrap();
+        let actions = [Action::add(EdgeKey::new(u, item, rated), 1.0)];
+        // At the first stage (ε = 1e-3) the residual-mass intervals of
+        // `rec` and the Why-Not item still overlap.
+        let ((rec_lo, wni_hi), _) = counterfactual(
+            &CheckShared::of(&ctx),
+            &mut ctx.check.borrow_mut(),
+            &actions,
+            |ws, _, patched| {
+                ws.push_stage(patched, &ctx.cfg.rec.ppr, 1e-3);
+                let r = ws.residual_mass();
+                ((ws.estimate(ctx.rec) - r, ws.estimate(wni) + r), 0)
+            },
+        );
+        assert!(rec_lo <= wni_hi, "{rec_lo} > {wni_hi}: pick a closer call");
+
+        let tester = Tester::new(&ctx);
+        let before = ctx.obs.counters();
+        assert!(!tester.test(&actions));
+        let cost = ctx.obs.counters().delta(&before);
+        assert_eq!(cost.checks, 1);
+        assert_eq!(cost.check_stages, 1, "the column bounds decide at ε = 1e-3");
+        assert_eq!(tester.top1_after(&actions), Some(ctx.rec));
     }
 
     #[test]

@@ -310,7 +310,7 @@ pub fn counters_by_method(sweep: &SweepResult) -> Vec<(Method, emigre_obs::Count
 pub fn counters_text(rows: &[(Method, emigre_obs::CounterSnapshot)]) -> String {
     let mut s = String::from("Aggregate op counters per method:\n");
     s.push_str(&format!(
-        "{:<22} {:>12} {:>12} {:>12} {:>10} {:>10} {:>12} {:>14}\n",
+        "{:<22} {:>12} {:>12} {:>12} {:>10} {:>10} {:>12} {:>10} {:>14}\n",
         "Method",
         "fwd_push",
         "rev_push",
@@ -318,11 +318,12 @@ pub fn counters_text(rows: &[(Method, emigre_obs::CounterSnapshot)]) -> String {
         "checks",
         "subsets",
         "cand_hits",
+        "stages",
         "mass_drained"
     ));
     for (m, c) in rows {
         s.push_str(&format!(
-            "{:<22} {:>12} {:>12} {:>12} {:>10} {:>10} {:>12} {:>14.4}\n",
+            "{:<22} {:>12} {:>12} {:>12} {:>10} {:>10} {:>12} {:>10} {:>14.4}\n",
             m.label(),
             c.forward_pushes,
             c.reverse_pushes,
@@ -330,6 +331,7 @@ pub fn counters_text(rows: &[(Method, emigre_obs::CounterSnapshot)]) -> String {
             c.checks,
             c.subsets_enumerated,
             c.candidate_index_hits,
+            c.check_stages,
             c.residual_mass_drained
         ));
     }
@@ -341,11 +343,11 @@ pub fn counters_text(rows: &[(Method, emigre_obs::CounterSnapshot)]) -> String {
 pub fn counters_csv(sweep: &SweepResult) -> String {
     let mut s = String::from(
         "method,forward_pushes,reverse_pushes,rows_patched,checks,subsets_enumerated,\
-         candidate_index_hits,residual_mass_drained\n",
+         candidate_index_hits,check_stages,residual_mass_drained\n",
     );
     for (m, c) in counters_by_method(sweep) {
         s.push_str(&format!(
-            "{},{},{},{},{},{},{},{:.6}\n",
+            "{},{},{},{},{},{},{},{},{:.6}\n",
             m.label(),
             c.forward_pushes,
             c.reverse_pushes,
@@ -353,6 +355,7 @@ pub fn counters_csv(sweep: &SweepResult) -> String {
             c.checks,
             c.subsets_enumerated,
             c.candidate_index_hits,
+            c.check_stages,
             c.residual_mass_drained
         ));
     }

@@ -30,6 +30,8 @@ pub enum Op {
     SubsetsEnumerated,
     /// Candidate-index entries scanned while ranking competitors.
     CandidateIndexHits,
+    /// Precision stages (`PushWorkspace::push_stage` calls) run by CHECKs.
+    CheckStages,
 }
 
 /// Shared atomic counter block. Lives inside `ObsInner`; never allocated
@@ -42,6 +44,7 @@ pub struct OpCounters {
     checks: AtomicU64,
     subsets_enumerated: AtomicU64,
     candidate_index_hits: AtomicU64,
+    check_stages: AtomicU64,
     /// f64 bits of the total residual mass drained.
     residual_mass_drained: AtomicU64,
 }
@@ -55,6 +58,7 @@ impl OpCounters {
             Op::Checks => &self.checks,
             Op::SubsetsEnumerated => &self.subsets_enumerated,
             Op::CandidateIndexHits => &self.candidate_index_hits,
+            Op::CheckStages => &self.check_stages,
         }
     }
 
@@ -89,6 +93,8 @@ impl OpCounters {
             .fetch_add(s.subsets_enumerated, Ordering::Relaxed);
         self.candidate_index_hits
             .fetch_add(s.candidate_index_hits, Ordering::Relaxed);
+        self.check_stages
+            .fetch_add(s.check_stages, Ordering::Relaxed);
         if s.residual_mass_drained != 0.0 {
             self.add_mass(s.residual_mass_drained);
         }
@@ -103,6 +109,7 @@ impl OpCounters {
             checks: self.checks.load(Ordering::Relaxed),
             subsets_enumerated: self.subsets_enumerated.load(Ordering::Relaxed),
             candidate_index_hits: self.candidate_index_hits.load(Ordering::Relaxed),
+            check_stages: self.check_stages.load(Ordering::Relaxed),
             residual_mass_drained: f64::from_bits(
                 self.residual_mass_drained.load(Ordering::Relaxed),
             ),
@@ -120,6 +127,7 @@ pub struct CounterSnapshot {
     pub checks: u64,
     pub subsets_enumerated: u64,
     pub candidate_index_hits: u64,
+    pub check_stages: u64,
     pub residual_mass_drained: f64,
 }
 
@@ -137,6 +145,7 @@ impl CounterSnapshot {
             candidate_index_hits: self
                 .candidate_index_hits
                 .saturating_sub(earlier.candidate_index_hits),
+            check_stages: self.check_stages.saturating_sub(earlier.check_stages),
             residual_mass_drained: self.residual_mass_drained - earlier.residual_mass_drained,
         }
     }
@@ -149,6 +158,7 @@ impl CounterSnapshot {
         self.checks += other.checks;
         self.subsets_enumerated += other.subsets_enumerated;
         self.candidate_index_hits += other.candidate_index_hits;
+        self.check_stages += other.check_stages;
         self.residual_mass_drained += other.residual_mass_drained;
     }
 
@@ -229,6 +239,7 @@ mod tests {
             checks: 5,
             subsets_enumerated: 7,
             candidate_index_hits: 11,
+            check_stages: 13,
             residual_mass_drained: 0.5,
         };
         svc.add_snapshot(&req);
@@ -238,6 +249,7 @@ mod tests {
         assert_eq!(s.reverse_pushes, 20);
         assert_eq!(s.checks, 7);
         assert_eq!(s.candidate_index_hits, 11);
+        assert_eq!(s.check_stages, 13);
         assert!((s.residual_mass_drained - 0.5).abs() < 1e-15);
     }
 
@@ -250,6 +262,7 @@ mod tests {
             checks: 4,
             subsets_enumerated: 5,
             candidate_index_hits: 6,
+            check_stages: 7,
             residual_mass_drained: 0.125,
         };
         let json = serde_json::to_string(&s).unwrap();

@@ -423,6 +423,11 @@ impl<B: CsrRows> PatchedCsr<'_, B> {
         self.fwd_patches.len()
     }
 
+    /// The sources whose forward rows are overridden, ascending.
+    pub(crate) fn patched_rows(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.fwd_patches.iter().map(|&(u, _, _)| NodeId(u))
+    }
+
     /// Whether the reverse transpose of the patch has been materialised.
     pub fn reverse_materialized(&self) -> bool {
         self.rev_patches.get().is_some()

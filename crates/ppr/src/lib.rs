@@ -20,6 +20,8 @@
 //!   ([`workspace::PushWorkspace`]): closed-form residual repair after an
 //!   edge edit, so the counterfactual CHECK resumes from the user's push
 //!   instead of recomputing, free of per-call `O(n)` allocations;
+//! * [`bound`] — certified intervals for a counterfactual score, read
+//!   through the target's base-graph column ([`bound::ColumnBound`]);
 //! * [`power`] — dense power iteration over any [`emigre_hin::GraphView`];
 //!   the exact reference every push is validated against;
 //! * [`transition`] — the random-walk transition models (weighted, uniform,
@@ -31,6 +33,7 @@
 //! the pushes are generic over [`kernel::CsrRows`], so the same loop runs
 //! on every layout, patched or not.
 
+pub mod bound;
 pub mod config;
 pub mod forward;
 pub mod kernel;
@@ -40,6 +43,7 @@ pub mod topk;
 pub mod transition;
 pub mod workspace;
 
+pub use bound::ColumnBound;
 pub use config::PprConfig;
 pub use forward::ForwardPush;
 pub use kernel::{CompactCsr, CsrRows, PatchedCsr, Prob, TransitionCsr};

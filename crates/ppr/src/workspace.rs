@@ -19,7 +19,9 @@
 //! * `Σ|residual|` is derived from the undo log in `O(nodes touched)` as
 //!   `base + Σ_touched(|r| − |r_base|)`, once per stage when the CHECK
 //!   reads its mass bound — no `O(n)` scan, and no bookkeeping on the
-//!   residual writes of the push loop.
+//!   residual writes of the push loop. `Σ r·c` against a column `c` is
+//!   derived the same way ([`PushWorkspace::residual_dot`]), for the
+//!   column bound of [`crate::bound`].
 //!
 //! The touched set is what makes the whole check `O(touched)`: the base
 //! state is converged at the target ε, so any node whose residual exceeds
@@ -56,6 +58,8 @@ pub struct PushWorkspace {
     base_mass: f64,
     /// Push operations across the workspace's lifetime.
     pushes: usize,
+    /// [`PushWorkspace::push_stage`] calls across the workspace's lifetime.
+    stages: usize,
     /// Total |residual| mass retired by pushes across the workspace's
     /// lifetime. Cumulative like `pushes` — deliberately *not* restored by
     /// [`PushWorkspace::rollback`], so per-check deltas survive the
@@ -75,6 +79,7 @@ impl PushWorkspace {
             epoch: 1,
             base_mass: 0.0,
             pushes: 0,
+            stages: 0,
             drained: 0.0,
         }
     }
@@ -142,10 +147,50 @@ impl PushWorkspace {
         (self.base_mass + change).max(0.0)
     }
 
+    /// `Σ|residual|` of the base state, as [`Self::residual_mass`] reads it.
+    #[inline]
+    pub fn base_mass(&self) -> f64 {
+        self.base_mass
+    }
+
+    /// `Σ_v r(v)·c(v)` of the base state against `column`, in `O(n)`:
+    /// once per column and base, between transactions. The zero base of a
+    /// from-scratch check costs nothing.
+    pub fn base_dot(&self, column: &[f64]) -> f64 {
+        debug_assert!(self.is_clean(), "base_dot reads the base state");
+        if self.base_mass == 0.0 {
+            return 0.0;
+        }
+        self.residuals.iter().zip(column).map(|(r, c)| r * c).sum()
+    }
+
+    /// `Σ_v r(v)·c(v)` of the current state against `column`, derived from
+    /// the undo log in `O(nodes touched)` the way [`Self::residual_mass`]
+    /// derives `Σ|r|`: `base_dot` ([`Self::base_dot`]) plus each touched
+    /// node's change.
+    pub fn residual_dot(&self, column: &[f64], base_dot: f64) -> f64 {
+        let change: f64 = self
+            .undo
+            .iter()
+            .map(|e| {
+                let i = e.node as usize;
+                (self.residuals[i] - e.residual) * column[i]
+            })
+            .sum();
+        base_dot + change
+    }
+
     /// Total pushes across all transactions.
     #[inline]
     pub fn pushes(&self) -> usize {
         self.pushes
+    }
+
+    /// Total precision stages ([`Self::push_stage`] calls) across all
+    /// transactions.
+    #[inline]
+    pub fn stages(&self) -> usize {
+        self.stages
     }
 
     /// Total |residual| mass retired across all transactions (cumulative;
@@ -221,6 +266,7 @@ impl PushWorkspace {
     /// still holds its base residual, which that ε already bounds, so the
     /// touched set is the whole frontier.
     pub fn push_stage<K: CsrRows>(&mut self, kernel: &K, cfg: &PprConfig, eps: f64) {
+        self.stages += 1;
         // Slices and locals rather than `self.field` accesses: the undo
         // log's growth path is an opaque call, after which every field read
         // through `self` would be reloaded on each scattered entry.

@@ -609,6 +609,7 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
         ("checks", s.ops.checks),
         ("subsets_enumerated", s.ops.subsets_enumerated),
         ("candidate_index_hits", s.ops.candidate_index_hits),
+        ("check_stages", s.ops.check_stages),
     ] {
         p.sample_u64("emigre_ops_total", &[("op", op)], v);
     }

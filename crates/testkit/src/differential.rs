@@ -20,12 +20,20 @@
 //! tie-break may legitimately flip, and the helper instead records a
 //! near-tie and asserts ε-optimality (the served winner's exact score is
 //! within the band of the exact winner's).
+//!
+//! Returned explanations are passing CHECKs only. [`cross_check_verdicts`]
+//! holds every CHECK verdict to the oracle, failing ones included: those
+//! are what the staged CHECK stops early on.
 
 use crate::oracle::{oracle_test, DenseOracle, OracleVerdict};
 use crate::world::World;
-use emigre_core::{minimal, tester::Tester, ExplainContext, Explainer, Method};
+use emigre_core::search::{add_search_space, remove_search_space};
+use emigre_core::tester::{PreCheck, Tester};
+use emigre_core::{minimal, Action, ExplainContext, Explainer, Method};
 use emigre_hin::{GraphView, Hin, NodeId};
-use emigre_ppr::{ForwardPush, ReversePush, TransitionCsr};
+use emigre_obs::ObsHandle;
+use emigre_ppr::{CompactCsr, ForwardPush, ReversePush, TransitionCsr};
+use std::sync::Arc;
 
 /// The paper's five Remove-mode algorithms, cross-checked on every
 /// sampled question.
@@ -68,6 +76,13 @@ pub struct DiffStats {
     pub direct_refuted: usize,
     /// Brute-force explanations certified subset-minimal.
     pub minimality_certified: usize,
+    /// Action subsets whose CHECK verdict was oracle-TESTed
+    /// ([`cross_check_verdicts`]).
+    pub verdicts_checked: usize,
+    /// Of those, verdicts asserted equal under a decisive margin.
+    pub verdicts_decisive: usize,
+    /// Decisive verdicts where the Why-Not item loses: failing CHECKs.
+    pub decisive_failing: usize,
     /// Worst forward-estimate disagreement seen.
     pub max_row_err: f64,
     /// Worst reverse-estimate disagreement seen.
@@ -213,6 +228,102 @@ pub fn cross_check_question(
                 exp.actions
             );
             stats.minimality_certified += 1;
+        }
+    }
+}
+
+/// Cross-checks the CHECK verdicts of one question, failing ones
+/// included. The action sets are every non-empty subset of the top `pool`
+/// candidates of each mode's search space. For each set whose oracle
+/// margin is decisive under [`push_error_bound`], the engine's TEST must
+/// equal the oracle's, three ways: `Tester::test` at parallelism 1, the
+/// speculative scan of `Tester::first_passing` at parallelism 2, and
+/// `Tester::test` over a `CompactCsr<f32>` kernel. The `f32` leg widens
+/// the band by the kernel's quantisation: each stored probability is
+/// within 2⁻²⁴ of its `f64` value relative, which moves every PPR score by
+/// at most (1−α)/α·2⁻²⁴ (the resolvent identity, with rows summing to at
+/// most 1); the band takes twice that.
+pub fn cross_check_verdicts(
+    world: &World,
+    user: NodeId,
+    wni: NodeId,
+    pool: usize,
+    stats: &mut DiffStats,
+) {
+    let graph: &Hin = &world.graph;
+    let cfg = &world.cfg;
+    let ppr = &cfg.rec.ppr;
+    let bound = push_error_bound(graph.num_nodes(), ppr.epsilon);
+    let f32_bound = bound + (1.0 - ppr.alpha) / ppr.alpha * 2f64.powi(-23);
+    let build = |cfg: emigre_core::EmigreConfig| {
+        ExplainContext::build(graph, cfg, user, wni).unwrap_or_else(|e| {
+            panic!("viable question stopped validating: user={user:?} wni={wni:?}: {e:?}")
+        })
+    };
+    let ctx = build(cfg.clone());
+    let ctx_par = build(cfg.clone().with_parallelism(2));
+    let kernel32 = Arc::new(CompactCsr::<f32>::build(graph, ppr.transition));
+    // Quantisation can reorder a near-tied list, so the question may not
+    // validate on the f32 kernel; the verdicts it does reach still must.
+    let ctx32 = ExplainContext::build_with_kernel(
+        graph,
+        cfg.clone(),
+        kernel32,
+        user,
+        wni,
+        ObsHandle::disabled(),
+    )
+    .ok();
+
+    let mut sets: Vec<Vec<Action>> = Vec::new();
+    for space in [remove_search_space(&ctx), add_search_space(&ctx)] {
+        let top: Vec<Action> = space
+            .candidates
+            .iter()
+            .take(pool)
+            .map(|c| c.action)
+            .collect();
+        for mask in 1u32..(1 << top.len()) {
+            sets.push(
+                (0..top.len())
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| top[i])
+                    .collect(),
+            );
+        }
+    }
+    let (seq, par) = (Tester::new(&ctx), Tester::new(&ctx_par));
+    let narrow = ctx32.as_ref().map(Tester::new);
+    for actions in &sets {
+        let verdict = oracle_test(graph, cfg, user, wni, actions)
+            .unwrap_or_else(|e| panic!("search-space subset does not apply: {e:?}"));
+        stats.verdicts_checked += 1;
+        let tag = || {
+            format!(
+                "user={user:?} wni={wni:?} actions={actions:?} margin={:e} top={:?}",
+                verdict.margin, verdict.top
+            )
+        };
+        if verdict.decisive(bound) {
+            stats.verdicts_decisive += 1;
+            if !verdict.wins {
+                stats.decisive_failing += 1;
+            }
+            assert_eq!(
+                seq.test(actions),
+                verdict.wins,
+                "sequential CHECK: {}",
+                tag()
+            );
+            // Two copies of the set put it through the parallel scan.
+            let pair = [actions.clone(), actions.clone()];
+            let scanned = par.first_passing(&pair, |_| PreCheck::Proceed).found;
+            assert_eq!(scanned.is_some(), verdict.wins, "parallel CHECK: {}", tag());
+        }
+        if let Some(narrow) = &narrow {
+            if verdict.decisive(f32_bound) {
+                assert_eq!(narrow.test(actions), verdict.wins, "f32 CHECK: {}", tag());
+            }
         }
     }
 }

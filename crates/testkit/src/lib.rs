@@ -32,7 +32,8 @@ pub mod world;
 
 pub use differential::{
     assert_forward_agrees, assert_reverse_agrees, check_ppr_agreement, cross_check_question,
-    push_error_bound, viable_questions, DiffStats, ADD_METHODS, FIVE_ALGORITHMS,
+    cross_check_verdicts, push_error_bound, viable_questions, DiffStats, ADD_METHODS,
+    FIVE_ALGORITHMS,
 };
 pub use oracle::{oracle_test, DenseOracle, OracleVerdict, MAX_ORACLE_NODES, ORACLE_TOLERANCE};
 pub use strategies::{arb_default_world, arb_world, ArbWorld};

@@ -44,7 +44,7 @@ fn fingerprint(
     let result = Explainer::explain_with_context(&ctx, method);
     let c = ctx.obs.counters();
     let exact = format!(
-        "{result:?}\n{:?}\nfwd={} rev={} rows={} checks={} subsets={} hits={}",
+        "{result:?}\n{:?}\nfwd={} rev={} rows={} checks={} subsets={} hits={} stages={}",
         ctx.obs.trace().expect("enabled handle always has a trace"),
         c.forward_pushes,
         c.reverse_pushes,
@@ -52,6 +52,7 @@ fn fingerprint(
         c.checks,
         c.subsets_enumerated,
         c.candidate_index_hits,
+        c.check_stages,
     );
     (exact, c.residual_mass_drained)
 }

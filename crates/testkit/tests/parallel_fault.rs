@@ -32,7 +32,7 @@ fn run(
     let result = Explainer::explain_with_context(&ctx, method);
     let c = ctx.obs.counters();
     let exact = format!(
-        "{result:?}\n{:?}\nfwd={} rev={} rows={} checks={} subsets={} hits={}",
+        "{result:?}\n{:?}\nfwd={} rev={} rows={} checks={} subsets={} hits={} stages={}",
         ctx.obs.trace().unwrap(),
         c.forward_pushes,
         c.reverse_pushes,
@@ -40,6 +40,7 @@ fn run(
         c.checks,
         c.subsets_enumerated,
         c.candidate_index_hits,
+        c.check_stages,
     );
     (exact, c.residual_mass_drained, c.checks)
 }

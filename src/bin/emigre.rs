@@ -87,6 +87,19 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// Rejects any `--flag` in `args` that subcommand `cmd` does not take, so
+/// a misspelt option is a usage error rather than silently ignored.
+fn known_flags(args: &[String], cmd: &str, known: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .skip(1)
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(unknown) => Err(format!("unknown flag {unknown} for {cmd}")),
+        None => Ok(()),
+    }
+}
+
 fn load_graph(args: &[String]) -> Result<Hin, String> {
     let path = flag(args, "--graph")?.ok_or("missing --graph FILE")?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -170,6 +183,7 @@ fn explain_all(g: &Hin, user: NodeId, method: Method, cfg: EmigreConfig) -> Resu
 fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("demo") => {
+            known_flags(args, "demo", &["--out"])?;
             let out = flag(args, "--out")?.unwrap_or_else(|| "paul.hin".to_owned());
             let ex = emigre::data::examples::running_example();
             std::fs::write(&out, emigre::hin::io::to_edge_list(&ex.graph))
@@ -183,6 +197,7 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         Some("recommend") => {
+            known_flags(args, "recommend", &["--graph", "--user", "--top"])?;
             let g = load_graph(args)?;
             let user = node_arg(args, "--user")?;
             let top: usize = flag(args, "--top")?
@@ -213,6 +228,11 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         Some("explain") => {
+            known_flags(
+                args,
+                "explain",
+                &["--graph", "--user", "--why-not", "--method", "--minimise"],
+            )?;
             let g = load_graph(args)?;
             let user = node_arg(args, "--user")?;
             let method = parse_method(args)?;
@@ -258,6 +278,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
         }
         Some("snapshot") => {
+            known_flags(args, "snapshot", &["--graph", "--out"])?;
             let g = load_graph(args)?;
             let out = flag(args, "--out")?.ok_or("missing --out FILE.snap")?;
             let image = emigre::hin::snapshot_to_bytes(&g);
@@ -272,6 +293,27 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         Some("serve") => {
+            known_flags(
+                args,
+                "serve",
+                &[
+                    "--graph",
+                    "--graph-snapshot",
+                    "--port",
+                    "--workers",
+                    "--parallelism",
+                    "--queue",
+                    "--deadline-ms",
+                    "--event-log",
+                    "--feedback-log",
+                    "--trace-cap",
+                    "--reactor-threads",
+                    "--keep-alive-secs",
+                    "--sched",
+                    "--user-share",
+                    "--slow-ring",
+                ],
+            )?;
             // `--graph-snapshot` is the fast-start path: the checksummed
             // binary image maps (or reads) straight into memory, skipping
             // the text parse entirely.
@@ -392,6 +434,7 @@ fn run(args: &[String]) -> Result<(), String> {
             server.run().map_err(|e| format!("serving: {e}"))
         }
         Some("dot") => {
+            known_flags(args, "dot", &["--graph"])?;
             let g = load_graph(args)?;
             print!("{}", emigre::hin::io::to_dot(&g));
             Ok(())
@@ -409,7 +452,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    use super::flag;
+    use super::{flag, known_flags};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -452,5 +495,15 @@ mod tests {
         // Single-dash values (e.g. "-1") are not flags in this CLI.
         let a = args(&["--why-not", "-1"]);
         assert_eq!(flag(&a, "--why-not"), Ok(Some("-1".to_owned())));
+    }
+
+    #[test]
+    fn known_flags_names_the_first_unknown_one() {
+        let a = args(&["explain", "--user", "1", "--mehtod", "x", "--bogus"]);
+        assert_eq!(
+            known_flags(&a, "explain", &["--user", "--method"]),
+            Err("unknown flag --mehtod for explain".to_owned())
+        );
+        assert_eq!(known_flags(&a[..3], "explain", &["--user"]), Ok(()));
     }
 }

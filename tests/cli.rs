@@ -67,3 +67,48 @@ fn recommend_prints_pauls_list() {
     assert!(out.status.success(), "{out:?}");
     assert_eq!(String::from_utf8_lossy(&out.stdout), PAUL_TOP10);
 }
+
+#[test]
+fn every_subcommand_rejects_a_flag_it_does_not_take() {
+    let graph = DemoGraph::new("unknown-flag");
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &[
+                "explain",
+                "--graph",
+                &graph.path,
+                "--user",
+                "1",
+                "--why-not",
+                "7",
+                "--mehtod",
+                "remove_Incremental",
+            ],
+            "error: unknown flag --mehtod for explain",
+        ),
+        (
+            &[
+                "recommend",
+                "--graph",
+                &graph.path,
+                "--user",
+                "1",
+                "--minimise",
+            ],
+            "error: unknown flag --minimise for recommend",
+        ),
+        // The threaded front end is gone; its selector is no longer ignored.
+        (
+            &["serve", "--graph", &graph.path, "--frontend", "threaded"],
+            "error: unknown flag --frontend for serve",
+        ),
+    ];
+    for (args, want) in cases {
+        let out = emigre(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(want), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} answered anyway: {out:?}");
+    }
+}
