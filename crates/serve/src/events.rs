@@ -51,8 +51,7 @@ pub struct RequestEvent {
     pub session_cache_hit: Option<bool>,
     pub column_cache_hit: Option<bool>,
     /// The scheduler's expected service cost at admission (µs) — what the
-    /// SJF policy sorted this job by. `None` for feedback and for events
-    /// emitted before the scheduler saw the request.
+    /// SJF policy sorted this job by. `None` for feedback.
     pub expected_cost_us: Option<u64>,
     /// Whether this request was admitted into the slowest-N forensics
     /// ring for its endpoint (and is therefore visible at
@@ -62,8 +61,8 @@ pub struct RequestEvent {
     pub ops: CounterSnapshot,
     /// The graph epoch the request was pinned to (read paths) or
     /// published / left current (feedback). `None` for requests that
-    /// never reached a worker (admission rejections, worker panics before
-    /// accounting).
+    /// never reached a worker (admission rejections) and for worker
+    /// panics.
     pub epoch: Option<u64>,
 }
 

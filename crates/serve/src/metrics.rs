@@ -1,13 +1,15 @@
-//! Serving metrics: request counters, per-endpoint and per-stage latency
-//! histograms, sliding-window SLOs, and both exposition formats.
+//! Serving metrics: request counters, per-stage latency histograms, one
+//! [`EndpointMetrics`] per read endpoint (latency and queue-wait
+//! histograms, sliding-window SLOs, the slow ring), and both exposition
+//! formats.
 //!
-//! Everything here is updated with relaxed atomics on the hot path and
-//! snapshotted into a serialisable [`MetricsSnapshot`] for `/metrics` and
-//! `BENCH_serve.json`. Fields the metrics block cannot see — queue depth,
-//! cache stats, op counters, event-log stats, window aggregates, worker
-//! count, uptime — are *required* inputs to [`ServeMetrics::snapshot`]
-//! via [`ServiceOwned`]: a caller physically cannot publish a snapshot
-//! with those fields silently zeroed, which an earlier revision allowed.
+//! Counters and histograms are relaxed atomics on the hot path; the slow
+//! rings take a short lock. A [`MetricsSnapshot`] copies everything for
+//! `/metrics` and `BENCH_serve.json`. Fields the metrics block cannot see
+//! — queue depth, cache stats, op counters, event-log stats, worker count,
+//! uptime — are *required* inputs to [`ServeMetrics::snapshot`] via
+//! [`ServiceOwned`]: a caller physically cannot publish a snapshot with
+//! those fields silently zeroed, which an earlier revision allowed.
 //!
 //! [`prometheus_text`] renders the same snapshot in Prometheus text
 //! exposition format (metric names prefixed `emigre_`, units as `_us` /
@@ -15,10 +17,13 @@
 
 use crate::cache::CacheStats;
 use crate::events::EventLogStats;
-use crate::sched::SchedSnapshot;
+use crate::sched::{JobClass, SchedSnapshot};
+use crate::slow::SlowRing;
 use emigre_obs::{
-    CounterSnapshot, HistogramSnapshot, LatencyHistogram, PromText, StageLatencies, WindowStats,
+    CounterSnapshot, HistogramSnapshot, LatencyHistogram, PromText, SlidingWindow, StageLatencies,
+    WindowStats,
 };
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -79,9 +84,10 @@ pub struct FrontendSnapshot {
 /// Live serving metrics; one instance per service, shared by all workers.
 #[derive(Default)]
 pub struct ServeMetrics {
-    /// Requests admitted or rejected — everything that reached `submit`.
+    /// Requests admitted or rejected — everything that reached `admit`.
     pub requests_total: AtomicU64,
-    /// Jobs a worker finished (including deadline-expired ones).
+    /// Jobs a worker finished (including deadline-expired and panicked
+    /// ones).
     pub completed_total: AtomicU64,
     /// Explain jobs that produced a verified explanation.
     pub explanations_found: AtomicU64,
@@ -107,16 +113,12 @@ pub struct ServeMetrics {
     pub feedback_events_applied: AtomicU64,
     /// Feedback requests rejected (validation failure or update panic).
     pub feedback_rejected: AtomicU64,
-    /// End-to-end worker latency of explain jobs.
-    pub explain_latency: LatencyHistogram,
-    /// End-to-end worker latency of recommend jobs.
-    pub recommend_latency: LatencyHistogram,
-    /// Admission → dequeue wait, every admitted job.
+    /// What the explain endpoint records per request.
+    pub explain: EndpointMetrics,
+    /// What the recommend endpoint records per request.
+    pub recommend: EndpointMetrics,
+    /// Admission → dequeue wait, every dequeued job.
     pub queue_wait: LatencyHistogram,
-    /// Admission → dequeue wait, explain jobs only.
-    pub queue_wait_explain: LatencyHistogram,
-    /// Admission → dequeue wait, recommend jobs only.
-    pub queue_wait_recommend: LatencyHistogram,
     /// Stage attribution across explain jobs: context/artefact assembly.
     pub stage_context: LatencyHistogram,
     /// Stage attribution: search-space construction + candidate ranking.
@@ -128,14 +130,47 @@ pub struct ServeMetrics {
     pub stage_check_parallel: LatencyHistogram,
 }
 
+/// What one read endpoint records per request; the service picks the
+/// endpoint by the job's class ([`ServeMetrics::endpoint`]).
+#[derive(Default)]
+pub struct EndpointMetrics {
+    /// Worker service time of dequeued jobs (queue wait excluded).
+    pub latency: LatencyHistogram,
+    /// Admission → dequeue wait of dequeued jobs.
+    pub queue_wait: LatencyHistogram,
+    /// Trailing request rate, error rate and end-to-end latency (queue
+    /// wait included) of every request, admission rejections too.
+    pub window: SlidingWindow,
+    /// The slowest dequeued requests, served at `GET /debug/slow`.
+    pub slow: Mutex<SlowRing>,
+}
+
 impl ServeMetrics {
+    /// Metrics whose slow rings keep the `slow_ring_capacity` slowest
+    /// requests of each endpoint (`slow_ring_capacity` ≥ 1).
+    pub fn new(slow_ring_capacity: usize) -> Self {
+        let mut m = ServeMetrics::default();
+        for e in [&mut m.explain, &mut m.recommend] {
+            *e.slow.get_mut() = SlowRing::new(slow_ring_capacity);
+        }
+        m
+    }
+
     #[inline]
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// The endpoint serving jobs of `class`.
+    pub fn endpoint(&self, class: JobClass) -> &EndpointMetrics {
+        match class {
+            JobClass::Explain(_) => &self.explain,
+            JobClass::Recommend => &self.recommend,
+        }
+    }
+
     /// Records one explain request's stage attribution into the per-stage
-    /// histograms (queue wait is recorded separately at dequeue).
+    /// histograms (queue wait goes to the queue-wait histograms).
     pub fn record_stages(&self, s: &StageLatencies) {
         self.stage_context.record_us(s.context_us);
         self.stage_search.record_us(s.search_us);
@@ -176,18 +211,23 @@ impl ServeMetrics {
             graph_bytes: owned.graph_bytes,
             session_cache_bytes: owned.session_cache_bytes,
             column_cache_bytes: owned.column_cache_bytes,
-            explain_latency: self.explain_latency.snapshot(),
-            recommend_latency: self.recommend_latency.snapshot(),
+            explain_latency: self.explain.latency.snapshot(),
+            recommend_latency: self.recommend.latency.snapshot(),
             queue_wait: self.queue_wait.snapshot(),
-            queue_wait_explain: self.queue_wait_explain.snapshot(),
-            queue_wait_recommend: self.queue_wait_recommend.snapshot(),
+            queue_wait_explain: self.explain.queue_wait.snapshot(),
+            queue_wait_recommend: self.recommend.queue_wait.snapshot(),
             stage_context: self.stage_context.snapshot(),
             stage_search: self.stage_search.snapshot(),
             stage_test: self.stage_test.snapshot(),
             stage_check_parallel: self.stage_check_parallel.snapshot(),
             ops: owned.ops,
             events: owned.events,
-            windows: owned.windows,
+            windows: WindowsSnapshot {
+                explain_10s: self.explain.window.stats(10),
+                explain_60s: self.explain.window.stats(60),
+                recommend_10s: self.recommend.window.stats(10),
+                recommend_60s: self.recommend.window.stats(60),
+            },
             frontend: owned.frontend,
             sched: owned.sched,
         }
@@ -196,8 +236,8 @@ impl ServeMetrics {
 
 /// Snapshot fields owned by the service rather than the metrics block:
 /// queue depth (lives in the channel), cache stats (live in the LRUs), op
-/// counters (live in the obs handle), event-log stats, sliding windows,
-/// and deployment facts.
+/// counters (live in the obs handle), event-log stats, and deployment
+/// facts.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceOwned {
     pub queue_depth: u64,
@@ -230,7 +270,6 @@ pub struct ServiceOwned {
     pub column_cache_bytes: u64,
     pub ops: CounterSnapshot,
     pub events: EventLogStats,
-    pub windows: WindowsSnapshot,
     /// Connection-layer counters (live in [`FrontendStats`]).
     pub frontend: FrontendSnapshot,
     /// Admission-scheduler state (lives in the `AdmissionQueue`).
@@ -703,11 +742,11 @@ mod tests {
         m.completed_total.store(8, Ordering::Relaxed);
         m.rejected_overload.store(1, Ordering::Relaxed);
         m.rejected_deadline.store(1, Ordering::Relaxed);
-        m.explain_latency.record_us(1234);
-        m.recommend_latency.record_us(56);
+        m.explain.latency.record_us(1234);
+        m.recommend.latency.record_us(56);
         m.queue_wait.record_us(7);
-        m.queue_wait_explain.record_us(9);
-        m.queue_wait_recommend.record_us(3);
+        m.explain.queue_wait.record_us(9);
+        m.recommend.queue_wait.record_us(3);
         m.record_stages(&StageLatencies {
             queue_us: 7,
             context_us: 400,

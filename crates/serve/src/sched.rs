@@ -1,7 +1,7 @@
 //! QoS-aware admission scheduling.
 //!
 //! [`AdmissionQueue`] replaces the bounded FIFO channel between
-//! `submit()` and the worker pool. Capacity and overload semantics are
+//! `admit()` and the worker pool. Capacity and overload semantics are
 //! unchanged (full queue → `Overloaded`, close → drain then `None`),
 //! but *which* queued job a freed worker picks next is a policy
 //! decision:
@@ -119,6 +119,14 @@ impl JobClass {
         match self {
             JobClass::Recommend => "recommend",
             JobClass::Explain(m) => m.label(),
+        }
+    }
+
+    /// The endpoint serving this class: `"explain"` or `"recommend"`.
+    pub fn endpoint(&self) -> &'static str {
+        match self {
+            JobClass::Recommend => "recommend",
+            JobClass::Explain(_) => "explain",
         }
     }
 
@@ -318,7 +326,7 @@ impl<T> AdmissionQueue<T> {
         self.capacity
     }
 
-    /// Expected cost for a class right now (what `submit` stamps into
+    /// Expected cost for a class right now (what `admit` stamps into
     /// the job and the event log).
     pub fn expected_cost_us(&self, class: JobClass) -> u64 {
         self.cost.expected_us(class)

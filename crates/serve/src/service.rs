@@ -4,15 +4,15 @@
 //! ## Architecture
 //!
 //! ```text
-//!  callers ──try_push──▶ AdmissionQueue ──pop──▶ N workers
-//!     ▲                      │ (QoS policy:          │
-//!     │   Overloaded when    │  fifo/deadline/sjf    ├─ pinned GraphEpoch (graph + kernel)
-//!     └── full or over the   │  + per-user fairness, ├─ session cache (user → UserArtifacts)
-//!         per-user share:    │  see crate::sched)    ├─ column cache  (item → PPR(·,item))
-//!         admission control, │                       ├─ per-worker PushWorkspace
-//!         never unbounded    │                       └─ per-request ObsHandle (spans + trace)
-//!                            └─ jobs carry a deadline; expired jobs are
-//!                               dropped when dequeued (DeadlineExceeded)
+//!  explain_request ───┐                                  N workers, one lifecycle per job:
+//!                     ├─ admit ──try_push──▶ AdmissionQueue ──pop──▶ serve_read
+//!  recommend_request ─┘    │      (QoS policy: fifo/         ├─ fault hook, pin GraphEpoch
+//!         ▲                │       deadline/sjf + per-user   ├─ deadline check (DeadlineExceeded)
+//!         └── Overloaded ──┘       fairness, see             ├─ run_explain | run_recommend on a
+//!             when full or over    crate::sched)             │  private ObsHandle, over the session
+//!             the per-user share:                            │  and column caches and the worker's
+//!             admission control,                             │  PushWorkspace
+//!             never unbounded                                └─ record_read (also after a panic)
 //!
 //!  POST /feedback ──▶ apply_feedback ──▶ LiveGraph publish (next epoch)
 //! ```
@@ -33,16 +33,22 @@
 //!
 //! ## Telemetry
 //!
-//! Every request gets a monotonically increasing **request id** at
-//! admission, echoed in the response and usable against `/trace/<id>`.
-//! Workers run each explain on a *private* enabled [`ObsHandle`] — spans
-//! and the [`ExplainTrace`] stay request-scoped and bounded — then fold
-//! the request's op-counter deltas into the service-lifetime
-//! counters-only handle, project the span tree into [`StageLatencies`]
-//! (queue wait / context build / search / TEST loop), record those into
-//! the per-stage histograms, keep the trace in a bounded LRU store, and
-//! emit one structured [`RequestEvent`] line. Sliding per-endpoint
-//! windows feed the 10s/60s QPS, error-rate, and quantile gauges.
+//! Explain and recommend share one request lifecycle; only the compute
+//! and its outcome label differ. Admission gives every request a
+//! monotonically increasing **request id**, echoed in the response and
+//! usable against `/trace/<id>`, and accounts a rejected request on the
+//! spot. A worker runs each dequeued request on a *private* enabled
+//! [`ObsHandle`] — spans and the [`ExplainTrace`] stay request-scoped and
+//! bounded — folds the request's op-counter deltas into the
+//! service-lifetime counters-only handle, keeps an explain's trace in a
+//! bounded LRU store, and then records the request once, panicked or not:
+//! it builds one [`RequestEvent`], with the span tree projected into
+//! [`StageLatencies`] (queue wait / context build / search / TEST loop),
+//! and feeds the outcome counters, the endpoint's latency and queue-wait
+//! histograms and sliding window (the 10s/60s QPS, error-rate, and
+//! quantile gauges), the per-stage histograms (explains a worker ran),
+//! the cost model, the endpoint's slow ring (a [`SlowEntry`] copied from
+//! that event) and the event log.
 //!
 //! ## Determinism
 //!
@@ -71,9 +77,9 @@ use crate::fault::FaultHandle;
 use crate::live::{
     events_to_delta, FeedbackError, FeedbackEvent, FeedbackOutcome, GraphEpoch, LiveGraph,
 };
-use crate::metrics::{FrontendStats, MetricsSnapshot, ServeMetrics, ServiceOwned, WindowsSnapshot};
+use crate::metrics::{FrontendStats, MetricsSnapshot, ServeMetrics, ServiceOwned};
 use crate::sched::{AdmissionQueue, AdmitError, JobClass, JobMeta, SchedConfig};
-use crate::slow::{SlowEntry, SlowRing, SlowSnapshot};
+use crate::slow::{SlowEntry, SlowSnapshot};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use emigre_core::{
     EmigreConfig, ExplainContext, ExplainFailure, Explainer, Explanation, Method, QuestionError,
@@ -118,13 +124,6 @@ pub struct ServiceConfig {
     /// Test-only fault hooks consulted once per dequeued job. `None` in
     /// production — see [`crate::fault`].
     pub faults: Option<FaultHandle>,
-    /// Intra-request CHECK parallelism budget handed to the engine
-    /// (overrides [`EmigreConfig::parallelism`] for served requests).
-    /// `1` keeps each request on its worker thread — the right default
-    /// when `workers` already saturates the machine; raise it only when
-    /// workers are few and per-request latency matters more than
-    /// throughput. `0` lets the engine auto-detect.
-    pub intra_request_parallelism: usize,
     /// Admission-scheduler policy, per-user share cap, and fairness
     /// quantum — see [`crate::sched`].
     pub sched: SchedConfig,
@@ -147,7 +146,6 @@ impl Default for ServiceConfig {
             event_log: None,
             event_log_capacity: 4096,
             faults: None,
-            intra_request_parallelism: 1,
             sched: SchedConfig::default(),
             slow_ring_capacity: 8,
         }
@@ -225,17 +223,67 @@ pub struct RecommendResponse {
     pub epoch: u64,
 }
 
-enum Work {
+/// What a read request asks.
+#[derive(Debug, Clone, Copy)]
+enum Query {
     Explain {
         user: NodeId,
         wni: NodeId,
         method: Method,
-        reply: Sender<Result<ExplainResponse, ServeError>>,
     },
     Recommend {
         user: NodeId,
         k: usize,
-        reply: Sender<Result<RecommendResponse, ServeError>>,
+    },
+}
+
+impl Query {
+    fn user(self) -> NodeId {
+        match self {
+            Query::Explain { user, .. } | Query::Recommend { user, .. } => user,
+        }
+    }
+
+    fn class(self) -> JobClass {
+        match self {
+            Query::Explain { method, .. } => JobClass::Explain(method),
+            Query::Recommend { .. } => JobClass::Recommend,
+        }
+    }
+
+    /// The request's event line as admission knows it; the admission
+    /// rejection or [`record_read`] fills in the rest.
+    fn event(self, meta: &JobMeta) -> RequestEvent {
+        let (wni, method) = match self {
+            Query::Explain { wni, method, .. } => (Some(wni.0), Some(method.label().to_owned())),
+            Query::Recommend { .. } => (None, None),
+        };
+        RequestEvent {
+            request_id: meta.request_id,
+            endpoint: meta.class.endpoint().to_owned(),
+            user: self.user().0,
+            wni,
+            method,
+            expected_cost_us: Some(meta.expected_cost_us),
+            ..RequestEvent::default()
+        }
+    }
+}
+
+/// A worker's answer to a [`Query`].
+enum Answer {
+    Explain(ExplainOutcome),
+    Recommend(RecommendOutcome),
+}
+
+/// What a read request's caller receives: the answer with its stage
+/// latencies and pinned epoch, or why there is none.
+type Reply = Result<(Answer, StageLatencies, u64), ServeError>;
+
+enum Work {
+    Read {
+        query: Query,
+        reply: Sender<Reply>,
     },
     /// Test-only: parks the worker until `release` disconnects. Lets the
     /// telemetry test observe a non-zero queue depth deterministically.
@@ -248,7 +296,7 @@ enum Work {
 /// State shared between the front-end handle and every worker.
 struct Shared {
     /// QoS-aware admission queue (policy, fairness, cost model) between
-    /// `submit` and the workers — see [`crate::sched`].
+    /// `admit` and the workers — see [`crate::sched`].
     queue: AdmissionQueue<Work>,
     /// Connection-layer counters, updated by whichever front end serves
     /// this service (zero when driven directly, e.g. in tests).
@@ -263,12 +311,7 @@ struct Shared {
     obs: ObsHandle,
     /// Replayable traces of recent explain requests, keyed by request id.
     traces: Mutex<LruCache<u64, Arc<ExplainTrace>>>,
-    /// Slowest-N forensics rings, one per endpoint — see [`crate::slow`].
-    slow_explain: Mutex<SlowRing>,
-    slow_recommend: Mutex<SlowRing>,
     events: EventLogger,
-    explain_window: emigre_obs::SlidingWindow,
-    recommend_window: emigre_obs::SlidingWindow,
     next_request_id: AtomicU64,
     started: Instant,
     workers: usize,
@@ -294,8 +337,7 @@ impl ExplanationService {
     /// handle. The graph becomes epoch 0 of the service's [`LiveGraph`];
     /// [`apply_feedback`](ExplanationService::apply_feedback) publishes
     /// later epochs.
-    pub fn start(graph: Hin, mut cfg: EmigreConfig, sc: ServiceConfig) -> Self {
-        cfg.parallelism = sc.intra_request_parallelism;
+    pub fn start(graph: Hin, cfg: EmigreConfig, sc: ServiceConfig) -> Self {
         cfg.validate();
         assert!(sc.workers >= 1, "service needs at least one worker");
         let kernel = Arc::new(TransitionCsr::build(&graph, cfg.rec.ppr.transition));
@@ -306,14 +348,10 @@ impl ExplanationService {
             cfg,
             sessions: Mutex::new(EpochCache::new(sc.session_capacity)),
             columns: Mutex::new(EpochCache::new(sc.column_capacity)),
-            metrics: ServeMetrics::default(),
+            metrics: ServeMetrics::new(sc.slow_ring_capacity),
             obs: ObsHandle::counters_only(),
             traces: Mutex::new(LruCache::new(sc.trace_capacity)),
-            slow_explain: Mutex::new(SlowRing::new(sc.slow_ring_capacity)),
-            slow_recommend: Mutex::new(SlowRing::new(sc.slow_ring_capacity)),
             events: EventLogger::from_config(sc.event_log.clone(), sc.event_log_capacity),
-            explain_window: emigre_obs::SlidingWindow::new(),
-            recommend_window: emigre_obs::SlidingWindow::new(),
             next_request_id: AtomicU64::new(0),
             started: Instant::now(),
             workers: sc.workers,
@@ -370,48 +408,16 @@ impl ExplanationService {
         method: Method,
         deadline: Duration,
     ) -> (u64, Result<ExplainResponse, ServeError>) {
-        let request_id = self.shared.next_id();
-        let (reply, rx) = bounded(1);
-        let class = JobClass::Explain(method);
-        let expected_cost_us = self.shared.queue.expected_cost_us(class);
-        let submitted = self.submit(
-            Work::Explain {
-                user,
-                wni,
-                method,
-                reply,
+        let (request_id, reply) = self.admit(Query::Explain { user, wni, method }, deadline);
+        let response = reply.map(|(answer, stages, epoch)| match answer {
+            Answer::Explain(outcome) => ExplainResponse {
+                outcome,
+                stages,
+                epoch,
             },
-            JobMeta {
-                request_id,
-                user: user.0,
-                class,
-                admitted_at: Instant::now(),
-                deadline: Instant::now() + deadline,
-                expected_cost_us,
-            },
-        );
-        let result = match submitted {
-            Ok(()) => match rx.recv() {
-                Ok(r) => r,
-                Err(_) => Err(ServeError::ShuttingDown),
-            },
-            Err(e) => {
-                // Rejected at admission: no worker will log this request.
-                self.shared.explain_window.record(0, true);
-                self.shared.events.emit(&RequestEvent {
-                    request_id,
-                    endpoint: "explain".to_owned(),
-                    outcome: e.outcome().to_owned(),
-                    user: user.0,
-                    wni: Some(wni.0),
-                    method: Some(method.label().to_owned()),
-                    expected_cost_us: Some(expected_cost_us),
-                    ..RequestEvent::default()
-                });
-                Err(e)
-            }
-        };
-        (request_id, result)
+            Answer::Recommend(_) => unreachable!("an explain query gets an explain answer"),
+        });
+        (request_id, response)
     }
 
     /// The user's top-`k` recommendation list under the default deadline.
@@ -436,56 +442,56 @@ impl ExplanationService {
         k: usize,
         deadline: Duration,
     ) -> (u64, Result<RecommendResponse, ServeError>) {
-        let request_id = self.shared.next_id();
-        let (reply, rx) = bounded(1);
-        let expected_cost_us = self.shared.queue.expected_cost_us(JobClass::Recommend);
-        let submitted = self.submit(
-            Work::Recommend { user, k, reply },
-            JobMeta {
-                request_id,
-                user: user.0,
-                class: JobClass::Recommend,
-                admitted_at: Instant::now(),
-                deadline: Instant::now() + deadline,
-                expected_cost_us,
+        let (request_id, reply) = self.admit(Query::Recommend { user, k }, deadline);
+        let response = reply.map(|(answer, stages, epoch)| match answer {
+            Answer::Recommend(items) => RecommendResponse {
+                items,
+                stages,
+                epoch,
             },
-        );
-        let result = match submitted {
-            Ok(()) => match rx.recv() {
-                Ok(r) => r,
-                Err(_) => Err(ServeError::ShuttingDown),
-            },
-            Err(e) => {
-                self.shared.recommend_window.record(0, true);
-                self.shared.events.emit(&RequestEvent {
-                    request_id,
-                    endpoint: "recommend".to_owned(),
-                    outcome: e.outcome().to_owned(),
-                    user: user.0,
-                    expected_cost_us: Some(expected_cost_us),
-                    ..RequestEvent::default()
-                });
-                Err(e)
-            }
-        };
-        (request_id, result)
+            Answer::Explain(_) => unreachable!("a recommend query gets a recommend answer"),
+        });
+        (request_id, response)
     }
 
-    /// Admission control: non-blocking enqueue or immediate rejection.
+    /// Admission control for every read request: assigns the request id,
+    /// asks the cost model for an estimate, and enqueues without blocking
+    /// or rejects at once. A rejected request is accounted here (no
+    /// worker ever sees it); an admitted one waits for its worker's reply.
     /// User-quota rejections surface as `Overloaded` to the caller and
     /// count in `rejected_overload` (keeping the accounting invariant
     /// `requests_total == completed_total + rejected_overload`); the
     /// quota-specific count is in the scheduler snapshot.
-    fn submit(&self, work: Work, meta: JobMeta) -> Result<(), ServeError> {
-        ServeMetrics::bump(&self.shared.metrics.requests_total);
-        match self.shared.queue.try_push(work, meta) {
-            Ok(()) => Ok(()),
-            Err(AdmitError::Overloaded) | Err(AdmitError::UserQuota) => {
-                ServeMetrics::bump(&self.shared.metrics.rejected_overload);
-                Err(ServeError::Overloaded)
+    fn admit(&self, query: Query, deadline: Duration) -> (u64, Reply) {
+        let shared = &self.shared;
+        let class = query.class();
+        let admitted_at = Instant::now();
+        let meta = JobMeta {
+            request_id: shared.next_id(),
+            user: query.user().0,
+            class,
+            admitted_at,
+            deadline: admitted_at + deadline,
+            expected_cost_us: shared.queue.expected_cost_us(class),
+        };
+        let (reply, rx) = bounded(1);
+        ServeMetrics::bump(&shared.metrics.requests_total);
+        let rejected = match shared.queue.try_push(Work::Read { query, reply }, meta) {
+            Ok(()) => {
+                let reply = rx.recv().unwrap_or(Err(ServeError::ShuttingDown));
+                return (meta.request_id, reply);
             }
-            Err(AdmitError::Closed) => Err(ServeError::ShuttingDown),
-        }
+            Err(AdmitError::Overloaded) | Err(AdmitError::UserQuota) => {
+                ServeMetrics::bump(&shared.metrics.rejected_overload);
+                ServeError::Overloaded
+            }
+            Err(AdmitError::Closed) => ServeError::ShuttingDown,
+        };
+        shared.metrics.endpoint(class).window.record(0, true);
+        let mut event = query.event(&meta);
+        event.outcome = rejected.outcome().to_owned();
+        shared.events.emit(&event);
+        (meta.request_id, Err(rejected))
     }
 
     /// The replayable trace of a recent explain request, if still in the
@@ -500,8 +506,9 @@ impl ExplanationService {
     pub fn debug_slow(&self) -> SlowSnapshot {
         // Same hoisted-guard rule as `metrics`: lock each ring exactly
         // once, before the struct literal.
-        let explain = self.shared.slow_explain.lock().snapshot();
-        let recommend = self.shared.slow_recommend.lock().snapshot();
+        let m = &self.shared.metrics;
+        let explain = m.explain.slow.lock().snapshot();
+        let recommend = m.recommend.slow.lock().snapshot();
         SlowSnapshot { explain, recommend }
     }
 
@@ -542,12 +549,6 @@ impl ExplanationService {
             graph_bytes: self.shared.live.pin().graph_bytes(),
             session_cache_bytes,
             column_cache_bytes,
-            windows: WindowsSnapshot {
-                explain_10s: self.shared.explain_window.stats(10),
-                explain_60s: self.shared.explain_window.stats(60),
-                recommend_10s: self.shared.recommend_window.stats(10),
-                recommend_60s: self.shared.recommend_window.stats(60),
-            },
             frontend: self.shared.frontend.snapshot(),
             sched: self.shared.queue.snapshot(),
         };
@@ -771,358 +772,186 @@ fn worker_loop(shared: Arc<Shared>) {
     // pop drains queued jobs even after close(): graceful shutdown answers
     // everything that was admitted.
     while let Some((work, meta)) = shared.queue.pop() {
-        let JobMeta {
-            request_id,
-            admitted_at,
-            ..
-        } = meta;
-        match work {
+        let (query, reply) = match work {
             Work::Stall { started, release } => {
                 let _ = started.send(());
                 let _ = release.recv(); // parked until the guard drops
+                continue;
             }
-            // Each job runs under catch_unwind with the reply sender held
-            // OUTSIDE the closure: a panic mid-computation (a bug, or an
-            // injected fault) is converted into a fully-accounted
-            // `WorkerPanicked` answer instead of a dropped sender, and the
-            // worker survives to serve the next job. The workspace may
-            // have been left mid-transaction by the unwind, so it is
-            // rebuilt from scratch on the panic path.
-            Work::Explain {
-                user,
-                wni,
-                method,
-                reply,
-            } => {
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    explain_job(&shared, &meta, user, wni, method, &mut ws)
-                }));
-                match run {
-                    Ok((result, stages, epoch)) => {
-                        let _ = reply.try_send(result.map(|outcome| ExplainResponse {
-                            outcome,
-                            stages,
-                            epoch,
-                        }));
-                        // caller may have gone away
-                    }
-                    Err(_) => {
-                        ws = PushWorkspace::new(shared.live.pin().graph.num_nodes());
-                        account_panic(
-                            &shared,
-                            request_id,
-                            admitted_at,
-                            "explain",
-                            user,
-                            Some(wni),
-                            Some(method),
-                        );
-                        let _ = reply.try_send(Err(ServeError::WorkerPanicked));
-                    }
-                }
+            Work::Read { query, reply } => (query, reply),
+        };
+        // The job runs under catch_unwind with the reply sender held
+        // OUTSIDE the closure: a panic mid-computation (a bug, or an
+        // injected fault) is recorded like any other dequeued request and
+        // answered `WorkerPanicked` instead of dropping the sender, and
+        // the worker survives to serve the next job.
+        let dequeued = Instant::now();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_read(&shared, &meta, query, &mut ws)
+        }));
+        let reply_value = run.unwrap_or_else(|_| {
+            if let Query::Explain { .. } = query {
+                // The unwind may have left the workspace mid-transaction.
+                ws = PushWorkspace::new(shared.live.pin().graph.num_nodes());
             }
-            Work::Recommend { user, k, reply } => {
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    recommend_job(&shared, &meta, user, k)
-                }));
-                match run {
-                    Ok((result, stages, epoch)) => {
-                        let _ = reply.try_send(result.map(|items| RecommendResponse {
-                            items,
-                            stages,
-                            epoch,
-                        }));
-                    }
-                    Err(_) => {
-                        account_panic(
-                            &shared,
-                            request_id,
-                            admitted_at,
-                            "recommend",
-                            user,
-                            None,
-                            None,
-                        );
-                        let _ = reply.try_send(Err(ServeError::WorkerPanicked));
-                    }
-                }
-            }
-        }
+            let event = query.event(&meta);
+            record_read(
+                &shared,
+                &meta,
+                dequeued,
+                event,
+                None,
+                Err(ServeError::WorkerPanicked),
+            )
+        });
+        let _ = reply.try_send(reply_value); // the caller may have gone away
     }
 }
 
-/// The full explain path of one dequeued job: fault hook, deadline check,
-/// compute, metrics, window, trace store, event emission. Runs inside the
-/// worker's `catch_unwind`; everything it records is already durable when
-/// it returns, so the caller only has to deliver the reply.
-fn explain_job(
-    shared: &Shared,
-    meta: &JobMeta,
-    user: NodeId,
-    wni: NodeId,
-    method: Method,
-    ws: &mut PushWorkspace,
-) -> (Result<ExplainOutcome, ServeError>, StageLatencies, u64) {
-    let request_id = meta.request_id;
+/// One dequeued read request: fault hook, epoch pin, deadline check, the
+/// endpoint's compute on a private [`ObsHandle`], then [`record_read`].
+/// Runs inside the worker's `catch_unwind`.
+fn serve_read(shared: &Shared, meta: &JobMeta, query: Query, ws: &mut PushWorkspace) -> Reply {
     if let Some(f) = &shared.faults {
-        f.on_dequeue(request_id, "explain");
+        f.on_dequeue(meta.request_id, meta.class.endpoint());
     }
     // Pin the graph epoch for the whole request: every artefact build,
     // column push, and CHECK below sees exactly this snapshot, no matter
     // how many feedback batches publish while we compute.
     let snap = shared.live.pin();
-    // `start` is taken after the fault hook so an injected delay counts as
-    // processing time and can expire the job it hit, like any slow worker.
+    // `start` is taken after the fault hook so an injected delay counts
+    // toward the deadline and can expire the job it hit, like any slow
+    // worker.
     let start = Instant::now();
     // Per-request allocation delta (this worker thread's allocations
     // while the job runs); zero unless the binary installed the
     // tracking allocator.
     let alloc_scope = AllocScope::start();
-    let queue_us = start.duration_since(meta.admitted_at).as_micros() as u64;
-    let expired = start >= meta.deadline;
-    shared.metrics.queue_wait.record_us(queue_us);
-    shared.metrics.queue_wait_explain.record_us(queue_us);
-    let mut stages = StageLatencies {
-        queue_us,
-        ..StageLatencies::default()
-    };
-    let mut event = RequestEvent {
-        request_id,
-        endpoint: "explain".to_owned(),
-        user: user.0,
-        wni: Some(wni.0),
-        method: Some(method.label().to_owned()),
-        epoch: Some(snap.epoch),
-        expected_cost_us: Some(meta.expected_cost_us),
-        ..RequestEvent::default()
-    };
+    let mut event = query.event(meta);
+    event.epoch = Some(snap.epoch);
     // Kept aside so a slow-ring admission can deep-clone the trace
     // without re-locking the trace store.
-    let mut slow_trace: Option<Arc<ExplainTrace>> = None;
-    let result = if expired {
-        ServeMetrics::bump(&shared.metrics.rejected_deadline);
+    let mut trace = None;
+    let result = if start >= meta.deadline {
         Err(ServeError::DeadlineExceeded)
     } else {
         // Private handle: spans + trace stay request-scoped.
-        let req_obs = ObsHandle::enabled();
-        let r = run_explain(shared, &snap, user, wni, method, ws, &req_obs);
-        stages = StageLatencies {
-            queue_us,
-            ..StageLatencies::from_spans(&req_obs.span_tree())
+        let obs = ObsHandle::enabled();
+        let run = match query {
+            Query::Explain { user, wni, method } => {
+                let run = run_explain(shared, &snap, user, wni, method, ws, &obs);
+                if let Some(t) = obs.trace() {
+                    event.mode = Some(t.mode.clone()).filter(|m| !m.is_empty());
+                    let t = Arc::new(t);
+                    shared.traces.lock().insert(meta.request_id, Arc::clone(&t));
+                    trace = Some(t);
+                }
+                run
+            }
+            Query::Recommend { user, k } => run_recommend(shared, &snap, user, k, &obs),
         };
-        let ops = req_obs.counters();
-        shared.obs.merge_counters(&ops);
-        event.ops = ops;
-        if let Some(trace) = req_obs.trace() {
-            event.mode = if trace.mode.is_empty() {
-                None
-            } else {
-                Some(trace.mode.clone())
-            };
-            let trace = Arc::new(trace);
-            slow_trace = Some(Arc::clone(&trace));
-            shared.traces.lock().insert(request_id, trace);
-        }
-        match r {
-            Ok((outcome, session_hit, column_hit)) => {
-                event.session_cache_hit = Some(session_hit);
-                event.column_cache_hit = Some(column_hit);
-                Ok(outcome)
-            }
-            Err(e) => Err(e),
-        }
+        event.stages = StageLatencies::from_spans(&obs.span_tree());
+        event.ops = obs.counters();
+        shared.obs.merge_counters(&event.ops);
+        run.map(|(answer, session_hit, column_hit)| {
+            event.session_cache_hit = Some(session_hit);
+            event.column_cache_hit = column_hit;
+            answer
+        })
     };
-    let is_error = result.is_err();
-    match &result {
-        Ok(Ok(explanation)) => {
-            ServeMetrics::bump(&shared.metrics.explanations_found);
-            event.outcome = "found".to_owned();
+    event.stages.total_alloc_bytes = alloc_scope.bytes();
+    record_read(shared, meta, start, event, trace, result)
+}
+
+/// Records one dequeued read request, once, and returns its reply: the
+/// outcome label and counters, the queue wait (from admission to
+/// `start`) and service time (since `start`), the endpoint's window, the
+/// stage histograms (explains a worker ran), the cost model, the slow
+/// ring (requests pinned to an epoch) and the event line. `event` arrives
+/// with the compute's fields set; `epoch` stays `None` for a request
+/// that panicked.
+fn record_read(
+    shared: &Shared,
+    meta: &JobMeta,
+    start: Instant,
+    mut event: RequestEvent,
+    trace: Option<Arc<ExplainTrace>>,
+    result: Result<Answer, ServeError>,
+) -> Reply {
+    let service = start.elapsed();
+    let queue_us = start.duration_since(meta.admitted_at).as_micros() as u64;
+    event.stages.queue_us = queue_us;
+    event.stages.total_us = queue_us + service.as_micros() as u64;
+    let m = &shared.metrics;
+    event.outcome = match &result {
+        Ok(Answer::Explain(Ok(explanation))) => {
+            ServeMetrics::bump(&m.explanations_found);
             event.explanation_size = Some(explanation.size() as u64);
+            "found"
         }
-        Ok(Err(_)) => {
-            ServeMetrics::bump(&shared.metrics.explanations_failed);
-            event.outcome = "failure".to_owned();
+        Ok(Answer::Explain(Err(_))) => {
+            ServeMetrics::bump(&m.explanations_failed);
+            "failure"
         }
+        Ok(Answer::Recommend(_)) => "ok",
         Err(e) => {
-            if matches!(e, ServeError::InvalidQuestion(_)) {
-                ServeMetrics::bump(&shared.metrics.invalid_questions);
+            match e {
+                ServeError::InvalidQuestion(_) => ServeMetrics::bump(&m.invalid_questions),
+                ServeError::DeadlineExceeded => ServeMetrics::bump(&m.rejected_deadline),
+                ServeError::WorkerPanicked => ServeMetrics::bump(&m.worker_panics),
+                ServeError::Overloaded | ServeError::ShuttingDown => {}
             }
-            event.outcome = e.outcome().to_owned();
+            e.outcome()
         }
     }
-    let total = start.elapsed();
-    stages.total_us = queue_us + total.as_micros() as u64;
-    stages.total_alloc_bytes = alloc_scope.bytes();
-    shared.metrics.record_stages(&stages);
-    shared.metrics.explain_latency.record(total);
-    shared.explain_window.record(stages.total_us, is_error);
-    if !expired {
-        // Feed the cost model with real service time (queue wait
-        // excluded). Expired jobs cost ~nothing and would poison it.
+    .to_owned();
+    let endpoint = m.endpoint(meta.class);
+    m.queue_wait.record_us(queue_us);
+    endpoint.queue_wait.record_us(queue_us);
+    endpoint.latency.record(service);
+    endpoint
+        .window
+        .record(event.stages.total_us, result.is_err());
+    if !matches!(
+        result,
+        Err(ServeError::DeadlineExceeded | ServeError::WorkerPanicked)
+    ) {
+        // Only a job that ran feeds the cost model (real service time,
+        // queue wait excluded) and the stage histograms: an expired job
+        // costs ~nothing and a panicked one stopped short.
         shared
             .queue
-            .observe_cost(meta.class, total.as_micros() as u64);
+            .observe_cost(meta.class, service.as_micros() as u64);
+        if let JobClass::Explain(_) = meta.class {
+            m.record_stages(&event.stages);
+        }
     }
-    event.slow = {
+    if let Some(epoch) = event.epoch {
         // `admits` first so the common fast request never deep-clones
         // its trace; both calls run under one lock acquisition.
-        let mut ring = shared.slow_explain.lock();
-        ring.admits(stages.total_us)
+        let mut ring = endpoint.slow.lock();
+        event.slow = ring.admits(event.stages.total_us)
             && ring.offer(SlowEntry {
-                request_id,
-                endpoint: "explain".to_owned(),
+                request_id: event.request_id,
+                endpoint: event.endpoint.clone(),
                 outcome: event.outcome.clone(),
-                user: user.0,
-                wni: Some(wni.0),
-                method: Some(method.label().to_owned()),
+                user: event.user,
+                wni: event.wni,
+                method: event.method.clone(),
                 mode: event.mode.clone(),
-                total_us: stages.total_us,
-                stages,
-                epoch: snap.epoch,
-                expected_cost_us: Some(meta.expected_cost_us),
-                trace: slow_trace.as_deref().cloned(),
-            })
-    };
-    event.stages = stages;
+                total_us: event.stages.total_us,
+                stages: event.stages,
+                epoch,
+                expected_cost_us: event.expected_cost_us,
+                trace: trace.as_deref().cloned(),
+            });
+    }
     shared.events.emit(&event);
     // Count completion before replying: once a caller has its answer, the
     // metrics must already include that request.
-    ServeMetrics::bump(&shared.metrics.completed_total);
-    (result, stages, snap.epoch)
-}
-
-/// The full recommend path of one dequeued job; see [`explain_job`].
-fn recommend_job(
-    shared: &Shared,
-    meta: &JobMeta,
-    user: NodeId,
-    k: usize,
-) -> (Result<RecommendOutcome, ServeError>, StageLatencies, u64) {
-    let request_id = meta.request_id;
-    if let Some(f) = &shared.faults {
-        f.on_dequeue(request_id, "recommend");
-    }
-    let snap = shared.live.pin();
-    let start = Instant::now();
-    let alloc_scope = AllocScope::start();
-    let queue_us = start.duration_since(meta.admitted_at).as_micros() as u64;
-    let expired = start >= meta.deadline;
-    shared.metrics.queue_wait.record_us(queue_us);
-    shared.metrics.queue_wait_recommend.record_us(queue_us);
-    let mut stages = StageLatencies {
-        queue_us,
-        ..StageLatencies::default()
-    };
-    let mut event = RequestEvent {
-        request_id,
-        endpoint: "recommend".to_owned(),
-        user: user.0,
-        epoch: Some(snap.epoch),
-        expected_cost_us: Some(meta.expected_cost_us),
-        ..RequestEvent::default()
-    };
-    let result = if expired {
-        ServeMetrics::bump(&shared.metrics.rejected_deadline);
-        Err(ServeError::DeadlineExceeded)
-    } else {
-        let req_obs = ObsHandle::enabled();
-        let r = run_recommend(shared, &snap, user, k, &req_obs);
-        stages = StageLatencies {
-            queue_us,
-            ..StageLatencies::from_spans(&req_obs.span_tree())
-        };
-        let ops = req_obs.counters();
-        shared.obs.merge_counters(&ops);
-        event.ops = ops;
-        match r {
-            Ok((items, session_hit)) => {
-                event.session_cache_hit = Some(session_hit);
-                Ok(items)
-            }
-            Err(e) => Err(e),
-        }
-    };
-    let is_error = result.is_err();
-    match &result {
-        Ok(_) => event.outcome = "ok".to_owned(),
-        Err(e) => {
-            if matches!(e, ServeError::InvalidQuestion(_)) {
-                ServeMetrics::bump(&shared.metrics.invalid_questions);
-            }
-            event.outcome = e.outcome().to_owned();
-        }
-    }
-    let total = start.elapsed();
-    stages.total_us = queue_us + total.as_micros() as u64;
-    stages.total_alloc_bytes = alloc_scope.bytes();
-    shared.metrics.recommend_latency.record(total);
-    shared.recommend_window.record(stages.total_us, is_error);
-    if !expired {
-        shared
-            .queue
-            .observe_cost(meta.class, total.as_micros() as u64);
-    }
-    event.slow = {
-        let mut ring = shared.slow_recommend.lock();
-        ring.admits(stages.total_us)
-            && ring.offer(SlowEntry {
-                request_id,
-                endpoint: "recommend".to_owned(),
-                outcome: event.outcome.clone(),
-                user: user.0,
-                wni: None,
-                method: None,
-                mode: None,
-                total_us: stages.total_us,
-                stages,
-                epoch: snap.epoch,
-                expected_cost_us: Some(meta.expected_cost_us),
-                trace: None,
-            })
-    };
-    event.stages = stages;
-    shared.events.emit(&event);
-    ServeMetrics::bump(&shared.metrics.completed_total);
-    (result, stages, snap.epoch)
-}
-
-/// Accounting for a job whose computation unwound: the request still
-/// counts as completed, records a latency sample and a window error, and
-/// emits a `worker_panic` event line — 100% of admitted requests stay
-/// visible in metrics and the event log even across crashes.
-fn account_panic(
-    shared: &Shared,
-    request_id: u64,
-    admitted_at: Instant,
-    endpoint: &'static str,
-    user: NodeId,
-    wni: Option<NodeId>,
-    method: Option<Method>,
-) {
-    ServeMetrics::bump(&shared.metrics.worker_panics);
-    let total_us = admitted_at.elapsed().as_micros() as u64;
-    let stages = StageLatencies {
-        total_us,
-        ..StageLatencies::default()
-    };
-    if endpoint == "explain" {
-        shared.metrics.explain_latency.record_us(total_us);
-        shared.explain_window.record(total_us, true);
-    } else {
-        shared.metrics.recommend_latency.record_us(total_us);
-        shared.recommend_window.record(total_us, true);
-    }
-    shared.events.emit(&RequestEvent {
-        request_id,
-        endpoint: endpoint.to_owned(),
-        outcome: "worker_panic".to_owned(),
-        user: user.0,
-        wni: wni.map(|w| w.0),
-        method: method.map(|m| m.label().to_owned()),
-        stages,
-        ..RequestEvent::default()
-    });
-    ServeMetrics::bump(&shared.metrics.completed_total);
+    ServeMetrics::bump(&m.completed_total);
+    // Every answer was computed on a pinned epoch.
+    result.map(|answer| (answer, event.stages, event.epoch.unwrap_or_default()))
 }
 
 /// Cheap structural integrity check on a session-cache hit. A healthy
@@ -1222,7 +1051,7 @@ fn run_explain(
     method: Method,
     ws_slot: &mut PushWorkspace,
     obs: &ObsHandle,
-) -> Result<(ExplainOutcome, bool, bool), ServeError> {
+) -> Result<(Answer, bool, Option<bool>), ServeError> {
     // The serving path assembles the context from cached artefacts, which
     // bypasses `ExplainContext::build`'s own context_build span — open the
     // equivalent stage span here so attribution covers cache misses too.
@@ -1253,7 +1082,7 @@ fn run_explain(
             let ctx = ctx.with_column_source(|t| column(shared, snap, t, obs).0);
             let outcome = Explainer::explain_with_context(&ctx, method);
             *ws_slot = ctx.into_workspace();
-            Ok((outcome, session_hit, column_hit))
+            Ok((Answer::Explain(outcome), session_hit, Some(column_hit)))
         }
         // Unreachable after the validation above; the workspace was
         // consumed, but clear()/load_base() re-grow the placeholder.
@@ -1267,13 +1096,13 @@ fn run_recommend(
     user: NodeId,
     k: usize,
     obs: &ObsHandle,
-) -> Result<(RecommendOutcome, bool), ServeError> {
+) -> Result<(Answer, bool, Option<bool>), ServeError> {
     let cb = obs.span("context_build");
     let (art, session_hit) =
         artifacts(shared, snap, user, obs).map_err(ServeError::InvalidQuestion)?;
     drop(cb);
     let items = recommend_from_push(&*snap.graph, &shared.cfg, user, &art.user_push, k);
-    Ok((items, session_hit))
+    Ok((Answer::Recommend(items), session_hit, None))
 }
 
 /// The canonical scoring of a top-`k` list from a converged user push:

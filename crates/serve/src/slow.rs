@@ -46,8 +46,9 @@ pub struct SlowEntry {
     pub trace: Option<ExplainTrace>,
 }
 
-/// Bounded slowest-N ring for one endpoint; see the module docs.
-#[derive(Debug)]
+/// Bounded slowest-N ring for one endpoint; see the module docs. The
+/// default ring has capacity 0 and keeps nothing.
+#[derive(Debug, Default)]
 pub struct SlowRing {
     cap: usize,
     /// Sorted by descending `total_us`.
@@ -78,7 +79,7 @@ impl SlowRing {
     /// is evicted.
     pub fn offer(&mut self, entry: SlowEntry) -> bool {
         if self.entries.len() >= self.cap {
-            let min = self.entries.last().map_or(0, |e| e.total_us);
+            let min = self.entries.last().map_or(u64::MAX, |e| e.total_us);
             if entry.total_us <= min {
                 return false;
             }
@@ -188,6 +189,14 @@ mod tests {
         ring.offer(entry(3, 100));
         let ids: Vec<u64> = ring.snapshot().iter().map(|e| e.request_id).collect();
         assert_eq!(ids, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn the_default_ring_keeps_nothing() {
+        let mut ring = SlowRing::default();
+        assert!(!ring.admits(u64::MAX));
+        assert!(!ring.offer(entry(1, 100)));
+        assert!(ring.is_empty());
     }
 
     #[test]

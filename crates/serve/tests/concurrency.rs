@@ -403,10 +403,9 @@ fn intra_request_parallelism_preserves_reference_answers() {
 
     let service = ExplanationService::start(
         graph,
-        cfg,
+        cfg.clone().with_parallelism(2),
         ServiceConfig {
             workers: 2,
-            intra_request_parallelism: 2,
             ..ServiceConfig::default()
         },
     );

@@ -358,6 +358,52 @@ fn overload_and_expiry_account_every_request() {
 }
 
 #[test]
+fn an_explain_that_expires_in_the_queue_records_no_stage_samples() {
+    let (graph, cfg, users) = test_world();
+    let (user, wni) = one_question(&graph, &cfg, &users);
+    let service = Arc::new(ExplanationService::start(
+        graph,
+        cfg,
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    ));
+    let stall = service.stall_workers_for_test();
+    let svc = Arc::clone(&service);
+    let doomed = std::thread::spawn(move || {
+        svc.explain_request(
+            user,
+            wni,
+            emigre_core::Method::AddPowerset,
+            Duration::from_millis(1),
+        )
+    });
+    wait_queue_depth(&service, 1);
+    std::thread::sleep(Duration::from_millis(5)); // let the deadline lapse
+    drop(stall);
+    let (_, r) = doomed.join().unwrap();
+    assert_eq!(r.unwrap_err(), ServeError::DeadlineExceeded);
+
+    let m = service.metrics();
+    assert_eq!(m.rejected_deadline, 1);
+    // The dequeued request is timed like any other...
+    assert_eq!(m.queue_wait_explain.count, 1);
+    assert_eq!(m.explain_latency.count, 1);
+    // ...but no worker ran it, so no stage saw it.
+    for (stage, h) in [
+        ("context", &m.stage_context),
+        ("search", &m.stage_search),
+        ("test", &m.stage_test),
+        ("check_parallel", &m.stage_check_parallel),
+    ] {
+        assert_eq!(h.count, 0, "an expired explain adds no {stage} sample");
+    }
+    accounting_holds(&service);
+    service.shutdown();
+}
+
+#[test]
 fn cost_model_learns_and_updates_the_expected_cost() {
     let (graph, cfg, users) = test_world();
     let (user, _) = two_users(&graph, &cfg, &users);

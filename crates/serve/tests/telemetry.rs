@@ -12,8 +12,8 @@ use emigre_data::synth::{SynthConfig, SynthDataset};
 use emigre_hin::{Hin, NodeId};
 use emigre_obs::validate_exposition;
 use emigre_serve::{
-    prometheus_text, reference_recommend, ExplanationService, RequestEvent, ServeError,
-    ServiceConfig,
+    prometheus_text, reference_explain, reference_recommend, ExplanationService, RequestEvent,
+    ServeError, ServiceConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -269,6 +269,95 @@ fn event_log_writes_one_parseable_line_per_request() {
         }
     }
     assert!(outcomes.contains(&"invalid_question".to_owned()));
+    let _ = std::fs::remove_file(&log_path);
+}
+
+/// One question whose reference answer is found and one whose search
+/// fails.
+fn found_and_failed_questions(
+    graph: &Hin,
+    cfg: &emigre_core::EmigreConfig,
+    users: &[NodeId],
+) -> [(NodeId, NodeId, Method); 2] {
+    let (mut found, mut failed) = (None, None);
+    for &user in users {
+        let Ok(list) = reference_recommend(graph, cfg, user, 10) else {
+            continue;
+        };
+        for &(wni, _) in list.iter().skip(1) {
+            for method in [Method::AddIncremental, Method::RemoveIncremental] {
+                match reference_explain(graph, cfg, user, wni, method) {
+                    Ok(Ok(_)) => found = found.or(Some((user, wni, method))),
+                    Ok(Err(_)) => failed = failed.or(Some((user, wni, method))),
+                    Err(_) => {}
+                }
+                if let (Some(f), Some(x)) = (found, failed) {
+                    return [f, x];
+                }
+            }
+        }
+    }
+    panic!("world lacks a found or a failed question");
+}
+
+#[test]
+fn slow_ring_entries_equal_their_event_lines() {
+    let (graph, cfg, users) = test_world();
+    let questions = found_and_failed_questions(&graph, &cfg, &users);
+    let dir = std::env::temp_dir().join(format!("emigre-telemetry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log_path = dir.join("records.jsonl");
+    let service = ExplanationService::start(
+        graph,
+        cfg,
+        ServiceConfig {
+            workers: 1,
+            event_log: Some(log_path.clone()),
+            slow_ring_capacity: 16,
+            ..ServiceConfig::default()
+        },
+    );
+    let mut outcomes = Vec::new();
+    for _ in 0..2 {
+        for (user, wni, method) in questions {
+            let (_, r) = service.explain_request(user, wni, method, Duration::from_secs(60));
+            let found = r.expect("explain answers").outcome.is_ok();
+            outcomes.push(if found { "found" } else { "failure" });
+        }
+        let (_, r) = service.recommend_request(questions[0].0, 5, Duration::from_secs(60));
+        r.expect("recommend answers");
+        outcomes.push("ok");
+    }
+    assert!(outcomes.contains(&"found") && outcomes.contains(&"failure"));
+    let slow = service.debug_slow();
+    service.shutdown();
+
+    let text = std::fs::read_to_string(&log_path).unwrap();
+    let events: Vec<RequestEvent> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    assert_eq!(events.len(), outcomes.len());
+    let entries: Vec<_> = slow.explain.iter().chain(&slow.recommend).collect();
+    assert_eq!(entries.len(), events.len(), "the ring keeps every request");
+    for e in entries {
+        let ev = events
+            .iter()
+            .find(|ev| ev.request_id == e.request_id)
+            .expect("every ring entry has an event line");
+        assert!(ev.slow, "request {} is flagged slow", ev.request_id);
+        assert_eq!(e.endpoint, ev.endpoint);
+        assert_eq!(e.outcome, ev.outcome);
+        assert_eq!(e.outcome, outcomes[e.request_id as usize - 1]);
+        assert_eq!(e.user, ev.user);
+        assert_eq!(e.wni, ev.wni);
+        assert_eq!(e.method, ev.method);
+        assert_eq!(e.mode, ev.mode);
+        assert_eq!(e.stages, ev.stages);
+        assert_eq!(Some(e.epoch), ev.epoch);
+        assert_eq!(e.expected_cost_us, ev.expected_cost_us);
+        assert_eq!(e.total_us, e.stages.total_us);
+    }
     let _ = std::fs::remove_file(&log_path);
 }
 

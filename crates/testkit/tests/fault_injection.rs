@@ -173,6 +173,75 @@ fn panicked_worker_recovers_and_accounts_every_request() {
 }
 
 #[test]
+fn a_panicked_request_is_timed_like_any_other_dequeued_request() {
+    quiet_fault_panics();
+    let (world, user, wni) = fault_world();
+    let log = unique_log_path("panic-timing");
+    let plan = FaultPlan::new();
+    plan.panic_on(1);
+    let service = Arc::new(ExplanationService::start(
+        world.graph.clone(),
+        world.cfg.clone(),
+        ServiceConfig {
+            workers: 1,
+            event_log: Some(log.clone()),
+            faults: Some(plan.handle()),
+            ..ServiceConfig::default()
+        },
+    ));
+    // The request waits behind a stalled worker, then panics at dequeue.
+    let stall_for = Duration::from_millis(200);
+    let stall = service.stall_workers_for_test();
+    let s = Arc::clone(&service);
+    let panicked = std::thread::spawn(move || {
+        s.explain_request(
+            user,
+            wni,
+            Method::RemoveIncremental,
+            Duration::from_secs(60),
+        )
+    });
+    let wait = Instant::now();
+    while service.metrics().queue_depth < 1 {
+        assert!(wait.elapsed() < Duration::from_secs(10), "never queued");
+        std::thread::yield_now();
+    }
+    std::thread::sleep(stall_for);
+    drop(stall);
+    let (id, r) = panicked.join().unwrap();
+    assert_eq!(r.unwrap_err(), ServeError::WorkerPanicked);
+
+    let m = service.metrics();
+    assert_eq!(m.worker_panics, 1);
+    let stalled_us = stall_for.as_micros() as u64;
+    for (name, h) in [
+        ("queue_wait", &m.queue_wait),
+        ("queue_wait_explain", &m.queue_wait_explain),
+    ] {
+        assert_eq!(h.count, 1, "{name} has the panicked request");
+        assert!(h.max_us >= stalled_us, "{name} holds the stall: {h:?}");
+    }
+    assert_eq!(m.explain_latency.count, 1);
+    assert!(
+        m.explain_latency.max_us < stalled_us,
+        "the latency histogram gets the service time only: {:?}",
+        m.explain_latency
+    );
+    assert_eq!(m.stage_test.count, 0, "the panicked job ran no stage");
+    accounting_holds(&service);
+
+    service.shutdown();
+    let events = read_log(&log, 1);
+    let e = &events[0];
+    assert_eq!((e.request_id, e.outcome.as_str()), (id, "worker_panic"));
+    assert!(e.stages.queue_us >= stalled_us, "{:?}", e.stages);
+    assert!(e.stages.total_us >= e.stages.queue_us);
+    assert!(e.expected_cost_us.is_some(), "admission's estimate is kept");
+    assert_eq!(e.epoch, None, "a panicked request reports no epoch");
+    let _ = std::fs::remove_file(&log);
+}
+
+#[test]
 fn injected_delay_expires_exactly_the_job_it_hit() {
     quiet_fault_panics();
     let (world, user, wni) = fault_world();

@@ -336,7 +336,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
                 None => load_graph(args)?,
             };
-            let cfg = config_for(&g)?;
+            let mut cfg = config_for(&g)?;
             let port: u16 = flag(args, "--port")?
                 .map(|s| s.parse().map_err(|_| "bad --port"))
                 .transpose()?
@@ -370,7 +370,7 @@ fn run(args: &[String]) -> Result<(), String> {
             if let Some(p) = flag(args, "--parallelism")? {
                 // Per-request CHECK worker budget (0 = auto-detect); see
                 // the `parallelism` knob on EmigreConfig.
-                sc.intra_request_parallelism = p.parse().map_err(|_| "bad --parallelism")?;
+                cfg.parallelism = p.parse().map_err(|_| "bad --parallelism")?;
             }
             if let Some(p) = flag(args, "--sched")? {
                 sc.sched.policy = emigre::serve::SchedPolicy::parse(&p)
