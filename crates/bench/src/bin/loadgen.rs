@@ -953,9 +953,9 @@ struct Server {
 }
 
 /// Extra `emigre serve` flags forwarded verbatim from the loadgen
-/// command line, so A/B runs (scheduler policy, reactor count,
-/// keep-alive) use one harness: everything after a bare `--` goes to the
-/// server, e.g. `loadgen --smoke -- --sched fifo --reactor-threads 2`.
+/// command line, so A/B runs (per-user share, reactor count, keep-alive)
+/// use one harness: everything after a bare `--` goes to the server,
+/// e.g. `loadgen --smoke -- --user-share 0.5 --reactor-threads 2`.
 fn forwarded_server_args(args: &[String]) -> Vec<String> {
     match args.iter().position(|a| a == "--") {
         Some(i) => args[i + 1..].to_vec(),

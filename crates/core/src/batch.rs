@@ -29,7 +29,7 @@ pub fn batch_contexts<'g, G: GraphView>(
     user: NodeId,
     wnis: &[NodeId],
 ) -> Vec<Result<ExplainContext<'g, G>, QuestionError>> {
-    batch_contexts_with_obs(graph, cfg, user, wnis, ObsHandle::ambient())
+    batch_contexts_with_obs(graph, cfg, user, wnis, ObsHandle::disabled())
 }
 
 /// [`batch_contexts`] with an explicit observability handle. The handle is
@@ -100,7 +100,7 @@ pub fn explain_whole_list<G: GraphView>(
     // The list comes from the same artefacts the contexts share, so every
     // context's `rec_list` is exactly the list being explained.
     let cfg = explainer.config();
-    let obs = ObsHandle::ambient();
+    let obs = ObsHandle::disabled();
     let artifacts = user_artifacts(graph, cfg, user, &obs)?;
     let wnis: Vec<NodeId> = artifacts.rec_list.items().into_iter().skip(1).collect();
     let contexts = contexts_from(graph, cfg, &artifacts, &wnis, &obs);

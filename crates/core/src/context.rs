@@ -290,14 +290,15 @@ pub struct ExplainContext<'g, G: GraphView, K = TransitionCsr> {
 impl<'g, G: GraphView> ExplainContext<'g, G> {
     /// Validates the question, runs the recommender, and computes the PPR
     /// columns. Fails if the question is malformed (Definition 4.1) or the
-    /// user has no recommendation at all.
+    /// user has no recommendation at all. Records nothing; pass a handle to
+    /// [`ExplainContext::build_with_obs`] for counters, spans and a trace.
     pub fn build(
         graph: &'g G,
         cfg: EmigreConfig,
         user: NodeId,
         wni: NodeId,
     ) -> Result<Self, QuestionError> {
-        Self::build_with_obs(graph, cfg, user, wni, ObsHandle::ambient())
+        Self::build_with_obs(graph, cfg, user, wni, ObsHandle::disabled())
     }
 
     /// [`ExplainContext::build`] with an explicit observability handle.

@@ -53,7 +53,7 @@ pub fn explain_any_of<G: GraphView>(
         checks_performed,
     };
     let cfg = explainer.config();
-    let obs = ObsHandle::ambient();
+    let obs = ObsHandle::disabled();
     let Ok(artifacts) = user_artifacts(g, cfg, user, &obs) else {
         return Err(out_of_scope(0)); // no recommendation to compete with
     };

@@ -54,18 +54,6 @@ impl ObsHandle {
         })))
     }
 
-    /// The default handle for callers that were not given one explicitly:
-    /// disabled normally, enabled when the `ambient` feature (exposed
-    /// downstream as `obs`) is compiled in. Keeping the switch at compile
-    /// time is what makes the disabled path free.
-    pub fn ambient() -> Self {
-        if cfg!(feature = "ambient") {
-            Self::enabled()
-        } else {
-            Self::disabled()
-        }
-    }
-
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
     }
@@ -309,11 +297,5 @@ mod tests {
         assert_eq!(s.forward_pushes, 9);
         // Disabled handles swallow merges silently.
         ObsHandle::disabled().merge_counters(&req.counters());
-    }
-
-    #[test]
-    fn ambient_matches_feature() {
-        let h = ObsHandle::ambient();
-        assert_eq!(h.is_enabled(), cfg!(feature = "ambient"));
     }
 }

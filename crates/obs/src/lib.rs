@@ -21,10 +21,8 @@
 //! structural [`HeapSize`] audit for per-structure byte footprints.
 //!
 //! A disabled handle (the default) is a `None`: every call is a branch on
-//! a null pointer, no state is allocated, nothing is recorded. The
-//! `ambient` cargo feature (re-exported by downstream crates as `obs`)
-//! flips [`ObsHandle::ambient`] to enabled so an entire test run can be
-//! instrumented without threading handles by hand.
+//! a null pointer, no state is allocated, nothing is recorded. Code that
+//! wants counters, spans or a trace passes an enabled handle explicitly.
 
 pub mod alloc;
 mod counters;

@@ -30,7 +30,9 @@ where
     }
     // A plain vector kept sorted is faster than BinaryHeap for the small k
     // (k = 10) used throughout, and keeps the ordering logic in one place.
-    let mut best: Vec<(NodeId, f64)> = Vec::with_capacity(k + 1);
+    // Every candidate indexes `scores`, so the list never outgrows it: a
+    // caller's huge `k` reserves no more than that.
+    let mut best: Vec<(NodeId, f64)> = Vec::with_capacity(k.min(scores.len()) + 1);
     for c in candidates {
         let s = scores[c.index()];
         assert!(!s.is_nan(), "NaN score for {c}");
@@ -94,6 +96,15 @@ mod tests {
         let scores = vec![1.0];
         assert!(top_k(&scores, [n(0)], 0).is_empty());
         assert!(top_k(&scores, std::iter::empty(), 3).is_empty());
+    }
+
+    #[test]
+    fn a_huge_k_returns_every_candidate() {
+        let scores = vec![0.1, 0.5, 0.3];
+        for k in [1 << 40, usize::MAX] {
+            let top = top_k(&scores, (0..3).map(n), k);
+            assert_eq!(top.iter().map(|(x, _)| x.0).collect::<Vec<_>>(), [1, 2, 0]);
+        }
     }
 
     #[test]

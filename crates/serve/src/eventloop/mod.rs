@@ -33,21 +33,22 @@
 //! ```
 //!
 //! * **Keep-alive & pipelining** — the parser yields as many complete
-//!   requests as the buffer holds (up to `pipeline_depth` in flight);
-//!   responses are buffered per-sequence and written strictly in order,
-//!   even when the QoS scheduler finishes them out of order.
+//!   requests as the buffer holds (up to `PIPELINE_DEPTH`, 32, in
+//!   flight); responses are buffered per-sequence and written strictly
+//!   in order, even when the QoS scheduler finishes them out of order.
 //! * **Write backpressure** — a connection whose write buffer exceeds
-//!   `write_backpressure` has its read interest parked until the peer
-//!   drains; a full socket switches interest to writable-only.
+//!   `WRITE_BACKPRESSURE` (256 KiB) has its read interest parked until
+//!   the peer drains; a full socket switches interest to writable-only.
 //! * **Idle reaping** — keep-alive connections idle past
 //!   `keep_alive` are closed on the 100ms housekeeping tick.
 //! * **Malformed input** — framing violations answer 400 (431 for an
 //!   oversized head) with a JSON body before the close.
 //!
 //! Handlers (`route()`) block on the service, so they run on a separate
-//! pool sized `workers + queue_capacity` by default — every admissible
-//! request reaches the [`crate::sched::AdmissionQueue`] immediately and
-//! scheduling happens there, not in the dispatch channel.
+//! pool of `workers + queue_capacity` threads (clamped to 2..=128): every
+//! admissible request reaches the [`crate::sched::AdmissionQueue`]
+//! immediately and scheduling happens there, not in the dispatch
+//! channel.
 
 mod poller;
 
@@ -73,6 +74,13 @@ const TOKEN_CONN_BASE: u64 = 16;
 const TICK: Duration = Duration::from_millis(100);
 /// How long shutdown waits for in-flight responses before force-closing.
 const DRAIN_BUDGET: Duration = Duration::from_secs(5);
+/// Max requests one connection may have in flight at once; further
+/// pipelined requests wait in the connection's parser buffer.
+const PIPELINE_DEPTH: usize = 32;
+/// Per-connection write-buffer cap in bytes: a peer that reads slower
+/// than the server writes gets its read interest parked until the buffer
+/// drains.
+const WRITE_BACKPRESSURE: usize = 256 * 1024;
 
 /// A parsed request on its way to the handler pool.
 struct HandlerJob {
@@ -167,11 +175,7 @@ pub(crate) fn run(
     config: HttpConfig,
 ) -> io::Result<()> {
     let n_reactors = config.reactor_threads.max(1);
-    let n_handlers = if config.handler_threads > 0 {
-        config.handler_threads
-    } else {
-        (service.workers() + service.queue_capacity()).clamp(2, 128)
-    };
+    let n_handlers = (service.workers() + service.queue_capacity()).clamp(2, 128);
     let stats = service.frontend_stats();
     stats
         .reactor_threads
@@ -436,7 +440,7 @@ impl Reactor {
             }
             // Backpressure: a peer that won't read its responses doesn't
             // get more requests parsed either.
-            if conn.pending_write() >= self.config.write_backpressure {
+            if conn.pending_write() >= WRITE_BACKPRESSURE {
                 break;
             }
             match conn.stream.read(&mut chunk) {
@@ -464,13 +468,13 @@ impl Reactor {
     }
 
     /// Drains complete requests out of the parser into the handler pool,
-    /// bounded by `pipeline_depth`.
+    /// bounded by `PIPELINE_DEPTH`.
     fn parse_and_dispatch(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            if conn.closing || conn.in_flight >= self.config.pipeline_depth {
+            if conn.closing || conn.in_flight >= PIPELINE_DEPTH {
                 return;
             }
             match conn.parser.next_request() {
@@ -580,8 +584,8 @@ impl Reactor {
             }
         }
         let want_read = !conn.closing
-            && conn.pending_write() < self.config.write_backpressure
-            && conn.in_flight < self.config.pipeline_depth;
+            && conn.pending_write() < WRITE_BACKPRESSURE
+            && conn.in_flight < PIPELINE_DEPTH;
         let want_write = conn.pending_write() > 0;
         let interest = Interest {
             readable: want_read,

@@ -23,6 +23,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+/// Pending lines the service's event-log ring holds; past them, events
+/// count as dropped instead of blocking workers.
+const RING_CAPACITY: usize = 4096;
+
 /// One request's life, flattened for the log. Everything an operator
 /// needs to triage a single slow or rejected request without replaying
 /// its trace.
@@ -51,7 +55,7 @@ pub struct RequestEvent {
     pub session_cache_hit: Option<bool>,
     pub column_cache_hit: Option<bool>,
     /// The scheduler's expected service cost at admission (µs) — what the
-    /// SJF policy sorted this job by. `None` for feedback.
+    /// fairness layer charges this job's user. `None` for feedback.
     pub expected_cost_us: Option<u64>,
     /// Whether this request was admitted into the slowest-N forensics
     /// ring for its endpoint (and is therefore visible at
@@ -150,10 +154,11 @@ impl EventLogger {
         }
     }
 
-    /// Builds from an optional path (the `--event-log` flag, verbatim).
-    pub fn from_config(path: Option<PathBuf>, capacity: usize) -> Self {
+    /// Builds from an optional path (the `--event-log` flag, verbatim),
+    /// with a ring of `RING_CAPACITY` (4,096) pending lines.
+    pub fn from_config(path: Option<PathBuf>) -> Self {
         match path {
-            Some(p) => Self::to_path(p, capacity),
+            Some(p) => Self::to_path(p, RING_CAPACITY),
             None => Self::disabled(),
         }
     }

@@ -43,7 +43,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Front-end knobs (`emigre serve` flags map onto these).
+/// Front-end knobs (`emigre serve` flags map onto these). The handler
+/// pool, pipelining depth and write backpressure are fixed; see
+/// [`crate::eventloop`].
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
     /// Reactor threads (connections are sharded across them
@@ -53,19 +55,6 @@ pub struct HttpConfig {
     /// closes it. `Duration::ZERO` disables keep-alive entirely (every
     /// response carries `Connection: close`).
     pub keep_alive: Duration,
-    /// Threads in the handler pool that run `route()` (which blocks on
-    /// the service). `0` = auto: service workers + queue capacity,
-    /// capped — enough that every admissible request reaches the QoS
-    /// queue immediately, so scheduling happens there and not in a
-    /// FIFO dispatch channel.
-    pub handler_threads: usize,
-    /// Per-connection write-buffer cap; a slower reader than writer gets
-    /// its socket read interest parked until the buffer drains.
-    pub write_backpressure: usize,
-    /// Max requests a single connection may have in flight at once
-    /// (pipelining depth); further pipelined requests wait in the
-    /// connection's parser buffer.
-    pub pipeline_depth: usize,
 }
 
 impl Default for HttpConfig {
@@ -73,9 +62,6 @@ impl Default for HttpConfig {
         HttpConfig {
             reactor_threads: 1,
             keep_alive: Duration::from_secs(30),
-            handler_threads: 0,
-            write_backpressure: 256 * 1024,
-            pipeline_depth: 32,
         }
     }
 }

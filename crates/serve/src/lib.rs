@@ -49,10 +49,7 @@ pub use metrics::{
     WindowsSnapshot,
 };
 pub use parse::{HttpRequest, ParseError, RequestParser};
-pub use sched::{
-    AdmissionQueue, AdmitError, CostClassSnapshot, JobClass, JobMeta, SchedConfig, SchedPolicy,
-    SchedSnapshot,
-};
+pub use sched::{AdmissionQueue, AdmitError, CostClassSnapshot, JobClass, JobMeta, SchedSnapshot};
 pub use service::{
     recommend_from_push, reference_explain, reference_recommend, ExplainOutcome, ExplainResponse,
     ExplanationService, RecommendOutcome, RecommendResponse, ServeError, ServiceConfig,

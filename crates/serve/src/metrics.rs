@@ -336,7 +336,7 @@ pub struct MetricsSnapshot {
     pub recommend_latency: HistogramSnapshot,
     pub queue_wait: HistogramSnapshot,
     /// Queue wait split by endpoint: the scheduler's effect is visible
-    /// here (SJF pulls the recommend wait far below the explain wait).
+    /// here (a tight `deadline_ms` pulls an endpoint's wait down).
     pub queue_wait_explain: HistogramSnapshot,
     pub queue_wait_recommend: HistogramSnapshot,
     pub stage_context: HistogramSnapshot,
@@ -349,8 +349,8 @@ pub struct MetricsSnapshot {
     pub windows: WindowsSnapshot,
     /// Connection-layer counters from the front end.
     pub frontend: FrontendSnapshot,
-    /// Admission-scheduler policy, reorder count, quota rejections, and
-    /// per-class expected costs.
+    /// Admission-scheduler reorder count, quota rejections, and per-class
+    /// expected costs.
     pub sched: SchedSnapshot,
 }
 
@@ -826,7 +826,6 @@ mod tests {
                 reactor_threads: 2,
             },
             sched: SchedSnapshot {
-                policy: "sjf".to_owned(),
                 reordered_total: 4,
                 rejected_user_quota: 2,
                 classes: vec![crate::sched::CostClassSnapshot {

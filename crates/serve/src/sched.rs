@@ -1,38 +1,28 @@
 //! QoS-aware admission scheduling.
 //!
-//! [`AdmissionQueue`] replaces the bounded FIFO channel between
-//! `admit()` and the worker pool. Capacity and overload semantics are
-//! unchanged (full queue → `Overloaded`, close → drain then `None`),
-//! but *which* queued job a freed worker picks next is a policy
-//! decision:
+//! [`AdmissionQueue`] is the bounded queue between `admit()` and the
+//! worker pool: a full queue answers `Overloaded`, and close drains what
+//! was admitted, then answers `None`. A freed worker takes the queued job
+//! with the earliest absolute deadline (EDF), so a tight-deadline request
+//! is not stuck behind a lax one. Under a uniform deadline this is
+//! arrival order, which bounds every request's wait.
 //!
-//! * [`SchedPolicy::Fifo`] — arrival order (the old behaviour).
-//! * [`SchedPolicy::Deadline`] — earliest absolute deadline first
-//!   (the default), so a tight-deadline request is not stuck behind a
-//!   lax one; under a uniform deadline it degenerates to arrival order,
-//!   which bounds every request's wait.
-//! * [`SchedPolicy::Sjf`] — shortest expected job first, using the
-//!   [`CostModel`] below; cheap recommends and incremental explains
-//!   overtake queued powerset searches, which minimises *mean* queue
-//!   wait on a heterogeneous mix — at the price of concentrating the
-//!   wait tail on the expensive classes, which is why it is opt-in
-//!   rather than the default.
-//!
-//! **Fairness** is layered *over* the policy: each user accumulates
-//! dispatched expected-cost, and selection orders first by the user's
-//! consumed-quantum count, then by the policy key, then by arrival
-//! sequence. A user who has already burned a full quantum while another
-//! user waits goes to the back regardless of policy — one heavy user
-//! cannot starve the queue. Admission adds a second guard: with
+//! **Fairness** is layered *over* the deadline order: each user
+//! accumulates dispatched expected cost, and selection orders first by
+//! how many [`FAIRNESS_QUANTUM_US`] quanta the user has consumed, then by
+//! deadline, then by arrival sequence. A user who has already burned a
+//! full quantum while another user waits goes to the back, so one heavy
+//! user cannot starve the queue. Admission adds a second guard: with
 //! `user_share < 1.0`, one user may hold at most that fraction of queue
 //! capacity (rejections count as overload *and* as
-//! `rejected_user_quota` so accounting stays 100%).
+//! `rejected_user_quota`, so accounting stays 100%).
 //!
-//! The **cost model** is the serving-side continuation of the PR 4
-//! stage histograms: one [`LatencyHistogram`] per job class (recommend
-//! plus each explain method), fed with observed service time on
-//! completion. Expected cost is the histogram mean, blended with a
-//! static prior so the scheduler orders sensibly before warm-up.
+//! The **cost model** prices each job for the fairness layer. It keeps
+//! one [`LatencyHistogram`] per job class (recommend plus each explain
+//! method), fed with observed service time on completion. A class's
+//! expected cost is its histogram mean blended with a static prior that
+//! weighs as much as 4 observations, so jobs are priced sensibly before
+//! warm-up.
 //!
 //! Every decision is observable: a bounded dispatch log (test hook),
 //! a `reordered_total` counter (dispatches that jumped arrival order),
@@ -47,57 +37,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-/// Which job a freed worker picks from the queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Arrival order.
-    Fifo,
-    /// Earliest absolute deadline first.
-    Deadline,
-    /// Shortest expected job first (cost-model driven).
-    Sjf,
-}
-
-impl SchedPolicy {
-    pub fn parse(s: &str) -> Option<SchedPolicy> {
-        match s {
-            "fifo" => Some(SchedPolicy::Fifo),
-            "deadline" | "edf" => Some(SchedPolicy::Deadline),
-            "sjf" => Some(SchedPolicy::Sjf),
-            _ => None,
-        }
-    }
-
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedPolicy::Fifo => "fifo",
-            SchedPolicy::Deadline => "deadline",
-            SchedPolicy::Sjf => "sjf",
-        }
-    }
-}
-
-/// Scheduler knobs, part of `ServiceConfig`.
-#[derive(Debug, Clone)]
-pub struct SchedConfig {
-    pub policy: SchedPolicy,
-    /// Max fraction of queue capacity one user may occupy (admission
-    /// guard). `1.0` disables the cap.
-    pub user_share: f64,
-    /// Expected-cost credit a user burns before yielding to others in
-    /// selection order. `0` disables fairness reordering.
-    pub fairness_quantum_us: u64,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        SchedConfig {
-            policy: SchedPolicy::Deadline,
-            user_share: 1.0,
-            fairness_quantum_us: 250_000,
-        }
-    }
-}
+/// Expected cost a user burns before yielding to less-served users in
+/// selection order, in µs.
+pub const FAIRNESS_QUANTUM_US: u64 = 250_000;
 
 /// The cost classes the model distinguishes: one per explain method
 /// plus recommends. Feedback and stall jobs are not scheduled jobs.
@@ -134,7 +76,7 @@ impl JobClass {
     /// histogram warms up. Magnitudes come from BENCH_ppr.json:
     /// recommends are a cached-push lookup, incremental explains scan
     /// few candidates, powerset/exhaustive/brute searches are the heavy
-    /// tail. Only the *ordering* matters cold — observations take over.
+    /// tail. Observations take over as they arrive.
     fn prior_us(&self) -> u64 {
         match self {
             JobClass::Recommend => 2_000,
@@ -217,7 +159,6 @@ pub struct CostClassSnapshot {
 /// Scheduler state in `/metrics`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct SchedSnapshot {
-    pub policy: String,
     /// Dispatches that jumped ahead of an earlier arrival.
     pub reordered_total: u64,
     /// Admissions rejected by the per-user share cap (these also count
@@ -273,7 +214,7 @@ struct State<T> {
     next_seq: u64,
 }
 
-/// Bounded, policy-ordered, fairness-aware admission queue.
+/// Bounded, deadline-ordered, fairness-aware admission queue.
 ///
 /// Replaces the crossbeam channel: producers `try_push` (non-blocking,
 /// rejecting), workers `pop` (blocking via condvar, `None` after close
@@ -284,7 +225,9 @@ pub struct AdmissionQueue<T> {
     state: Mutex<State<T>>,
     available: Condvar,
     capacity: usize,
-    cfg: SchedConfig,
+    /// Max fraction of `capacity` one user may occupy; `1.0` disables
+    /// the cap.
+    user_share: f64,
     cost: CostModel,
     base: Instant,
     reordered: AtomicU64,
@@ -297,7 +240,7 @@ pub struct AdmissionQueue<T> {
 const DISPATCH_LOG_CAP: usize = 256;
 
 impl<T> AdmissionQueue<T> {
-    pub fn new(capacity: usize, cfg: SchedConfig) -> Self {
+    pub fn new(capacity: usize, user_share: f64) -> Self {
         AdmissionQueue {
             state: Mutex::new(State {
                 entries: Vec::new(),
@@ -307,17 +250,13 @@ impl<T> AdmissionQueue<T> {
             }),
             available: Condvar::new(),
             capacity: capacity.max(1),
-            cfg,
+            user_share,
             cost: CostModel::new(),
             base: Instant::now(),
             reordered: AtomicU64::new(0),
             rejected_user_quota: AtomicU64::new(0),
             dispatch_log: Mutex::new(VecDeque::new()),
         }
-    }
-
-    pub fn policy(&self) -> SchedPolicy {
-        self.cfg.policy
     }
 
     /// Maximum queued (not yet dispatched) jobs before `try_push`
@@ -346,9 +285,9 @@ impl<T> AdmissionQueue<T> {
         self.len() == 0
     }
 
-    /// Non-blocking admission. The per-user share cap applies before
-    /// the capacity check so a flooding user sees `UserQuota` (not
-    /// `Overloaded`) while room remains for others.
+    /// Non-blocking admission. A full queue answers `Overloaded` to
+    /// everyone; while room remains, a user already holding its share
+    /// answers `UserQuota`.
     pub fn try_push(&self, item: T, meta: JobMeta) -> Result<(), AdmitError> {
         let mut st = self.state.lock().unwrap();
         if st.closed {
@@ -404,8 +343,8 @@ impl<T> AdmissionQueue<T> {
         Ok(())
     }
 
-    /// Blocks until a job is available (policy-selected) or the queue is
-    /// closed *and* drained.
+    /// Blocks until a job is available (earliest deadline first, under
+    /// per-user fairness) or the queue is closed *and* drained.
     pub fn pop(&self) -> Option<(T, JobMeta)> {
         let mut st = self.state.lock().unwrap();
         loop {
@@ -469,7 +408,6 @@ impl<T> AdmissionQueue<T> {
 
     pub fn snapshot(&self) -> SchedSnapshot {
         SchedSnapshot {
-            policy: self.cfg.policy.label().to_owned(),
             reordered_total: self.reordered_total(),
             rejected_user_quota: self.rejected_user_quota(),
             classes: self.cost.snapshot(),
@@ -477,38 +415,29 @@ impl<T> AdmissionQueue<T> {
     }
 
     fn user_cap(&self) -> usize {
-        if self.cfg.user_share >= 1.0 {
+        if self.user_share >= 1.0 {
             return self.capacity;
         }
-        ((self.capacity as f64 * self.cfg.user_share).floor() as usize).max(1)
+        ((self.capacity as f64 * self.user_share).floor() as usize).max(1)
     }
 
     /// Index of the entry to dispatch next. Lexicographic key:
-    /// `(privileged?, fair_tag, policy_key, seq)` — privileged first,
-    /// then least-consumed user, then the policy, then arrival order.
+    /// `(privileged?, fair_tag, deadline, seq)`: privileged first, then
+    /// the least-served user, then the earliest deadline, then arrival
+    /// order. A deadline past `u64::MAX` µs saturates rather than wraps.
     fn select(&self, st: &State<T>) -> usize {
         let key = |e: &Entry<T>| -> (u8, u64, u64, u64) {
             if e.privileged {
                 return (0, 0, 0, e.seq);
             }
-            let fair_tag = if self.cfg.fairness_quantum_us == 0 {
-                0
-            } else {
-                st.users
-                    .get(&e.meta.user)
-                    .map(|u| u.dispatched_cost_us / self.cfg.fairness_quantum_us)
-                    .unwrap_or(0)
-            };
-            let policy_key = match self.cfg.policy {
-                SchedPolicy::Fifo => 0,
-                SchedPolicy::Deadline => e
-                    .meta
-                    .deadline
-                    .saturating_duration_since(self.base)
-                    .as_micros() as u64,
-                SchedPolicy::Sjf => e.meta.expected_cost_us,
-            };
-            (1, fair_tag, policy_key, e.seq)
+            let fair_tag = st
+                .users
+                .get(&e.meta.user)
+                .map(|u| u.dispatched_cost_us / FAIRNESS_QUANTUM_US)
+                .unwrap_or(0);
+            let deadline = e.meta.deadline.saturating_duration_since(self.base);
+            let deadline_us = u64::try_from(deadline.as_micros()).unwrap_or(u64::MAX);
+            (1, fair_tag, deadline_us, e.seq)
         };
         st.entries
             .iter()
@@ -543,13 +472,9 @@ mod tests {
 
     #[test]
     fn fifo_preserves_arrival_order() {
-        let q = AdmissionQueue::new(
-            8,
-            SchedConfig {
-                policy: SchedPolicy::Fifo,
-                ..SchedConfig::default()
-            },
-        );
+        // Under a uniform deadline, earliest-deadline-first is arrival
+        // order.
+        let q = AdmissionQueue::new(8, 1.0);
         for id in 0..4 {
             push(&q, id, id as u32, JobClass::Recommend, 1000);
         }
@@ -559,33 +484,8 @@ mod tests {
     }
 
     #[test]
-    fn sjf_dispatches_cheap_class_first() {
-        let q = AdmissionQueue::new(
-            8,
-            SchedConfig {
-                policy: SchedPolicy::Sjf,
-                ..SchedConfig::default()
-            },
-        );
-        // Expensive explain arrives before a cheap recommend; SJF should
-        // dispatch the recommend first (priors order them pre-warm-up).
-        push(&q, 10, 1, JobClass::Explain(Method::AddPowerset), 1000);
-        push(&q, 11, 2, JobClass::Recommend, 1000);
-        assert_eq!(q.pop().unwrap().0, 11);
-        assert_eq!(q.pop().unwrap().0, 10);
-        assert_eq!(q.reordered_total(), 1);
-        assert_eq!(q.dispatch_order(), vec![11, 10]);
-    }
-
-    #[test]
     fn deadline_policy_orders_by_deadline() {
-        let q = AdmissionQueue::new(
-            8,
-            SchedConfig {
-                policy: SchedPolicy::Deadline,
-                ..SchedConfig::default()
-            },
-        );
+        let q = AdmissionQueue::new(8, 1.0);
         push(&q, 20, 1, JobClass::Recommend, 10_000);
         push(&q, 21, 1, JobClass::Recommend, 100);
         assert_eq!(q.pop().unwrap().0, 21);
@@ -593,18 +493,26 @@ mod tests {
     }
 
     #[test]
+    fn a_far_future_deadline_does_not_jump_the_queue() {
+        let q = AdmissionQueue::new(8, 1.0);
+        push(&q, 1, 1, JobClass::Recommend, 100);
+        // 2^64 µs + 10 µs ahead: a key taken modulo 2^64 would read 10 µs.
+        let mut far = meta(2, 2, JobClass::Recommend, 0);
+        far.deadline += Duration::from_micros(u64::MAX) + Duration::from_micros(11);
+        q.try_push(2, far).unwrap();
+        let order: Vec<u64> = (0..2).map(|_| q.pop().unwrap().0).collect();
+        assert_eq!(order, vec![1, 2]);
+    }
+
+    #[test]
     fn fairness_yields_to_less_served_user() {
-        let q = AdmissionQueue::new(
-            16,
-            SchedConfig {
-                policy: SchedPolicy::Sjf,
-                user_share: 1.0,
-                fairness_quantum_us: 1, // every dispatch burns ≥1 quantum
-            },
-        );
-        // User 1 floods four recommends, user 2 arrives last with one.
+        let q = AdmissionQueue::new(16, 1.0);
+        // User 1 floods four brute-force explains, each priced at one
+        // quantum or more; user 2 arrives last with one recommend.
+        let flood = JobClass::Explain(Method::RemoveBruteForce);
+        assert!(q.expected_cost_us(flood) >= FAIRNESS_QUANTUM_US);
         for id in 0..4 {
-            push(&q, id, 1, JobClass::Recommend, 1000);
+            push(&q, id, 1, flood, 1000);
         }
         push(&q, 99, 2, JobClass::Recommend, 1000);
         let order: Vec<u64> = (0..5).map(|_| q.pop().unwrap().0).collect();
@@ -615,13 +523,7 @@ mod tests {
 
     #[test]
     fn user_share_caps_a_flooding_user() {
-        let q = AdmissionQueue::new(
-            8,
-            SchedConfig {
-                user_share: 0.25, // 2 of 8 slots per user
-                ..SchedConfig::default()
-            },
-        );
+        let q = AdmissionQueue::new(8, 0.25); // 2 of 8 slots per user
         push(&q, 0, 7, JobClass::Recommend, 1000);
         push(&q, 1, 7, JobClass::Recommend, 1000);
         let m = meta(2, 7, JobClass::Recommend, 1000);
@@ -634,7 +536,7 @@ mod tests {
 
     #[test]
     fn capacity_rejects_with_overloaded() {
-        let q = AdmissionQueue::new(2, SchedConfig::default());
+        let q = AdmissionQueue::new(2, 1.0);
         push(&q, 0, 1, JobClass::Recommend, 1000);
         push(&q, 1, 2, JobClass::Recommend, 1000);
         let m = meta(2, 3, JobClass::Recommend, 1000);
@@ -643,7 +545,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_none() {
-        let q = AdmissionQueue::new(8, SchedConfig::default());
+        let q = AdmissionQueue::new(8, 1.0);
         push(&q, 0, 1, JobClass::Recommend, 1000);
         q.close();
         let m = meta(1, 1, JobClass::Recommend, 1000);
@@ -654,7 +556,7 @@ mod tests {
 
     #[test]
     fn cost_model_learns_from_observations() {
-        let q: AdmissionQueue<u64> = AdmissionQueue::new(8, SchedConfig::default());
+        let q: AdmissionQueue<u64> = AdmissionQueue::new(8, 1.0);
         let cold = q.expected_cost_us(JobClass::Recommend);
         assert_eq!(cold, 2_000); // prior
         for _ in 0..100 {

@@ -6,8 +6,8 @@
 //! ```text
 //!  explain_request ───┐                                  N workers, one lifecycle per job:
 //!                     ├─ admit ──try_push──▶ AdmissionQueue ──pop──▶ serve_read
-//!  recommend_request ─┘    │      (QoS policy: fifo/         ├─ fault hook, pin GraphEpoch
-//!         ▲                │       deadline/sjf + per-user   ├─ deadline check (DeadlineExceeded)
+//!  recommend_request ─┘    │      (earliest deadline         ├─ fault hook, pin GraphEpoch
+//!         ▲                │       first + per-user          ├─ deadline check (DeadlineExceeded)
 //!         └── Overloaded ──┘       fairness, see             ├─ run_explain | run_recommend on a
 //!             when full or over    crate::sched)             │  private ObsHandle, over the session
 //!             the per-user share:                            │  and column caches and the worker's
@@ -78,7 +78,7 @@ use crate::live::{
     events_to_delta, FeedbackError, FeedbackEvent, FeedbackOutcome, GraphEpoch, LiveGraph,
 };
 use crate::metrics::{FrontendStats, MetricsSnapshot, ServeMetrics, ServiceOwned};
-use crate::sched::{AdmissionQueue, AdmitError, JobClass, JobMeta, SchedConfig};
+use crate::sched::{AdmissionQueue, AdmitError, JobClass, JobMeta};
 use crate::slow::{SlowEntry, SlowSnapshot};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use emigre_core::{
@@ -116,17 +116,15 @@ pub struct ServiceConfig {
     /// `/trace/<id>` (LRU by request id).
     pub trace_capacity: usize,
     /// When set, one JSON [`RequestEvent`] line per completed/rejected
-    /// request is appended here by a dedicated writer thread.
+    /// request is appended here by a dedicated writer thread, through a
+    /// ring of 4,096 pending lines.
     pub event_log: Option<PathBuf>,
-    /// Pending-line capacity of the event-log ring; overflow increments
-    /// the drop counter instead of blocking workers.
-    pub event_log_capacity: usize,
     /// Test-only fault hooks consulted once per dequeued job. `None` in
     /// production — see [`crate::fault`].
     pub faults: Option<FaultHandle>,
-    /// Admission-scheduler policy, per-user share cap, and fairness
-    /// quantum — see [`crate::sched`].
-    pub sched: SchedConfig,
+    /// Max fraction of the queue one user may hold; `1.0` disables the
+    /// cap — see [`crate::sched`].
+    pub user_share: f64,
     /// Slowest-N requests retained per endpoint for after-the-fact
     /// forensics (`GET /debug/slow`) — see [`crate::slow`].
     pub slow_ring_capacity: usize,
@@ -144,9 +142,8 @@ impl Default for ServiceConfig {
             column_capacity: 256,
             trace_capacity: 512,
             event_log: None,
-            event_log_capacity: 4096,
             faults: None,
-            sched: SchedConfig::default(),
+            user_share: 1.0,
             slow_ring_capacity: 8,
         }
     }
@@ -295,8 +292,8 @@ enum Work {
 
 /// State shared between the front-end handle and every worker.
 struct Shared {
-    /// QoS-aware admission queue (policy, fairness, cost model) between
-    /// `admit` and the workers — see [`crate::sched`].
+    /// QoS-aware admission queue (deadline order, fairness, cost model)
+    /// between `admit` and the workers — see [`crate::sched`].
     queue: AdmissionQueue<Work>,
     /// Connection-layer counters, updated by whichever front end serves
     /// this service (zero when driven directly, e.g. in tests).
@@ -342,7 +339,7 @@ impl ExplanationService {
         assert!(sc.workers >= 1, "service needs at least one worker");
         let kernel = Arc::new(TransitionCsr::build(&graph, cfg.rec.ppr.transition));
         let shared = Arc::new(Shared {
-            queue: AdmissionQueue::new(sc.queue_capacity, sc.sched.clone()),
+            queue: AdmissionQueue::new(sc.queue_capacity, sc.user_share),
             frontend: Arc::new(FrontendStats::default()),
             live: LiveGraph::new(Arc::new(graph), kernel),
             cfg,
@@ -351,7 +348,7 @@ impl ExplanationService {
             metrics: ServeMetrics::new(sc.slow_ring_capacity),
             obs: ObsHandle::counters_only(),
             traces: Mutex::new(LruCache::new(sc.trace_capacity)),
-            events: EventLogger::from_config(sc.event_log.clone(), sc.event_log_capacity),
+            events: EventLogger::from_config(sc.event_log.clone()),
             next_request_id: AtomicU64::new(0),
             started: Instant::now(),
             workers: sc.workers,

@@ -11,9 +11,8 @@
 use emigre_data::pipeline::{AmazonHin, PreprocessConfig};
 use emigre_data::synth::{SynthConfig, SynthDataset};
 use emigre_hin::{Hin, NodeId};
-use emigre_serve::{
-    reference_recommend, ExplanationService, SchedConfig, SchedPolicy, ServeError, ServiceConfig,
-};
+use emigre_serve::sched::FAIRNESS_QUANTUM_US;
+use emigre_serve::{reference_recommend, ExplanationService, ServeError, ServiceConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -106,62 +105,6 @@ fn dispatched(service: &ExplanationService) -> Vec<u64> {
 }
 
 #[test]
-fn sjf_dispatches_the_cheap_request_before_the_expensive_one() {
-    let (graph, cfg, users) = test_world();
-    let (user, wni) = one_question(&graph, &cfg, &users);
-    let service = Arc::new(ExplanationService::start(
-        graph,
-        cfg,
-        ServiceConfig {
-            workers: 1,
-            sched: SchedConfig {
-                policy: SchedPolicy::Sjf,
-                ..SchedConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
-    ));
-    let stall = service.stall_workers_for_test();
-
-    // Admitted FIRST: a brute-force explain (prior ~400ms expected cost).
-    let svc = Arc::clone(&service);
-    let expensive = std::thread::spawn(move || {
-        svc.explain_request(
-            user,
-            wni,
-            emigre_core::Method::RemoveBruteForce,
-            Duration::from_secs(60),
-        )
-    });
-    wait_queue_depth(&service, 1);
-
-    // Admitted SECOND: a recommend (prior ~2ms expected cost).
-    let svc = Arc::clone(&service);
-    let cheap = std::thread::spawn(move || svc.recommend_request(user, 5, Duration::from_secs(60)));
-    wait_queue_depth(&service, 2);
-
-    drop(stall);
-    let (expensive_id, _) = expensive.join().unwrap();
-    let (cheap_id, cheap_result) = cheap.join().unwrap();
-    cheap_result.expect("recommend succeeds");
-
-    assert_eq!(
-        dispatched(&service),
-        vec![cheap_id, expensive_id],
-        "SJF runs the cheap job first despite later admission"
-    );
-    let snap = service.metrics();
-    assert_eq!(snap.sched.policy, "sjf");
-    assert!(
-        snap.sched.reordered_total >= 1,
-        "the reorder is visible in telemetry: {:?}",
-        snap.sched
-    );
-    accounting_holds(&service);
-    service.shutdown();
-}
-
-#[test]
 fn deadline_policy_dispatches_the_tighter_deadline_first() {
     let (graph, cfg, users) = test_world();
     let (user_a, user_b) = two_users(&graph, &cfg, &users);
@@ -170,10 +113,6 @@ fn deadline_policy_dispatches_the_tighter_deadline_first() {
         cfg,
         ServiceConfig {
             workers: 1,
-            sched: SchedConfig {
-                policy: SchedPolicy::Deadline,
-                ..SchedConfig::default()
-            },
             ..ServiceConfig::default()
         },
     ));
@@ -202,6 +141,12 @@ fn deadline_policy_dispatches_the_tighter_deadline_first() {
         vec![tight_id, lax_id],
         "earliest-deadline-first overrides admission order"
     );
+    let snap = service.metrics();
+    assert!(
+        snap.sched.reordered_total >= 1,
+        "the reorder is visible in telemetry: {:?}",
+        snap.sched
+    );
     accounting_holds(&service);
     service.shutdown();
 }
@@ -210,21 +155,28 @@ fn deadline_policy_dispatches_the_tighter_deadline_first() {
 fn fairness_lets_a_second_user_overtake_a_flooding_one() {
     let (graph, cfg, users) = test_world();
     let (flooder, latecomer) = two_users(&graph, &cfg, &users);
+    let (_, wni) = one_question(&graph, &cfg, &[flooder]);
     let service = Arc::new(ExplanationService::start(
         graph,
         cfg,
         ServiceConfig {
             workers: 1,
-            sched: SchedConfig {
-                policy: SchedPolicy::Sjf,
-                // A 1µs quantum makes every dispatch burn the flooder's
-                // credit, so the ordering below is exact.
-                fairness_quantum_us: 1,
-                ..SchedConfig::default()
-            },
             ..ServiceConfig::default()
         },
     ));
+    // Each flood job is priced at a full fairness quantum or more, so
+    // every dispatch burns the flooder's credit and the order below is
+    // exact.
+    let flood_method = emigre_core::Method::RemoveBruteForce;
+    let flood_cost = service
+        .metrics()
+        .sched
+        .classes
+        .iter()
+        .find(|c| c.class == flood_method.label())
+        .map(|c| c.expected_us)
+        .expect("brute force is in the cost model");
+    assert!(flood_cost >= FAIRNESS_QUANTUM_US, "{flood_cost} µs");
     let stall = service.stall_workers_for_test();
 
     // The flooder queues three identical jobs...
@@ -232,7 +184,7 @@ fn fairness_lets_a_second_user_overtake_a_flooding_one() {
     for i in 0..3u64 {
         let svc = Arc::clone(&service);
         flood.push(std::thread::spawn(move || {
-            svc.recommend_request(flooder, 5, Duration::from_secs(60))
+            svc.explain_request(flooder, wni, flood_method, Duration::from_secs(60))
         }));
         wait_queue_depth(&service, i + 1);
     }
@@ -273,11 +225,8 @@ fn user_share_cap_rejects_the_flooder_but_admits_others() {
         ServiceConfig {
             workers: 1,
             queue_capacity: 8,
-            sched: SchedConfig {
-                // 25% of 8 slots = at most 2 queued jobs per user.
-                user_share: 0.25,
-                ..SchedConfig::default()
-            },
+            // 25% of 8 slots = at most 2 queued jobs per user.
+            user_share: 0.25,
             ..ServiceConfig::default()
         },
     ));

@@ -46,7 +46,6 @@ usage:
                [--trace-cap N]                    replayable /trace/<id> store size
                [--reactor-threads N]              event-loop reactor pool size
                [--keep-alive-secs N]              idle connection budget (0 = close)
-               [--sched fifo|deadline|sjf]        admission scheduling policy (default deadline)
                [--user-share F]                   per-user queue share in (0, 1]
                [--slow-ring N]                    slowest-N /debug/slow entries per endpoint
   emigre dot --graph FILE                         Graphviz to stdout
@@ -309,7 +308,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     "--trace-cap",
                     "--reactor-threads",
                     "--keep-alive-secs",
-                    "--sched",
                     "--user-share",
                     "--slow-ring",
                 ],
@@ -372,13 +370,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 // the `parallelism` knob on EmigreConfig.
                 cfg.parallelism = p.parse().map_err(|_| "bad --parallelism")?;
             }
-            if let Some(p) = flag(args, "--sched")? {
-                sc.sched.policy = emigre::serve::SchedPolicy::parse(&p)
-                    .ok_or("--sched must be fifo, deadline, or sjf")?;
-            }
             if let Some(s) = flag(args, "--user-share")? {
-                sc.sched.user_share = s.parse().map_err(|_| "bad --user-share")?;
-                if !(0.0..=1.0).contains(&sc.sched.user_share) || sc.sched.user_share == 0.0 {
+                sc.user_share = s.parse().map_err(|_| "bad --user-share")?;
+                if !(0.0..=1.0).contains(&sc.user_share) || sc.user_share == 0.0 {
                     return Err("--user-share must be in (0, 1]".to_owned());
                 }
             }

@@ -69,9 +69,27 @@ fn recommend_prints_pauls_list() {
 }
 
 #[test]
+fn recommend_with_a_huge_top_prints_every_candidate() {
+    let graph = DemoGraph::new("huge-top");
+    // 2^40 list slots would not fit in memory; the list holds at most
+    // one per candidate.
+    let out = emigre(&[
+        "recommend",
+        "--graph",
+        &graph.path,
+        "--user",
+        "1",
+        "--top",
+        "1099511627776",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), PAUL_TOP10);
+}
+
+#[test]
 fn every_subcommand_rejects_a_flag_it_does_not_take() {
     let graph = DemoGraph::new("unknown-flag");
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 4] = [
         (
             &[
                 "explain",
@@ -101,6 +119,11 @@ fn every_subcommand_rejects_a_flag_it_does_not_take() {
         (
             &["serve", "--graph", &graph.path, "--frontend", "threaded"],
             "error: unknown flag --frontend for serve",
+        ),
+        // Earliest deadline first is the one admission order.
+        (
+            &["serve", "--graph", &graph.path, "--sched", "deadline"],
+            "error: unknown flag --sched for serve",
         ),
     ];
     for (args, want) in cases {
