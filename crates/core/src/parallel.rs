@@ -1,4 +1,4 @@
-//! A work-stealing speculation pool for the parallel CHECK path.
+//! The speculation pool for the parallel CHECK path.
 //!
 //! [`speculative_scan`] evaluates an ordered list of independent items on a
 //! small worker pool while the **main thread consumes results strictly in
@@ -9,51 +9,38 @@
 //! worker-local state, in-order consumption makes the scan's observable
 //! behaviour — which items were consumed, in which order, with which
 //! results — bit-identical to a sequential loop, regardless of thread
-//! count, stealing order, or timing.
+//! count or timing.
 //!
 //! ## Topology
 //!
-//! * A bounded **feed** channel (the PR 3 MPMC channel) carries batches of
-//!   item indices from the main thread to the workers. The main thread only
-//!   feeds within a bounded speculation window ahead of the consumer, so a
-//!   `Stop` never leaves more than `O(threads)` wasted evaluations.
-//! * Each worker owns a FIFO **deque** ([`crossbeam::deque::Worker`]); it
-//!   unpacks feed batches into it and, when idle, **steals** from siblings
-//!   front-first, preserving global index order as closely as possible.
-//! * A global **injector** re-homes the local queue of a dying worker (see
-//!   panic handling below) so its items are never stranded.
-//! * A **results** channel (capacity `items + threads`, so senders never
-//!   block) returns `(index, result)` pairs; the main thread re-orders them
-//!   through a buffer and consumes the next needed index.
+//! * One bounded **feed** channel (the vendored MPMC channel) carries single
+//!   item indices from the main thread to the workers. A worker takes the
+//!   lowest fed index, evaluates it and only then takes the next, so it
+//!   never holds more than one item. The main thread keeps the feed at most
+//!   `SPECULATION_PER_THREAD × threads` items ahead of consumption, so a
+//!   `Stop` wastes `O(threads)` evaluations at most.
+//! * One **results** channel returns `(index, result)` pairs; the main
+//!   thread re-orders them through a buffer as wide as that window and
+//!   consumes the next needed index. It refills the feed only when the next
+//!   needed result has not arrived, so whenever it blocks on the results
+//!   channel that item is fed and still owed.
 //!
-//! ## Liveness and panic containment
+//! ## Panic containment
 //!
 //! Every evaluation runs under `catch_unwind`. A worker whose item panics
-//! reports `(index, Err)`, drains its local deque into the injector, and
-//! exits — its state is considered poisoned and is dropped rather than
-//! returned. The main thread recomputes such items itself (the consumer
-//! receives [`Consumed::Fallback`] and runs the sequential path), so the
-//! scan completes with correct accounting even if *every* worker dies.
-//! Stranded-work races (a worker re-homes items after its siblings decided
-//! the queues were empty and exited) are covered the same way: if no result
-//! arrives within a grace period, the main thread computes the next needed
-//! item itself and ignores any late duplicate result.
+//! reports `(index, Err)` and exits — its state is considered poisoned and
+//! is dropped rather than returned. The item reaches the consumer as
+//! [`Consumed::Fallback`], which tells it to evaluate the item on the main
+//! thread; the other fed items stay in the feed for the surviving workers.
+//! Once every worker has retired, the results channel disconnects and every
+//! item whose result has not arrived falls back the same way, so the scan
+//! completes with correct accounting even if *every* worker dies.
 
-use crossbeam::channel::{bounded, RecvTimeoutError, TryRecvError, TrySendError};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use crossbeam::channel::bounded;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Items handed to workers per feed message; small enough that stealing has
-/// work to balance, large enough to amortise channel traffic.
-const FEED_BATCH: usize = 4;
-
-/// How long the consumer waits for a worker result for the next needed item
-/// before computing it on the main thread. Generous compared to a CHECK
-/// (microseconds to low milliseconds) so it only fires on genuine worker
-/// loss or stranding, not on slow items.
-const STARVATION_GRACE: Duration = Duration::from_millis(100);
+/// How many items per worker the feed may run ahead of consumption.
+const SPECULATION_PER_THREAD: usize = 8;
 
 /// Consumer verdict after each item: keep scanning or cancel the rest.
 pub(crate) enum ScanControl {
@@ -66,8 +53,8 @@ pub(crate) enum Consumed<R> {
     /// A worker evaluated the item; here is its result.
     Done(R),
     /// The pool could not produce this item's result (the evaluating worker
-    /// panicked, or the result did not arrive within the grace period). The
-    /// consumer must evaluate the item itself on the main thread.
+    /// panicked, or every worker had retired first). The consumer must
+    /// evaluate the item itself on the main thread.
     Fallback,
 }
 
@@ -101,165 +88,73 @@ where
     S: Send,
     R: Send,
 {
-    let total = items.len();
     assert!(threads >= 2, "parallel scan needs at least two workers");
     assert_eq!(states.len(), threads, "one state per worker");
-    if total == 0 {
-        return ScanOutcome {
-            states,
-            panics: 0,
-            fallbacks: 0,
-            consumed: 0,
-        };
-    }
-
-    let window = threads * FEED_BATCH * 2;
-    let (feed_tx, feed_rx) = bounded::<Vec<usize>>(threads);
-    let (res_tx, res_rx) = bounded::<(usize, Result<R, ()>)>(total + threads);
-    let cancel = AtomicBool::new(false);
-    let overflow = Injector::<usize>::new();
-    let locals: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<usize>> = locals.iter().map(|w| w.stealer()).collect();
-
+    let total = items.len();
+    let window = threads * SPECULATION_PER_THREAD;
     let work = &work;
-    let cancel = &cancel;
-    let overflow = &overflow;
-    let stealers = &stealers;
 
-    let scope_result = crossbeam::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for (wi, (local, state)) in locals.into_iter().zip(states).enumerate() {
-            let feed_rx = feed_rx.clone();
-            let res_tx = res_tx.clone();
-            handles.push(scope.spawn(move |_| {
-                let mut state = state;
-                let mut disconnected = false;
-                loop {
-                    if cancel.load(Ordering::Relaxed) {
-                        return Some(state);
-                    }
-                    // Task acquisition, cheapest source first: own deque,
-                    // re-homed overflow, fresh feed batch, sibling steal.
-                    let next = local
-                        .pop()
-                        .or_else(|| steal_settled(|| overflow.steal()))
-                        .or_else(|| match feed_rx.try_recv() {
-                            Ok(batch) => {
-                                let mut it = batch.into_iter();
-                                let first = it.next();
-                                for i in it {
-                                    local.push(i);
-                                }
-                                first
-                            }
-                            Err(TryRecvError::Disconnected) => {
-                                disconnected = true;
-                                None
-                            }
-                            Err(TryRecvError::Empty) => None,
-                        })
-                        .or_else(|| {
-                            stealers
-                                .iter()
-                                .enumerate()
-                                .filter(|&(si, _)| si != wi)
-                                .find_map(|(_, s)| s.steal_until_settled())
-                        });
-                    match next {
-                        Some(idx) => {
-                            let hit = catch_unwind(AssertUnwindSafe(|| {
-                                work(&mut state, idx, &items[idx])
-                            }));
-                            match hit {
-                                Ok(r) => {
-                                    let _ = res_tx.try_send((idx, Ok(r)));
-                                }
-                                Err(_) => {
-                                    // Poisoned state: report, re-home the
-                                    // local queue, and retire this worker.
-                                    let _ = res_tx.try_send((idx, Err(())));
-                                    while let Some(i) = local.pop() {
-                                        overflow.push(i);
-                                    }
-                                    return None;
-                                }
-                            }
+    // The channels live inside the scope, so a panic in `consume` drops the
+    // feed's sender and the workers exit before the scope joins them.
+    std::thread::scope(|scope| {
+        // Neither channel ever holds more than `window` messages: at most
+        // `window` fed items are unconsumed, and each yields one result.
+        let (feed_tx, feed_rx) = bounded::<usize>(window);
+        let (res_tx, res_rx) = bounded::<(usize, Result<R, ()>)>(window);
+        let handles: Vec<_> = states
+            .into_iter()
+            .map(|mut state| {
+                let (feed_rx, res_tx) = (feed_rx.clone(), res_tx.clone());
+                scope.spawn(move || {
+                    while let Ok(idx) = feed_rx.recv() {
+                        let hit =
+                            catch_unwind(AssertUnwindSafe(|| work(&mut state, idx, &items[idx])));
+                        let poisoned = hit.is_err();
+                        let _ = res_tx.send((idx, hit.map_err(drop)));
+                        if poisoned {
+                            // Retire, dropping the state the panic left behind.
+                            return None;
                         }
-                        None if disconnected => return Some(state),
-                        None => match feed_rx.recv_timeout(Duration::from_millis(1)) {
-                            Ok(batch) => {
-                                for i in batch {
-                                    local.push(i);
-                                }
-                            }
-                            Err(RecvTimeoutError::Timeout) => {}
-                            Err(RecvTimeoutError::Disconnected) => disconnected = true,
-                        },
                     }
-                }
-            }));
-        }
-        drop(feed_rx);
+                    Some(state)
+                })
+            })
+            .collect();
         drop(res_tx);
 
-        // Drive: feed ahead within the window, consume in order, fall back
-        // to local computation when the pool cannot deliver.
-        let mut buffer: Vec<Option<Consumed<R>>> = Vec::with_capacity(total);
-        buffer.resize_with(total, || None);
-        let mut next_feed = 0usize;
-        let mut next_consume = 0usize;
-        let mut panics = 0usize;
-        let mut fallbacks = 0usize;
+        // Every received index lies in `next_consume..next_consume + window`,
+        // so a ring of `window` slots never holds two of them in one slot.
+        let mut buffer: Vec<Option<Consumed<R>>> = (0..window).map(|_| None).collect();
+        let (mut next_feed, mut next_consume) = (0, 0);
+        let (mut panics, mut fallbacks) = (0, 0);
         let mut stopped = false;
-
-        'drive: while next_consume < total {
-            // `saturating_sub`: fallback consumption can overtake the feed
-            // cursor when the pool is dead and feeding has stopped.
-            while next_feed < total && next_feed.saturating_sub(next_consume) < window {
-                let end = (next_feed + FEED_BATCH).min(total);
-                match feed_tx.try_send((next_feed..end).collect()) {
-                    Ok(()) => next_feed = end,
-                    Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            while let Some(c) = buffer[next_consume].take() {
-                if matches!(c, Consumed::Fallback) {
-                    fallbacks += 1;
-                }
-                let ctrl = consume(next_consume, c);
+        while !stopped && next_consume < total {
+            if let Some(c) = buffer[next_consume % window].take() {
+                fallbacks += usize::from(matches!(c, Consumed::Fallback));
+                stopped = matches!(consume(next_consume, c), ScanControl::Stop);
                 next_consume += 1;
-                if matches!(ctrl, ScanControl::Stop) {
-                    stopped = true;
-                }
-                if stopped || next_consume >= total {
-                    break 'drive;
-                }
+                continue;
             }
-            match res_rx.recv_timeout(STARVATION_GRACE) {
+            // `try_send` fails only once every worker has retired: until
+            // then the feed holds fewer than `window` indices.
+            while next_feed < total.min(next_consume + window)
+                && feed_tx.try_send(next_feed).is_ok()
+            {
+                next_feed += 1;
+            }
+            match res_rx.recv() {
                 Ok((idx, res)) => {
-                    if res.is_err() {
-                        panics += 1;
-                    }
-                    if idx >= next_consume && buffer[idx].is_none() {
-                        buffer[idx] = Some(match res {
-                            Ok(r) => Consumed::Done(r),
-                            Err(()) => Consumed::Fallback,
-                        });
-                    }
+                    panics += usize::from(res.is_err());
+                    buffer[idx % window] = Some(res.map_or(Consumed::Fallback, Consumed::Done));
                 }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                    // Starved (stranded item or dead pool): compute the
-                    // next needed item locally; late duplicates are ignored
-                    // by the `idx >= next_consume` guard above.
-                    if buffer[next_consume].is_none() {
-                        buffer[next_consume] = Some(Consumed::Fallback);
-                    }
-                }
+                // Every worker has retired: the main thread computes the rest.
+                Err(_) => buffer[next_consume % window] = Some(Consumed::Fallback),
             }
         }
 
-        cancel.store(true, Ordering::Relaxed);
+        // Cancel: empty the feed and disconnect it, so idle workers exit.
         drop(feed_tx);
+        while feed_rx.try_recv().is_ok() {}
         let mut states = Vec::with_capacity(threads);
         for h in handles {
             match h.join() {
@@ -274,30 +169,15 @@ where
             fallbacks,
             consumed: next_consume,
         }
-    });
-    match scope_result {
-        Ok(outcome) => outcome,
-        // A panic in `consume` (main-thread callback) propagates.
-        Err(payload) => resume_unwind(payload),
-    }
-}
-
-/// Retries a [`Steal`] source through `Retry` contention until it settles.
-fn steal_settled<T>(mut source: impl FnMut() -> Steal<T>) -> Option<T> {
-    loop {
-        match source() {
-            Steal::Success(t) => return Some(t),
-            Steal::Empty => return None,
-            Steal::Retry => std::thread::yield_now(),
-        }
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
+    use std::time::Duration;
 
     fn run_scan(
         threads: usize,
@@ -371,11 +251,38 @@ mod tests {
     }
 
     #[test]
+    fn a_slow_head_item_never_stalls_the_scan() {
+        // The other worker finishes the whole feed window while item 0
+        // sleeps; the consumer must then wait for item 0 and keep feeding,
+        // not give up on an item the workers still owe.
+        let (order, _, outcome) = run_scan(2, 64, None, &[], |idx| match idx {
+            0 => 20_000,
+            _ => 0,
+        });
+        assert_eq!(order, (0..64).collect::<Vec<_>>());
+        assert_eq!(outcome.fallbacks, 0);
+    }
+
+    #[test]
+    fn a_slow_item_is_evaluated_once() {
+        // However long an item runs, its worker's result is the one
+        // consumed: the main thread never recomputes it.
+        let (order, _, outcome) = run_scan(2, 32, None, &[], |idx| match idx {
+            0 => 150_000,
+            _ => 0,
+        });
+        assert_eq!(order, (0..32).collect::<Vec<_>>());
+        assert_eq!(outcome.fallbacks, 0);
+        assert_eq!(outcome.states.iter().sum::<usize>(), 32);
+    }
+
+    #[test]
     fn panicked_items_fall_back_and_accounting_stays_exact() {
         let (order, flags, outcome) = run_scan(4, 60, None, &[7, 8, 31], |_| 2);
         assert_eq!(order, (0..60).collect::<Vec<_>>());
         assert_eq!(outcome.panics, 3);
-        assert!(outcome.fallbacks >= 3, "panicked items must fall back");
+        // The fourth worker survives, so only the panicked items fall back.
+        assert_eq!(outcome.fallbacks, 3);
         for &idx in &[7usize, 8, 31] {
             assert!(flags[idx], "item {idx} must be delivered as Fallback");
         }
@@ -385,24 +292,21 @@ mod tests {
 
     #[test]
     fn survives_every_worker_dying() {
-        // Panics on early indices kill all workers; the main thread must
-        // finish the scan alone via fallback.
+        // Items 0 and 1 go to different workers and kill both; the main
+        // thread must finish the scan alone via fallback.
         let (order, flags, outcome) = run_scan(2, 30, None, &[0, 1], |_| 0);
         assert_eq!(order, (0..30).collect::<Vec<_>>());
         assert_eq!(outcome.states.len(), 0, "both workers must retire");
         assert_eq!(outcome.panics, 2);
-        // The poisoned items themselves always fall back; the survivor
-        // worker may finish others before it hits the re-homed second
-        // poison, but everything after the pool dies falls back too.
-        assert!(flags[0] && flags[1]);
-        assert!(outcome.fallbacks >= 2);
+        assert!(flags.iter().all(|&f| f), "every item must fall back");
+        assert_eq!(outcome.fallbacks, 30);
     }
 
     #[test]
-    fn shutdown_steal_interleaving_stress() {
-        // Hammer the shutdown/steal race: random per-item delays, early
-        // stops at varying points, and a mid-scan panic. Every iteration
-        // must preserve in-order consumption and terminate.
+    fn stop_and_panic_interleaving_stress() {
+        // Hammer cancellation: random per-item delays, early stops at
+        // varying points, and a mid-scan panic. Every iteration must
+        // preserve in-order consumption and terminate.
         for seed in 0..12u64 {
             let stop = (seed as usize * 7) % 40;
             let panic_at = if seed % 3 == 0 {

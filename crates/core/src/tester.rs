@@ -346,11 +346,11 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
     /// ```
     ///
     /// When the config's `parallelism` resolves to ≥ 2 workers and there is
-    /// more than one set, the CHECKs are evaluated speculatively on a
-    /// work-stealing pool (`parallel::speculative_scan`) while
-    /// this thread consumes outcomes in input order; verdicts, budget
-    /// accounting, counters, and traces are bit-identical to the sequential
-    /// scan at any thread count.
+    /// more than one set, the CHECKs are evaluated speculatively by workers
+    /// that take set indices, lowest first, from one shared feed
+    /// (`parallel::speculative_scan`) while this thread consumes outcomes in
+    /// input order; verdicts, budget accounting, counters, and traces are
+    /// bit-identical to the sequential scan at any thread count.
     pub fn first_passing(
         &self,
         sets: &[Vec<Action>],
@@ -403,9 +403,10 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
                         self.record(&sets[i], &out);
                         out.verdict
                     }
-                    // Worker lost (panic or stranding): the sequential
-                    // path recomputes on the context's own state, with
-                    // budget and trace accounting exactly as usual.
+                    // Worker lost (its CHECK panicked, or every worker
+                    // retired): the sequential path recomputes on the
+                    // context's own state, with budget and trace accounting
+                    // exactly as usual.
                     Consumed::Fallback => self.test(&sets[i]),
                 };
                 if verdict {

@@ -271,9 +271,10 @@ pub fn run_sweep_obs<G: GraphView + Sync>(
     let records: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::with_capacity(jobs.len()));
 
     let workers = threads.max(1).min(jobs.len().max(1));
-    crossbeam::scope(|scope| {
+    // A panicking worker makes the scope panic once every worker is joined.
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&(key, scenario, method)) = jobs.get(i) else {
                     break;
@@ -286,8 +287,7 @@ pub fn run_sweep_obs<G: GraphView + Sync>(
                 }
             });
         }
-    })
-    .expect("worker panicked");
+    });
 
     let mut keyed = records.into_inner();
     keyed.sort_by_key(|(k, _)| *k);

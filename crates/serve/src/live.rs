@@ -37,11 +37,13 @@
 //! sub-linear publishes (shared-structure rows) are future work once
 //! update rates demand them.
 //!
-//! **Why not repair cached push state across epochs?** `ppr/dynamic.rs`
-//! can repair a push frontier after a delta, and the serving caches could
-//! carry artefacts across epochs that way — but repaired state is equal
-//! only up to the push tolerance, not bit-identical to a fresh build, and
-//! the service's core guarantee (served ≡ single-threaded
+//! **Why not repair cached push state across epochs?**
+//! [`PushWorkspace::repair_row_change`](emigre_ppr::PushWorkspace::repair_row_change)
+//! repairs a push's residuals after a transition row changes, and the
+//! serving caches could carry artefacts across epochs that way — but
+//! repaired state is equal only up to the push tolerance, not
+//! bit-identical to a fresh build, and the service's core guarantee
+//! (served ≡ single-threaded
 //! [`reference_explain`](crate::service::reference_explain), bit for bit)
 //! is what the differential suites verify against. Stale artefacts are
 //! therefore *invalidated* on epoch bumps and rebuilt on the pinned

@@ -12,9 +12,13 @@
 //! how many [`FAIRNESS_QUANTUM_US`] quanta the user has consumed, then by
 //! deadline, then by arrival sequence. A user who has already burned a
 //! full quantum while another user waits goes to the back, so one heavy
-//! user cannot starve the queue. Admission adds a second guard: with
-//! `user_share < 1.0`, one user may hold at most that fraction of queue
-//! capacity (rejections count as overload *and* as
+//! user cannot starve the queue. The per-user history resets when the
+//! queue drains. A user with nothing queued who is still under one quantum
+//! is forgotten at once, since its fair tag is 0 either way: a light user
+//! who returns starts from 0 again, and the map holds only users with
+//! queued jobs or a quantum used since the last drain. Admission adds a
+//! second guard: with `user_share < 1.0`, one user may hold at most that
+//! fraction of queue capacity (rejections count as overload *and* as
 //! `rejected_user_quota`, so accounting stays 100%).
 //!
 //! The **cost model** prices each job for the fairness layer. It keeps
@@ -203,7 +207,9 @@ struct Entry<T> {
 struct UserState {
     /// Entries currently queued.
     pending: usize,
-    /// Expected cost dispatched since the queue last went empty.
+    /// Expected cost dispatched since this entry was created. Entries are
+    /// dropped when the queue drains, and when their user goes idle under
+    /// one quantum.
     dispatched_cost_us: u64,
 }
 
@@ -356,11 +362,17 @@ impl<T> AdmissionQueue<T> {
                     self.reordered.fetch_add(1, Ordering::Relaxed);
                 }
                 if !entry.privileged {
-                    if let Some(u) = st.users.get_mut(&entry.meta.user) {
+                    let user = entry.meta.user;
+                    if let Some(u) = st.users.get_mut(&user) {
                         u.pending = u.pending.saturating_sub(1);
                         u.dispatched_cost_us = u
                             .dispatched_cost_us
                             .saturating_add(entry.meta.expected_cost_us);
+                        // Nothing queued and under one quantum: its fair tag
+                        // is 0, as for an absent user, so forget it.
+                        if u.pending == 0 && u.dispatched_cost_us < FAIRNESS_QUANTUM_US {
+                            st.users.remove(&user);
+                        }
                     }
                 }
                 if st.entries.is_empty() {
@@ -519,6 +531,19 @@ mod tests {
         // After user 1's first dispatch its fair tag exceeds user 2's,
         // so user 2 goes second despite arriving last.
         assert_eq!(order, vec![0, 99, 1, 2, 3]);
+    }
+
+    #[test]
+    fn distinct_users_do_not_grow_the_fairness_map() {
+        let q = AdmissionQueue::new(8, 1.0);
+        // One far-deadline job keeps the queue from ever draining.
+        push(&q, 0, 0, JobClass::Recommend, 3_600_000);
+        for user in 1..=10_000u32 {
+            push(&q, user as u64, user, JobClass::Recommend, 1000);
+            assert_eq!(q.pop().unwrap().0, user as u64);
+        }
+        let users = q.state.lock().unwrap().users.len();
+        assert!(users <= 2, "{users} fairness entries for 1 queued job");
     }
 
     #[test]
