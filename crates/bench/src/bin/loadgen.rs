@@ -1,22 +1,30 @@
-//! `loadgen` — closed-loop load generator for `emigre serve`.
+//! `loadgen` — load generator and end-to-end correctness harness for
+//! `emigre serve`.
 //!
 //! Spawns the real `emigre` binary (`serve` subcommand) on a synthetic
-//! Amazon-style HIN, drives it with mixed `/explain` + `/recommend`
-//! traffic over persistent HTTP/1.1 connections, and verifies **every**
-//! response field-by-field against the single-threaded reference oracle
+//! Amazon-style HIN and drives it with mixed `/explain` + `/recommend`
+//! traffic from closed-loop clients, each on one persistent HTTP/1.1
+//! connection. Every response is recorded and, after the run, verified
+//! field by field against the single-threaded reference
 //! ([`emigre_serve::reference_explain`] /
-//! [`emigre_serve::reference_recommend`]) — a divergence is a hard
-//! failure, not a statistic. Every response must also carry the
-//! `request_id` assigned at admission and per-stage latency attribution.
+//! [`emigre_serve::reference_recommend`]) on the graph epoch the response
+//! reports — a divergence is a hard failure, not a statistic. Epoch 0 is
+//! the graph the server started on, whose answers the request plan
+//! precomputes; every response must also carry the `request_id` assigned
+//! at admission and per-stage latency attribution.
 //!
-//! In `--smoke` mode the harness additionally:
+//! `--feedback-rate R` adds one writer that publishes R feedback batches
+//! per second through `POST /feedback` while the clients run. Its mirror
+//! of each published graph is the reference for the reads pinned to that
+//! epoch. Without a writer every answer must report epoch 0, and either
+//! way `/metrics` must end on the epoch of the last acknowledged batch.
 //!
-//! * fetches `GET /trace/<request-id>` for every explain answer and
-//!   **replays** the recorded TEST verdicts on a fresh single-threaded
-//!   context — the served trace must reproduce the served verdicts;
-//! * runs the server with `--event-log` and, after the drain, asserts
-//!   the log parses line-by-line as JSON with exactly one event per
-//!   request (zero lost events).
+//! The server always runs with `--event-log`; after the drain the log
+//! must parse line by line as JSON with exactly one event per request
+//! (zero lost events). `--smoke` makes exactly one pass over the plan
+//! and also fetches `GET /trace/<request-id>` for every explain answer,
+//! **replaying** the recorded TEST verdicts on a fresh single-threaded
+//! context — the served trace must reproduce the served verdicts.
 //!
 //! Reports QPS, p50/p95/p99 latency per endpoint, and the server's
 //! per-stage (queue/context/search/test) percentiles; writes
@@ -30,55 +38,111 @@
 //! arrival (so a sender that falls behind still charges the queueing
 //! delay — no coordinated omission). Rejections (429/503/504) are
 //! counted per point, not treated as divergences; every accepted answer
-//! is still verified field-by-field. The resulting saturation curve
+//! goes through the same verifier. The resulting saturation curve
 //! (offered QPS vs p50/p99 + rejection rate) lands in `open_loop` in
 //! the JSON report.
 //!
 //! ```text
 //! loadgen --smoke                       # CI: one verified pass + clean shutdown
 //! loadgen --duration-secs 10 --threads 4 --items 300
+//! loadgen --feedback-rate 5 --duration-secs 3 --threads 2 --items 200
 //! loadgen --duration-secs 6 --arrival-sweep 50,100,200,400
 //! ```
 //!
-//! The server binary is found next to the running executable
+//! An argument loadgen does not know, or a malformed value, exits 2 with
+//! the usage text before anything is built; a failed run exits 1. The
+//! server binary is found next to the running executable
 //! (`target/<profile>/emigre`), or via `--server-bin` / `$EMIGRE_BIN`.
 
 use emigre_core::explanation::Action;
 use emigre_core::tester::Tester;
-use emigre_core::{EmigreConfig, ExplainContext, ExplainFailure, Explanation, QuestionError};
+use emigre_core::{EmigreConfig, ExplainContext, ExplainFailure, Explanation, Method};
 use emigre_hin::{GraphView, Hin, NodeId};
 use emigre_obs::{ExplainTrace, HistogramSnapshot, StageLatencies};
-use emigre_ppr::{PprConfig, TransitionModel};
-use emigre_rec::RecConfig;
 use emigre_serve::{
-    events_to_delta, reference_explain, reference_recommend, FeedbackEvent, MetricsSnapshot,
-    RequestEvent,
+    config_for, events_to_delta, reference_explain, reference_recommend, FeedbackEvent,
+    MetricsSnapshot, RequestEvent,
 };
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn main() {
+const USAGE: &str = "\
+usage: loadgen [--smoke] [--items N] [--threads N] [--duration-secs N] [--k N]
+               [--parallelism N] [--feedback-rate R] [--arrival-rate R]
+               [--arrival-sweep R1,R2,...] [--arrival-secs S]
+               [--open-deadline-ms N] [--out FILE] [--server-bin FILE]
+               [-- EMIGRE-SERVE-FLAGS...]
+  --smoke          one verified pass over the plan, with trace replay
+  --feedback-rate  feedback batches per second posted during the run
+  --arrival-*      open-loop phase on a fresh server: offered rates (> 0)
+                   and seconds per rate";
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => {}
+    let opts = match parse_opts(&args) {
+        Ok(opts) => opts,
+        Err(msg) => {
+            eprintln!("error: {msg}\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("loadgen error: {msg}");
-            std::process::exit(1);
+            ExitCode::FAILURE
         }
     }
+}
+
+/// loadgen's own flags that take a value; `--smoke` is its only switch.
+const VALUE_FLAGS: &[&str] = &[
+    "--items",
+    "--threads",
+    "--duration-secs",
+    "--k",
+    "--parallelism",
+    "--feedback-rate",
+    "--arrival-rate",
+    "--arrival-sweep",
+    "--arrival-secs",
+    "--open-deadline-ms",
+    "--out",
+    "--server-bin",
+];
+
+/// The checked command line.
+struct Opts {
+    smoke: bool,
+    items: usize,
+    threads: usize,
+    duration_secs: u64,
+    k: usize,
+    /// Per-request CHECK worker budget the server runs with; answers are
+    /// bit-identical at any value, and the verifier holds it to that.
+    parallelism: usize,
+    /// Feedback batches per second the writer posts (0 = read-only run).
+    feedback_rate: f64,
+    /// Offered rates of the open-loop phase (empty = no phase).
+    open_rates: Vec<f64>,
+    arrival_secs: f64,
+    open_deadline_ms: u64,
+    out: String,
+    server_bin: Option<String>,
+    /// Everything after a bare `--`, forwarded to `emigre serve`
+    /// verbatim, e.g. `loadgen --smoke -- --user-share 0.5`.
+    server_args: Vec<String>,
 }
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
-        .filter(|v| !v.starts_with("--"))
         .cloned()
 }
 
@@ -89,42 +153,91 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
     }
 }
 
-/// Mirrors the CLI's `config_for`: `item` nodes recommendable, `rated`
-/// edges actionable, weighted transitions, ε = 1e-8. The reference oracle
-/// MUST use this (not `AmazonHin::emigre_config`) because it is what
-/// `emigre serve` builds for the same graph file.
-fn serve_config(g: &Hin) -> Result<EmigreConfig, String> {
-    let item_t = g
-        .registry()
-        .find_node_type("item")
-        .ok_or("graph has no `item` node type")?;
-    let rated = g
-        .registry()
-        .find_edge_type("rated")
-        .ok_or("graph has no `rated` edge type")?;
-    let ppr = PprConfig::default()
-        .with_transition(TransitionModel::Weighted)
-        .with_epsilon(1e-8);
-    Ok(EmigreConfig::new(
-        RecConfig::new(item_t).with_ppr(ppr),
-        rated,
-    ))
+fn positive(name: &str, raw: &str) -> Result<f64, String> {
+    match raw.trim().parse::<f64>() {
+        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+        _ => Err(format!("{name} {raw:?} must be a positive, finite number")),
+    }
+}
+
+/// Checks every argument before `--`: each is `--smoke` or a known flag
+/// followed by its value, so a typo cannot run the default pass.
+fn parse_opts(args: &[String]) -> Result<Opts, String> {
+    let (own, server_args) = match args.iter().position(|a| a == "--") {
+        Some(i) => (&args[..i], args[i + 1..].to_vec()),
+        None => (args, Vec::new()),
+    };
+    let mut rest = own.iter();
+    while let Some(a) = rest.next() {
+        if a == "--smoke" {
+            continue;
+        }
+        if !VALUE_FLAGS.contains(&a.as_str()) {
+            return Err(format!("unknown argument {a}"));
+        }
+        match rest.next() {
+            Some(v) if !v.starts_with("--") => {}
+            _ => return Err(format!("flag {a} expects a value")),
+        }
+    }
+    let smoke = own.iter().any(|a| a == "--smoke");
+    let feedback_rate: f64 = parse_flag(own, "--feedback-rate", 0.0)?;
+    if !(feedback_rate.is_finite() && feedback_rate >= 0.0) {
+        return Err("--feedback-rate must be finite and non-negative".to_owned());
+    }
+    if feedback_rate > 0.0 && smoke {
+        return Err(
+            "--feedback-rate and --smoke are mutually exclusive (trace replay assumes a static graph)"
+                .to_owned(),
+        );
+    }
+    let arrival_rate = flag(own, "--arrival-rate")
+        .map(|r| positive("--arrival-rate", &r))
+        .transpose()?;
+    let open_rates = match flag(own, "--arrival-sweep") {
+        Some(sweep) => sweep
+            .split(',')
+            .map(|r| positive("--arrival-sweep entry", r))
+            .collect::<Result<_, _>>()?,
+        None => arrival_rate.into_iter().collect(),
+    };
+    let arrival_secs = flag(own, "--arrival-secs")
+        .map(|s| positive("--arrival-secs", &s))
+        .transpose()?;
+    Ok(Opts {
+        smoke,
+        items: parse_flag(own, "--items", if smoke { 200 } else { 300 })?,
+        threads: parse_flag(own, "--threads", if smoke { 2 } else { 4 })?,
+        duration_secs: parse_flag(own, "--duration-secs", 10)?,
+        k: parse_flag(own, "--k", 5)?,
+        parallelism: parse_flag(own, "--parallelism", 1)?,
+        feedback_rate,
+        open_rates,
+        arrival_secs: arrival_secs.unwrap_or(4.0),
+        open_deadline_ms: parse_flag(own, "--open-deadline-ms", 2000)?,
+        out: flag(own, "--out").unwrap_or_else(|| "BENCH_serve.json".to_owned()),
+        server_bin: flag(own, "--server-bin"),
+        server_args,
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Request plan: precomputed (request, expected response) pairs.
 // ---------------------------------------------------------------------------
 
-/// Wire-format mirror of the server's `/explain` response bodies (success,
-/// failure, and error shapes overlaid — absent fields parse to `None`).
-/// Telemetry fields the reference cannot predict (`request_id`, `stages`)
-/// are checked for presence and shape, payload fields for equality.
+/// Wire-format mirror of the response bodies loadgen reads: the
+/// `/explain` success, failure and error shapes, `/recommend` and
+/// `/feedback` overlaid (absent fields parse to `None`). Telemetry the
+/// reference cannot predict (`request_id`, `stages`, `epoch`) is checked
+/// for presence and shape, payload fields for equality.
 #[derive(Deserialize)]
-struct WireExplain {
+struct WireRead {
     status: Option<String>,
     request_id: Option<u64>,
+    epoch: Option<u64>,
     explanation: Option<Explanation>,
     failure: Option<ExplainFailure>,
+    items: Option<Vec<WireItem>>,
     stages: Option<StageLatencies>,
     error: Option<String>,
 }
@@ -135,17 +248,8 @@ struct WireItem {
     score: f64,
 }
 
-/// Wire-format mirror of the `/recommend` response body.
-#[derive(Deserialize)]
-struct WireRecommend {
-    status: Option<String>,
-    request_id: Option<u64>,
-    items: Option<Vec<WireItem>>,
-    stages: Option<StageLatencies>,
-}
-
-/// What the reference oracle says a planned request must answer.
-#[derive(Clone)]
+/// What the reference says a request must answer on one graph epoch.
+#[derive(Clone, Debug)]
 enum Expected {
     ExplainOk(Explanation),
     ExplainFailure(ExplainFailure),
@@ -153,21 +257,24 @@ enum Expected {
     Recommend(Vec<(u32, f64)>),
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Endpoint {
-    Explain,
-    Recommend,
+impl Expected {
+    fn status(&self) -> u16 {
+        match self {
+            Expected::InvalidQuestion => 400,
+            _ => 200,
+        }
+    }
 }
 
-/// The semantic content of a planned request — what the deferred
-/// (epoch-pinned) verifier needs to recompute the reference answer on
-/// whichever graph epoch the server reports it served from.
+/// The semantic content of a planned request — what the verifier needs
+/// to recompute the reference answer on whichever graph epoch the server
+/// reports it served from.
 #[derive(Clone, Copy)]
 enum RequestSpec {
     Explain {
         user: NodeId,
         wni: NodeId,
-        method: emigre_core::Method,
+        method: Method,
     },
     Recommend {
         user: NodeId,
@@ -175,23 +282,57 @@ enum RequestSpec {
     },
 }
 
-#[derive(Clone)]
+/// The single-threaded reference answer to `spec` on `graph`.
+fn reference(graph: &Hin, cfg: &EmigreConfig, spec: RequestSpec) -> Expected {
+    match spec {
+        RequestSpec::Explain { user, wni, method } => {
+            match reference_explain(graph, cfg, user, wni, method) {
+                Ok(Ok(explanation)) => Expected::ExplainOk(explanation),
+                Ok(Err(failure)) => Expected::ExplainFailure(failure),
+                Err(_) => Expected::InvalidQuestion,
+            }
+        }
+        RequestSpec::Recommend { user, k } => match reference_recommend(graph, cfg, user, k) {
+            Ok(items) => Expected::Recommend(items.iter().map(|&(n, s)| (n.0, s)).collect()),
+            Err(_) => Expected::InvalidQuestion,
+        },
+    }
+}
+
 struct PlannedRequest {
-    endpoint: Endpoint,
     path: &'static str,
     body: String,
     spec: RequestSpec,
-    expected_status: u16,
+    /// The answer on epoch 0, the graph the server starts on.
     expected: Expected,
 }
 
-fn expected_explain(
-    outcome: Result<Result<Explanation, ExplainFailure>, QuestionError>,
-) -> (u16, Expected) {
-    match outcome {
-        Ok(Ok(explanation)) => (200, Expected::ExplainOk(explanation)),
-        Ok(Err(failure)) => (200, Expected::ExplainFailure(failure)),
-        Err(_) => (400, Expected::InvalidQuestion),
+impl PlannedRequest {
+    fn new(spec: RequestSpec, expected: Expected) -> Self {
+        let (path, body) = match spec {
+            RequestSpec::Explain { user, wni, method } => (
+                "/explain",
+                format!(
+                    "{{\"user\":{},\"why_not\":{},\"method\":\"{}\"}}",
+                    user.0,
+                    wni.0,
+                    method.label()
+                ),
+            ),
+            RequestSpec::Recommend { user, k } => {
+                ("/recommend", format!("{{\"user\":{},\"k\":{k}}}", user.0))
+            }
+        };
+        PlannedRequest {
+            path,
+            body,
+            spec,
+            expected,
+        }
+    }
+
+    fn is_explain(&self) -> bool {
+        matches!(self.spec, RequestSpec::Explain { .. })
     }
 }
 
@@ -201,130 +342,148 @@ fn expected_explain(
 fn build_plan(graph: &Hin, cfg: &EmigreConfig, users: &[NodeId], k: usize) -> Vec<PlannedRequest> {
     let mut plan = Vec::new();
     for &user in users {
-        let rec = match reference_recommend(graph, cfg, user, k) {
-            Ok(items) => items,
-            Err(_) => continue, // inactive user: nothing servable either
+        let spec = RequestSpec::Recommend { user, k };
+        let expected = reference(graph, cfg, spec);
+        let Expected::Recommend(items) = &expected else {
+            continue; // inactive user: nothing servable either
         };
-        plan.push(PlannedRequest {
-            endpoint: Endpoint::Recommend,
-            path: "/recommend",
-            body: format!("{{\"user\":{},\"k\":{}}}", user.0, k),
-            spec: RequestSpec::Recommend { user, k },
-            expected_status: 200,
-            expected: Expected::Recommend(rec.iter().map(|&(n, s)| (n.0, s)).collect()),
-        });
-        for (i, &(wni, _)) in rec.iter().skip(1).take(2).enumerate() {
+        let wnis: Vec<NodeId> = items
+            .iter()
+            .skip(1)
+            .take(2)
+            .map(|&(n, _)| NodeId(n))
+            .collect();
+        plan.push(PlannedRequest::new(spec, expected));
+        for (i, wni) in wnis.into_iter().enumerate() {
             let method = if i % 2 == 0 {
-                emigre_core::Method::RemoveIncremental
+                Method::RemoveIncremental
             } else {
-                emigre_core::Method::AddPowerset
+                Method::AddPowerset
             };
-            let (expected_status, expected) =
-                expected_explain(reference_explain(graph, cfg, user, wni, method));
-            plan.push(PlannedRequest {
-                endpoint: Endpoint::Explain,
-                path: "/explain",
-                body: format!(
-                    "{{\"user\":{},\"why_not\":{},\"method\":\"{}\"}}",
-                    user.0,
-                    wni.0,
-                    method.label()
-                ),
-                spec: RequestSpec::Explain { user, wni, method },
-                expected_status,
-                expected,
-            });
+            let spec = RequestSpec::Explain { user, wni, method };
+            plan.push(PlannedRequest::new(spec, reference(graph, cfg, spec)));
         }
     }
     plan
 }
 
-/// Field-level verification of one response against its plan entry.
-/// Returns the server-assigned request id on success, a divergence
-/// description on any mismatch.
-fn verify_response(req: &PlannedRequest, status: u16, body: &str) -> Result<u64, String> {
-    if status != req.expected_status {
+/// Field-level verification of one response against the answer expected
+/// on the epoch it was served from.
+fn verify_response(expected: &Expected, status: u16, body: &str) -> Result<(), String> {
+    if status != expected.status() {
         return Err(format!(
             "status {status} (expected {}): {body:.200}",
-            req.expected_status
+            expected.status()
         ));
     }
-    let require_id = |id: Option<u64>| -> Result<u64, String> {
-        match id {
-            Some(id) if id >= 1 => Ok(id),
-            other => Err(format!("missing request_id ({other:?}): {body:.200}")),
-        }
+    let w: WireRead =
+        serde_json::from_str(body).map_err(|e| format!("unparseable body: {e} ({body:.200})"))?;
+    let status_field = match expected {
+        Expected::ExplainFailure(_) => Some("failure"),
+        Expected::InvalidQuestion => None,
+        _ => Some("ok"),
     };
-    match &req.expected {
-        Expected::Recommend(expected_items) => {
-            let w: WireRecommend = serde_json::from_str(body)
-                .map_err(|e| format!("unparseable recommend body: {e} ({body:.200})"))?;
-            if w.status.as_deref() != Some("ok") {
-                return Err(format!("status field {:?}, expected \"ok\"", w.status));
-            }
+    if let Some(want) = status_field {
+        if w.status.as_deref() != Some(want) {
+            return Err(format!("status field {:?}, expected {want:?}", w.status));
+        }
+        if w.stages.is_none() {
+            return Err(format!("missing stages: {body:.200}"));
+        }
+    }
+    let payload_matches = match expected {
+        Expected::ExplainOk(exp) => w.explanation.as_ref() == Some(exp),
+        Expected::ExplainFailure(f) => w.failure.as_ref() == Some(f),
+        Expected::InvalidQuestion => w.error.as_deref() == Some("invalid_question"),
+        Expected::Recommend(items) => {
             let got: Vec<(u32, f64)> = w
                 .items
                 .unwrap_or_default()
                 .iter()
                 .map(|i| (i.item, i.score))
                 .collect();
-            if &got != expected_items {
-                return Err(format!(
-                    "items diverge: got {got:?}, expected {expected_items:?}"
-                ));
-            }
-            if w.stages.is_none() {
-                return Err(format!("missing stages: {body:.200}"));
-            }
-            require_id(w.request_id)
+            &got == items
         }
-        expected => {
-            let w: WireExplain = serde_json::from_str(body)
-                .map_err(|e| format!("unparseable explain body: {e} ({body:.200})"))?;
-            match expected {
-                Expected::ExplainOk(exp) => {
-                    if w.status.as_deref() != Some("ok") {
-                        return Err(format!("status field {:?}, expected \"ok\"", w.status));
-                    }
-                    if w.explanation.as_ref() != Some(exp) {
-                        return Err(format!("explanation diverges: {body:.200}"));
-                    }
-                    if w.stages.is_none() {
-                        return Err(format!("missing stages: {body:.200}"));
-                    }
-                    require_id(w.request_id)
-                }
-                Expected::ExplainFailure(f) => {
-                    if w.status.as_deref() != Some("failure") {
-                        return Err(format!("status field {:?}, expected \"failure\"", w.status));
-                    }
-                    if w.failure.as_ref() != Some(f) {
-                        return Err(format!("failure diverges: {body:.200}"));
-                    }
-                    if w.stages.is_none() {
-                        return Err(format!("missing stages: {body:.200}"));
-                    }
-                    require_id(w.request_id)
-                }
-                Expected::InvalidQuestion => {
-                    if w.error.as_deref() != Some("invalid_question") {
-                        return Err(format!(
-                            "error field {:?}, expected \"invalid_question\"",
-                            w.error
-                        ));
-                    }
-                    require_id(w.request_id)
-                }
-                Expected::Recommend(_) => unreachable!("matched above"),
-            }
+    };
+    if !payload_matches {
+        return Err(format!(
+            "payload diverges: expected {expected:?}, got {body:.300}"
+        ));
+    }
+    match w.request_id {
+        Some(id) if id >= 1 => Ok(()),
+        other => Err(format!("missing request_id ({other:?}): {body:.200}")),
+    }
+}
+
+/// One answer as it came off the wire, kept for the verifier.
+struct Reply {
+    plan_idx: usize,
+    status: u16,
+    body: String,
+}
+
+/// Verifies every reply against the reference on the graph epoch its
+/// response reports: epoch 0 is the plan's precomputed answer, epoch
+/// `e ≥ 1` the reference on `published[e - 1]`. A 400 (a question the
+/// writer's drift made invalid) reports no epoch, so its check is
+/// existential — some epoch must reject the question.
+fn verify_replies(
+    cfg: &EmigreConfig,
+    plan: &[PlannedRequest],
+    published: &[Hin],
+    replies: &[Reply],
+) -> Vec<String> {
+    let expected_on = |req: &PlannedRequest, epoch: usize| match epoch {
+        0 => req.expected.clone(),
+        e => reference(&published[e - 1], cfg, req.spec),
+    };
+    let mut divergences = Vec::new();
+    for reply in replies {
+        let req = &plan[reply.plan_idx];
+        let epoch = if reply.status == 400 {
+            (0..=published.len())
+                .find(|&e| matches!(expected_on(req, e), Expected::InvalidQuestion))
+                .ok_or_else(|| "400, but the question validates on every epoch".to_owned())
+        } else {
+            let reported = serde_json::from_str::<WireRead>(&reply.body)
+                .ok()
+                .and_then(|w| w.epoch);
+            reported
+                .filter(|&e| e <= published.len() as u64)
+                .map(|e| e as usize)
+                .ok_or_else(|| {
+                    format!(
+                        "{} with unusable epoch {reported:?}: {:.200}",
+                        reply.status, reply.body
+                    )
+                })
+        };
+        let checked = epoch.and_then(|e| {
+            verify_response(&expected_on(req, e), reply.status, &reply.body)
+                .map_err(|d| format!("on epoch {e}: {d}"))
+        });
+        if let Err(d) = checked {
+            divergences.push(format!("{} {} -> {d}", req.path, req.body));
         }
+    }
+    divergences
+}
+
+/// Prints the first few divergences and fails the run if there are any.
+fn fail_on(divergences: &[String], what: &str) -> Result<(), String> {
+    for d in divergences.iter().take(5) {
+        eprintln!("divergence: {d}");
+    }
+    match divergences.len() {
+        0 => Ok(()),
+        n => Err(format!("{n} {what} diverged from the reference")),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Mixed read/write mode (`--feedback-rate`): a dedicated writer publishes
-// epochs through `POST /feedback` while readers run, and every read is
-// verified *afterwards* against the reference on the epoch it reports.
+// Feedback writer (`--feedback-rate`): publishes epochs through
+// `POST /feedback` while the readers run.
 // ---------------------------------------------------------------------------
 
 /// Deterministic xorshift64* — `rand` is not available to this binary.
@@ -350,56 +509,48 @@ struct FeedbackWire {
     events: Vec<FeedbackEvent>,
 }
 
-#[derive(Deserialize)]
-struct WireFeedback {
-    status: Option<String>,
-    epoch: Option<u64>,
-}
-
-/// Any read response's epoch field, regardless of endpoint shape.
-#[derive(Deserialize)]
-struct WireEpoch {
-    epoch: Option<u64>,
-}
-
+#[derive(Default)]
 struct WriterOutput {
     latencies_us: Vec<u64>,
-    /// `applied[e - 1]` is the batch that published epoch `e`.
-    applied: Vec<Vec<FeedbackEvent>>,
+    /// `published[e - 1]` is the writer's mirror of the graph the server
+    /// published as epoch `e`.
+    published: Vec<Hin>,
     divergences: Vec<String>,
 }
 
-/// The single mutator: generates batches valid against a local mirror of
-/// the served graph (add an absent `rated` edge / remove a present one,
-/// never touching a planned question's (user, wni) pair), posts them at
-/// `rate` batches per second, and replays each acknowledged batch onto
-/// the mirror. Epochs must come back consecutive — the mirror chain is
-/// the verifier's epoch-indexed reference.
-#[allow(clippy::too_many_arguments)]
+/// The single mutator: generates batches valid against its mirror of the
+/// served graph (add an absent `rated` edge / remove a present one, never
+/// touching a planned question's (user, wni) pair — adding that edge would
+/// invalidate the question for every later epoch), posts them at `rate`
+/// batches per second, and applies each acknowledged batch to the mirror.
+/// Epochs must come back consecutive: the mirror chain is the verifier's
+/// epoch-indexed reference.
 fn feedback_writer(
-    addr: String,
-    seed_graph: Hin,
-    users: Vec<NodeId>,
-    items: Vec<NodeId>,
-    avoid: Vec<(u32, u32)>,
+    addr: &str,
+    graph: &Hin,
+    cfg: &EmigreConfig,
+    plan: &[PlannedRequest],
+    users: &[NodeId],
     rate: f64,
-    bidirectional: bool,
-    stop: Arc<AtomicBool>,
+    stop: &AtomicBool,
 ) -> Result<WriterOutput, String> {
-    let mut client = HttpClient::connect(&addr)?;
-    let rated = seed_graph
-        .registry()
-        .find_edge_type("rated")
-        .ok_or("graph has no `rated` edge type")?;
+    let mut conn = Conn::connect(addr)?;
+    let items: Vec<NodeId> = (0..graph.num_nodes() as u32)
+        .map(NodeId)
+        .filter(|&n| graph.node_type(n) == cfg.rec.item_type)
+        .collect();
+    let avoid: Vec<(u32, u32)> = plan
+        .iter()
+        .filter_map(|p| match p.spec {
+            RequestSpec::Explain { user, wni, .. } => Some((user.0, wni.0)),
+            RequestSpec::Recommend { .. } => None,
+        })
+        .collect();
     let mut rng = Xorshift(0x5eedf00d);
-    let mut mirror = seed_graph;
-    let mut out = WriterOutput {
-        latencies_us: Vec::new(),
-        applied: Vec::new(),
-        divergences: Vec::new(),
-    };
+    let mut out = WriterOutput::default();
     let pause = Duration::from_secs_f64(1.0 / rate.max(1e-3));
     while !stop.load(Ordering::Relaxed) {
+        let mirror = out.published.last().unwrap_or(graph);
         let mut events: Vec<FeedbackEvent> = Vec::with_capacity(2);
         let mut used: Vec<(u32, u32)> = Vec::with_capacity(2);
         while events.len() < 2 {
@@ -410,7 +561,7 @@ fn feedback_writer(
                 continue;
             }
             used.push(pair);
-            events.push(if mirror.has_edge(user, item, rated) {
+            events.push(if mirror.has_edge(user, item, cfg.add_edge_type) {
                 FeedbackEvent::remove(user.0, item.0, "rated")
             } else {
                 FeedbackEvent::add(user.0, item.0, "rated", 1.5)
@@ -421,256 +572,69 @@ fn feedback_writer(
         })
         .map_err(|e| e.to_string())?;
         let t0 = Instant::now();
-        let (status, resp) = client.request("POST", "/feedback", &body)?;
+        let (status, resp) = conn.request("POST", "/feedback", &body)?;
         out.latencies_us.push(t0.elapsed().as_micros() as u64);
         if status != 200 {
             out.divergences
                 .push(format!("/feedback {body} -> {status} {resp:.200}"));
             break;
         }
-        let w: WireFeedback = serde_json::from_str(&resp)
+        let w: WireRead = serde_json::from_str(&resp)
             .map_err(|e| format!("unparseable feedback body: {e} ({resp:.200})"))?;
-        if w.status.as_deref() != Some("ok") || w.epoch != Some(out.applied.len() as u64 + 1) {
+        if w.status.as_deref() != Some("ok") || w.epoch != Some(out.published.len() as u64 + 1) {
             out.divergences.push(format!(
                 "/feedback answered epoch {:?} after {} applied batches: {resp:.200}",
                 w.epoch,
-                out.applied.len()
+                out.published.len()
             ));
             break;
         }
-        mirror = events_to_delta(&events, &mirror, bidirectional)
+        let next = events_to_delta(&events, mirror, cfg.bidirectional_actions)
             .map_err(|e| format!("acknowledged batch does not convert: {e:?}"))?
-            .apply_to(&mirror)
+            .apply_to(mirror)
             .map_err(|e| format!("acknowledged batch does not apply: {e}"))?;
-        out.applied.push(events);
+        out.published.push(next);
         std::thread::sleep(pause);
     }
     Ok(out)
 }
 
-/// A read captured for deferred verification: the reference answer can
-/// only be computed once the full epoch chain is known.
-struct DeferredRead {
-    plan_idx: usize,
-    status: u16,
-    body: String,
-}
-
-/// Per-reader output of the mixed run: explain latencies, recommend
-/// latencies, and the reads deferred for epoch-pinned verification.
-type MixedReaderOutput = (Vec<u64>, Vec<u64>, Vec<DeferredRead>);
-
-/// Closed-loop reader that records responses instead of verifying inline.
-fn mixed_reader(
-    addr: String,
-    plan: Arc<Vec<PlannedRequest>>,
-    cursor: Arc<AtomicUsize>,
-    stop: Arc<AtomicBool>,
-) -> Result<MixedReaderOutput, String> {
-    let mut client = HttpClient::connect(&addr)?;
-    let (mut explain_us, mut recommend_us) = (Vec::new(), Vec::new());
-    let mut reads = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let seq = cursor.fetch_add(1, Ordering::Relaxed);
-        let plan_idx = seq % plan.len();
-        let req = &plan[plan_idx];
-        let t0 = Instant::now();
-        let (status, body) = client.request("POST", req.path, &req.body)?;
-        let us = t0.elapsed().as_micros() as u64;
-        match req.endpoint {
-            Endpoint::Explain => explain_us.push(us),
-            Endpoint::Recommend => recommend_us.push(us),
-        }
-        reads.push(DeferredRead {
-            plan_idx,
-            status,
-            body,
-        });
-    }
-    Ok((explain_us, recommend_us, reads))
-}
-
-/// Replays the writer's event history into an epoch-indexed snapshot
-/// chain, then verifies every recorded read against the reference on the
-/// epoch its response reports. A 400 (the question went invalid under
-/// drift) carries no epoch; its check is existential — some published
-/// epoch must indeed reject it.
-fn verify_deferred_reads(
-    seed_graph: &Hin,
-    cfg: &EmigreConfig,
-    plan: &[PlannedRequest],
-    applied: &[Vec<FeedbackEvent>],
-    reads: &[DeferredRead],
-    divergences: &mut Vec<String>,
-) -> Result<(), String> {
-    let mut snapshots: Vec<Hin> = vec![seed_graph.clone()];
-    for events in applied {
-        let next = events_to_delta(events, snapshots.last().unwrap(), cfg.bidirectional_actions)
-            .map_err(|e| format!("replaying the event history: {e:?}"))?
-            .apply_to(snapshots.last().unwrap())
-            .map_err(|e| format!("replaying the event history: {e}"))?;
-        snapshots.push(next);
-    }
-    for read in reads {
-        let req = &plan[read.plan_idx];
-        if read.status == 400 {
-            let invalid_somewhere = snapshots.iter().any(|g| match req.spec {
-                RequestSpec::Explain { user, wni, method } => {
-                    reference_explain(g, cfg, user, wni, method).is_err()
-                }
-                RequestSpec::Recommend { user, k } => reference_recommend(g, cfg, user, k).is_err(),
-            });
-            if !invalid_somewhere {
-                divergences.push(format!(
-                    "{} {} -> 400, but the question validates on every epoch",
-                    req.path, req.body
-                ));
-            }
-            continue;
-        }
-        let reported = serde_json::from_str::<WireEpoch>(&read.body)
-            .ok()
-            .and_then(|w| w.epoch);
-        let epoch = match reported {
-            Some(e) if (e as usize) < snapshots.len() => e as usize,
-            _ => {
-                divergences.push(format!(
-                    "{} {} -> unusable epoch {reported:?}: {:.200}",
-                    req.path, req.body, read.body
-                ));
-                continue;
-            }
-        };
-        let graph = &snapshots[epoch];
-        let (expected_status, expected) = match req.spec {
-            RequestSpec::Explain { user, wni, method } => {
-                expected_explain(reference_explain(graph, cfg, user, wni, method))
-            }
-            RequestSpec::Recommend { user, k } => match reference_recommend(graph, cfg, user, k) {
-                Ok(rec) => (
-                    200,
-                    Expected::Recommend(rec.iter().map(|&(n, s)| (n.0, s)).collect()),
-                ),
-                Err(_) => (400, Expected::InvalidQuestion),
-            },
-        };
-        let pinned = PlannedRequest {
-            expected_status,
-            expected,
-            ..req.clone()
-        };
-        if let Err(d) = verify_response(&pinned, read.status, &read.body) {
-            divergences.push(format!("{} {} on epoch {epoch} -> {d}", req.path, req.body));
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
-// Minimal HTTP/1.1 client over a persistent TcpStream.
+// Minimal HTTP/1.1 client.
 // ---------------------------------------------------------------------------
 
-struct HttpClient {
-    stream: TcpStream,
-}
-
-impl HttpClient {
-    fn connect(addr: &str) -> Result<Self, String> {
-        let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        stream.set_nodelay(true).ok();
-        Ok(HttpClient { stream })
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: loadgen\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        );
-        self.stream
-            .write_all(head.as_bytes())
-            .and_then(|_| self.stream.write_all(body.as_bytes()))
-            .map_err(|e| format!("send: {e}"))?;
-
-        let mut buf: Vec<u8> = Vec::with_capacity(1024);
-        let mut chunk = [0u8; 4096];
-        let head_end = loop {
-            if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err("server closed connection mid-response".to_owned()),
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(format!("recv: {e}")),
-            }
-        };
-        let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad status line: {head:?}"))?;
-        let content_length: usize = head
-            .lines()
-            .find_map(|l| {
-                let (name, value) = l.split_once(':')?;
-                name.trim()
-                    .eq_ignore_ascii_case("content-length")
-                    .then(|| value.trim().parse().ok())?
-            })
-            .unwrap_or(0);
-        let mut body = buf[head_end + 4..].to_vec();
-        while body.len() < content_length {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err("server closed connection mid-body".to_owned()),
-                Ok(n) => body.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(format!("recv body: {e}")),
-            }
-        }
-        body.truncate(content_length);
-        Ok((status, String::from_utf8_lossy(&body).into_owned()))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop mode: fixed arrival rate, pipelined sends, saturation curve.
-// ---------------------------------------------------------------------------
-
-/// One point on the saturation curve: what happened when the service was
-/// offered `offered_qps` for `window_secs`.
-#[derive(Serialize, Clone)]
-struct OpenLoopPoint {
-    offered_qps: f64,
-    window_secs: f64,
-    /// Requests actually written to the wire within the window.
-    sent: u64,
-    /// Answers that were accepted and verified against the reference.
-    completed: u64,
-    /// 429/503/504 answers — load shed by admission or deadline policy.
-    rejected: u64,
-    rejection_rate: f64,
-    /// Completed answers over the full window-plus-drain wall clock.
-    achieved_qps: f64,
-    /// Latency from the *scheduled arrival* of each accepted request, so
-    /// sender lag past saturation shows up as queueing delay rather than
-    /// silently shrinking the sample (no coordinated omission).
-    p50_us: u64,
-    p99_us: u64,
-}
-
-/// In-order response reader for a pipelined connection: responses are
-/// `Content-Length`-framed and arrive in request order; bytes past one
-/// frame are retained as the start of the next.
-struct RespReader {
-    stream: TcpStream,
+/// One persistent HTTP/1.1 connection. Responses are `Content-Length`
+/// framed (a response without one has an empty body) and arrive in
+/// request order; bytes read past one response stay buffered as the start
+/// of the next, so pipelined and one-at-a-time answers parse alike.
+struct Conn<S = TcpStream> {
+    stream: S,
     buf: Vec<u8>,
 }
 
-impl RespReader {
-    fn next_response(&mut self) -> Result<(u16, String), String> {
+impl Conn {
+    fn connect(addr: &str) -> Result<Self, String> {
+        let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        stream.set_nodelay(true).ok();
+        Ok(Conn {
+            stream,
+            buf: Vec::new(),
+        })
+    }
+
+    fn request(&mut self, method: &str, path: &str, body: &str) -> Result<(u16, String), String> {
+        send(&mut self.stream, method, path, body)?;
+        self.response()
+    }
+}
+
+impl<S: Read> Conn<S> {
+    /// Reads the next response as `(status, body)`.
+    fn response(&mut self) -> Result<(u16, String), String> {
         let mut chunk = [0u8; 16384];
         loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                let head = String::from_utf8_lossy(&self.buf[..pos]).into_owned();
+            if let Some(head_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
+                let head = String::from_utf8_lossy(&self.buf[..head_end]).into_owned();
                 let status: u16 = head
                     .split_whitespace()
                     .nth(1)
@@ -685,22 +649,15 @@ impl RespReader {
                             .then(|| value.trim().parse().ok())?
                     })
                     .unwrap_or(0);
-                let body_start = pos + 4;
-                while self.buf.len() < body_start + content_length {
-                    match self.stream.read(&mut chunk) {
-                        Ok(0) => return Err("server closed connection mid-body".to_owned()),
-                        Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                        Err(e) => return Err(format!("recv body: {e}")),
-                    }
+                let end = head_end + 4 + content_length;
+                if self.buf.len() >= end {
+                    let body = String::from_utf8_lossy(&self.buf[head_end + 4..end]).into_owned();
+                    self.buf.drain(..end);
+                    return Ok((status, body));
                 }
-                let body =
-                    String::from_utf8_lossy(&self.buf[body_start..body_start + content_length])
-                        .into_owned();
-                self.buf.drain(..body_start + content_length);
-                return Ok((status, body));
             }
             match self.stream.read(&mut chunk) {
-                Ok(0) => return Err("server closed connection mid-response".to_owned()),
+                Ok(0) => return Err("server closed the connection mid-response".to_owned()),
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e) => return Err(format!("recv: {e}")),
             }
@@ -708,13 +665,49 @@ impl RespReader {
     }
 }
 
+fn send(stream: &mut impl Write, method: &str, path: &str, body: &str) -> Result<(), String> {
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: loadgen\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    stream
+        .write_all(head.as_bytes())
+        .and_then(|_| stream.write_all(body.as_bytes()))
+        .map_err(|e| format!("send: {e}"))
+}
+
+// ---------------------------------------------------------------------------
+// Open-loop mode: fixed arrival rate, pipelined sends, saturation curve.
+// ---------------------------------------------------------------------------
+
+/// One point on the saturation curve: what happened when the service was
+/// offered `offered_qps` for `window_secs`.
+#[derive(Serialize, Clone)]
+struct OpenLoopPoint {
+    offered_qps: f64,
+    window_secs: f64,
+    /// Requests actually written to the wire within the window.
+    sent: u64,
+    /// Answers that were accepted (each is verified after the sweep).
+    completed: u64,
+    /// 429/503/504 answers — load shed by admission or deadline policy.
+    rejected: u64,
+    rejection_rate: f64,
+    /// Completed answers over the full window-plus-drain wall clock.
+    achieved_qps: f64,
+    /// Latency from the *scheduled arrival* of each accepted request, so
+    /// sender lag past saturation shows up as queueing delay rather than
+    /// silently shrinking the sample (no coordinated omission).
+    p50_us: u64,
+    p99_us: u64,
+}
+
 #[derive(Default)]
 struct OpenConnOutput {
     latencies_us: Vec<u64>,
     sent: u64,
-    completed: u64,
     rejected: u64,
-    divergences: Vec<String>,
+    replies: Vec<Reply>,
 }
 
 /// One open-loop connection: a writer half pushes request `i` onto the
@@ -724,169 +717,146 @@ struct OpenConnOutput {
 /// overlap. The reader half drains in-order responses and stamps each
 /// against its scheduled arrival.
 fn open_loop_conn(
-    addr: String,
-    plan: Arc<Vec<PlannedRequest>>,
+    addr: &str,
+    plan: &[PlannedRequest],
     rate: f64,
     window: Duration,
     conn_idx: usize,
     conns: usize,
     t0: Instant,
 ) -> Result<OpenConnOutput, String> {
-    let stream = TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream.set_nodelay(true).ok();
-    let write_half = stream
+    let mut conn = Conn::connect(addr)?;
+    let mut write_half = conn
+        .stream
         .try_clone()
         .map_err(|e| format!("clone stream: {e}"))?;
     let (tx, rx) = std::sync::mpsc::channel::<(usize, Instant)>();
-    let plan_w = Arc::clone(&plan);
-    let writer = std::thread::spawn(move || -> Result<u64, String> {
-        let mut stream = write_half;
-        let mut sent = 0u64;
-        let mut i = conn_idx;
-        loop {
-            let offset = Duration::from_secs_f64(i as f64 / rate);
-            if offset >= window {
-                return Ok(sent);
+    std::thread::scope(move |s| {
+        let writer = s.spawn(move || -> Result<u64, String> {
+            let mut sent = 0u64;
+            for i in (conn_idx..).step_by(conns) {
+                let offset = Duration::from_secs_f64(i as f64 / rate);
+                if offset >= window {
+                    break;
+                }
+                let sched = t0 + offset;
+                std::thread::sleep(sched.saturating_duration_since(Instant::now()));
+                let req = &plan[i % plan.len()];
+                send(&mut write_half, "POST", req.path, &req.body)
+                    .map_err(|e| format!("open-loop {e}"))?;
+                if tx.send((i % plan.len(), sched)).is_err() {
+                    break;
+                }
+                sent += 1;
             }
-            let sched = t0 + offset;
-            let now = Instant::now();
-            if sched > now {
-                std::thread::sleep(sched - now);
+            Ok(sent)
+        });
+        let mut out = OpenConnOutput::default();
+        while let Ok((plan_idx, sched)) = rx.recv() {
+            let (status, body) = conn.response()?;
+            if matches!(status, 429 | 503 | 504) {
+                out.rejected += 1;
+                continue;
             }
-            let req = &plan_w[i % plan_w.len()];
-            let head = format!(
-                "POST {} HTTP/1.1\r\nHost: loadgen\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
-                req.path,
-                req.body.len()
-            );
-            stream
-                .write_all(head.as_bytes())
-                .and_then(|_| stream.write_all(req.body.as_bytes()))
-                .map_err(|e| format!("open-loop send: {e}"))?;
-            if tx.send((i % plan_w.len(), sched)).is_err() {
-                return Ok(sent);
-            }
-            sent += 1;
-            i += conns;
+            out.latencies_us
+                .push(Instant::now().saturating_duration_since(sched).as_micros() as u64);
+            out.replies.push(Reply {
+                plan_idx,
+                status,
+                body,
+            });
         }
-    });
-    let mut reader = RespReader {
-        stream,
-        buf: Vec::new(),
-    };
-    let mut out = OpenConnOutput::default();
-    while let Ok((plan_idx, sched)) = rx.recv() {
-        let (status, body) = reader.next_response()?;
-        let us = Instant::now().saturating_duration_since(sched).as_micros() as u64;
-        if matches!(status, 429 | 503 | 504) {
-            out.rejected += 1;
-            continue;
-        }
-        let req = &plan[plan_idx];
-        match verify_response(req, status, &body) {
-            Ok(_) => {
-                out.completed += 1;
-                out.latencies_us.push(us);
-            }
-            Err(d) => out
-                .divergences
-                .push(format!("{} {} -> {d}", req.path, req.body)),
-        }
-    }
-    out.sent = writer
-        .join()
-        .map_err(|_| "open-loop writer panicked".to_owned())??;
-    Ok(out)
+        out.sent = writer
+            .join()
+            .map_err(|_| "open-loop writer panicked".to_owned())??;
+        Ok(out)
+    })
 }
 
 /// Drives one offered rate for `secs` across `conns` pipelined
 /// connections and aggregates the point.
 fn open_loop_point(
     addr: &str,
-    plan: &Arc<Vec<PlannedRequest>>,
+    plan: &[PlannedRequest],
     rate: f64,
     secs: f64,
     conns: usize,
-) -> Result<(OpenLoopPoint, Vec<String>), String> {
+) -> Result<(OpenLoopPoint, Vec<Reply>), String> {
     let window = Duration::from_secs_f64(secs);
     let t0 = Instant::now();
-    let handles: Vec<_> = (0..conns)
-        .map(|c| {
-            let (addr, plan) = (addr.to_owned(), Arc::clone(plan));
-            std::thread::spawn(move || open_loop_conn(addr, plan, rate, window, c, conns, t0))
-        })
-        .collect();
-    let mut lat = Vec::new();
-    let (mut sent, mut completed, mut rejected) = (0u64, 0u64, 0u64);
-    let mut divergences = Vec::new();
-    for h in handles {
-        let o = h
-            .join()
-            .map_err(|_| "open-loop connection panicked".to_owned())??;
-        lat.extend(o.latencies_us);
-        sent += o.sent;
-        completed += o.completed;
-        rejected += o.rejected;
-        divergences.extend(o.divergences);
-    }
+    let outputs = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..conns)
+            .map(|c| s.spawn(move || open_loop_conn(addr, plan, rate, window, c, conns, t0)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .map_err(|_| "open-loop connection panicked".to_owned())?
+            })
+            .collect::<Result<Vec<_>, String>>()
+    })?;
     let elapsed = t0.elapsed().as_secs_f64();
+    let mut lat = Vec::new();
+    let mut replies = Vec::new();
+    let (mut sent, mut rejected) = (0u64, 0u64);
+    for o in outputs {
+        lat.extend(o.latencies_us);
+        replies.extend(o.replies);
+        sent += o.sent;
+        rejected += o.rejected;
+    }
+    let completed = replies.len() as u64;
     let rep = latency_report(lat);
-    Ok((
-        OpenLoopPoint {
-            offered_qps: rate,
-            window_secs: secs,
-            sent,
-            completed,
-            rejected,
-            rejection_rate: if sent > 0 {
-                rejected as f64 / sent as f64
-            } else {
-                0.0
-            },
-            achieved_qps: completed as f64 / elapsed.max(1e-9),
-            p50_us: rep.p50_us,
-            p99_us: rep.p99_us,
+    let point = OpenLoopPoint {
+        offered_qps: rate,
+        window_secs: secs,
+        sent,
+        completed,
+        rejected,
+        rejection_rate: if sent > 0 {
+            rejected as f64 / sent as f64
+        } else {
+            0.0
         },
-        divergences,
-    ))
+        achieved_qps: completed as f64 / elapsed.max(1e-9),
+        p50_us: rep.p50_us,
+        p99_us: rep.p99_us,
+    };
+    Ok((point, replies))
 }
 
 /// The open-loop phase: a *fresh* server (the main run's graph may have
 /// drifted through feedback epochs, and its histograms are already
-/// spent), driven point by point from the lowest offered rate up. The
-/// sweep server runs with a tight deadline so saturation actually sheds
-/// load instead of queueing unboundedly — the rejection column of the
-/// curve is the QoS scheduler's deadline policy at work.
-#[allow(clippy::too_many_arguments)]
+/// spent), driven point by point in the order given. The sweep server
+/// runs with a tight deadline so saturation actually sheds load instead
+/// of queueing unboundedly — the rejection column of the curve is the
+/// QoS scheduler's deadline policy at work. Returns the curve and every
+/// accepted reply, for the verifier.
 fn run_open_loop(
     bin: &Path,
     graph_file: &Path,
-    parallelism: usize,
-    conns: usize,
-    plan: Vec<PlannedRequest>,
-    rates: &[f64],
-    secs: f64,
-    deadline_ms: u64,
-    extra: &[String],
-) -> Result<Vec<OpenLoopPoint>, String> {
-    let event_log = std::env::temp_dir().join(format!(
-        "emigre-loadgen-{}.open.events.jsonl",
-        std::process::id()
-    ));
-    let mut server = spawn_server(bin, graph_file, &event_log, parallelism, deadline_ms, extra)?;
+    event_log: &Path,
+    opts: &Opts,
+    plan: &[PlannedRequest],
+) -> Result<(Vec<OpenLoopPoint>, Vec<Reply>), String> {
+    let conns = opts.threads.max(1);
+    let server = spawn_server(
+        bin,
+        graph_file,
+        event_log,
+        opts.parallelism,
+        opts.open_deadline_ms,
+        &opts.server_args,
+    )?;
     eprintln!(
-        "loadgen: open-loop server up at {} (deadline {deadline_ms}ms, {} conn(s))",
-        server.addr,
-        conns.max(1)
+        "loadgen: open-loop server up at {} (deadline {}ms, {conns} conn(s))",
+        server.addr, opts.open_deadline_ms
     );
-    let plan = Arc::new(plan);
     let mut points = Vec::new();
-    let mut divergences = Vec::new();
-    for &rate in rates {
-        if rate <= 0.0 {
-            return Err(format!("bad arrival rate {rate}: must be positive"));
-        }
-        let (point, div) = open_loop_point(&server.addr, &plan, rate, secs, conns.max(1))?;
+    let mut replies = Vec::new();
+    for &rate in &opts.open_rates {
+        let (point, r) = open_loop_point(&server.addr, plan, rate, opts.arrival_secs, conns)?;
         eprintln!(
             "loadgen: open loop {:>6.0} QPS offered -> {:>6.0} achieved, p50 {}us, p99 {}us, {:.1}% rejected",
             point.offered_qps,
@@ -896,37 +866,18 @@ fn run_open_loop(
             100.0 * point.rejection_rate
         );
         points.push(point);
-        divergences.extend(div);
+        replies.extend(r);
     }
-    let shutdown = HttpClient::connect(&server.addr)
-        .and_then(|mut c| c.request("POST", "/shutdown", ""))
-        .map(|(status, _)| status);
-    let exit = server.child.wait().map_err(|e| format!("wait: {e}"))?;
-    let _ = std::fs::remove_file(&event_log);
-    if shutdown != Ok(200) {
-        return Err(format!("open-loop POST /shutdown failed: {shutdown:?}"));
-    }
-    if !exit.success() {
-        return Err(format!("open-loop server exited with {exit}"));
-    }
-    for d in divergences.iter().take(5) {
-        eprintln!("divergence: {d}");
-    }
-    if !divergences.is_empty() {
-        return Err(format!(
-            "{} open-loop response(s) diverged from the reference",
-            divergences.len()
-        ));
-    }
-    Ok(points)
+    server.shutdown()?;
+    Ok((points, replies))
 }
 
 // ---------------------------------------------------------------------------
-// Server process management.
+// Server process and temp-file management.
 // ---------------------------------------------------------------------------
 
-fn server_binary(args: &[String]) -> Result<PathBuf, String> {
-    if let Some(p) = flag(args, "--server-bin") {
+fn server_binary(explicit: Option<&str>) -> Result<PathBuf, String> {
+    if let Some(p) = explicit {
         return Ok(PathBuf::from(p));
     }
     if let Ok(p) = std::env::var("EMIGRE_BIN") {
@@ -947,19 +898,36 @@ fn server_binary(args: &[String]) -> Result<PathBuf, String> {
     }
 }
 
+/// A spawned `emigre serve`. Dropping it kills and reaps the process, so
+/// no error path leaves a server running; after [`Server::shutdown`] has
+/// reaped it, the drop sends nothing.
 struct Server {
     child: Child,
     addr: String,
 }
 
-/// Extra `emigre serve` flags forwarded verbatim from the loadgen
-/// command line, so A/B runs (per-user share, reactor count, keep-alive)
-/// use one harness: everything after a bare `--` goes to the server,
-/// e.g. `loadgen --smoke -- --user-share 0.5 --reactor-threads 2`.
-fn forwarded_server_args(args: &[String]) -> Vec<String> {
-    match args.iter().position(|a| a == "--") {
-        Some(i) => args[i + 1..].to_vec(),
-        None => Vec::new(),
+impl Server {
+    /// Graceful stop: `POST /shutdown`, then require a clean drained exit.
+    /// The drain flushes the event log, so it is only read after this.
+    fn shutdown(mut self) -> Result<(), String> {
+        let status = Conn::connect(&self.addr)
+            .and_then(|mut c| c.request("POST", "/shutdown", ""))
+            .map(|(status, _)| status);
+        if status != Ok(200) {
+            return Err(format!("POST /shutdown failed: {status:?}"));
+        }
+        let exit = self.child.wait().map_err(|e| format!("wait: {e}"))?;
+        if !exit.success() {
+            return Err(format!("server exited with {exit}"));
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -971,43 +939,53 @@ fn spawn_server(
     deadline_ms: u64,
     extra: &[String],
 ) -> Result<Server, String> {
-    let mut argv = vec![
-        "serve".to_owned(),
-        "--graph".to_owned(),
-        graph_file.display().to_string(),
-        "--port".to_owned(),
-        "0".to_owned(),
-        "--deadline-ms".to_owned(),
-        deadline_ms.to_string(),
-        "--event-log".to_owned(),
-        event_log.display().to_string(),
-        "--parallelism".to_owned(),
-        parallelism.to_string(),
-    ];
-    argv.extend(extra.iter().cloned());
-    let mut child = Command::new(bin)
-        .args(argv)
+    let child = Command::new(bin)
+        .args(["serve", "--port", "0"])
+        .args(["--deadline-ms", &deadline_ms.to_string()])
+        .args(["--parallelism", &parallelism.to_string()])
+        .arg("--graph")
+        .arg(graph_file)
+        .arg("--event-log")
+        .arg(event_log)
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
         .map_err(|e| format!("spawning {}: {e}", bin.display()))?;
-    let stdout = child.stdout.take().ok_or("no child stdout")?;
-    let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
-        match lines.next() {
-            Some(Ok(line)) => {
-                if let Some(addr) = line.strip_prefix("emigre-serve listening on ") {
-                    break addr.trim().to_owned();
-                }
-            }
-            Some(Err(e)) => return Err(format!("reading server stdout: {e}")),
-            None => {
-                let _ = child.wait();
-                return Err("server exited before announcing its address".to_owned());
-            }
-        }
+    let mut server = Server {
+        child,
+        addr: String::new(),
     };
-    Ok(Server { child, addr })
+    let stdout = server.child.stdout.take().ok_or("no child stdout")?;
+    for line in BufReader::new(stdout).lines() {
+        let line = line.map_err(|e| format!("reading server stdout: {e}"))?;
+        if let Some(addr) = line.strip_prefix("emigre-serve listening on ") {
+            server.addr = addr.trim().to_owned();
+            return Ok(server);
+        }
+    }
+    Err("server exited before announcing its address".to_owned())
+}
+
+/// The run's temp files, named by process id and removed when the guard
+/// drops, so every exit path cleans up.
+struct TempFiles(Vec<PathBuf>);
+
+impl TempFiles {
+    fn path(&mut self, suffix: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("emigre-loadgen-{}.{suffix}", std::process::id()));
+        self.0.push(path.clone());
+        path
+    }
+}
+
+impl Drop for TempFiles {
+    fn drop(&mut self) {
+        for path in &self.0 {
+            let _ = std::fs::remove_file(path);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1068,8 +1046,9 @@ struct StageReport {
     context: StageQuantiles,
     search: StageQuantiles,
     test: StageQuantiles,
-    /// Time inside parallel CHECK fan-outs — a sub-stage of `test`, zero
-    /// when the engine runs sequentially (`--parallelism 1`).
+    /// Time inside parallel CHECK fan-outs — a sub-stage of `test`. Every
+    /// explain adds a sample, 0 µs when no CHECK fanned out, so at
+    /// `--parallelism 1` `count` is the explain count and each quantile 0.
     check_parallel: StageQuantiles,
 }
 
@@ -1139,74 +1118,72 @@ struct BenchReport {
     server_metrics: MetricsSnapshot,
 }
 
-struct WorkerOutput {
+#[derive(Default)]
+struct ReaderOutput {
     explain_us: Vec<u64>,
     recommend_us: Vec<u64>,
-    divergences: Vec<String>,
-    /// `(plan index, served trace)` pairs fetched right after each
-    /// explain answer (smoke mode only).
+    replies: Vec<Reply>,
+    /// `(plan index, served trace)` for every explain answered 200
+    /// (smoke mode only).
     traces: Vec<(usize, ExplainTrace)>,
+    divergences: Vec<String>,
 }
 
-/// One closed-loop client: next request as soon as the last one answered.
-fn worker(
-    addr: String,
-    plan: Arc<Vec<PlannedRequest>>,
-    cursor: Arc<AtomicUsize>,
-    stop: Arc<AtomicBool>,
+/// One closed-loop client: the next request goes out as soon as the last
+/// one is answered, until `stop` is raised or `max_requests` requests
+/// have been handed out across all clients.
+fn reader(
+    addr: &str,
+    plan: &[PlannedRequest],
+    cursor: &AtomicUsize,
+    stop: &AtomicBool,
     max_requests: Option<usize>,
     fetch_traces: bool,
-) -> Result<WorkerOutput, String> {
-    let mut client = HttpClient::connect(&addr)?;
-    let mut out = WorkerOutput {
-        explain_us: Vec::new(),
-        recommend_us: Vec::new(),
-        divergences: Vec::new(),
-        traces: Vec::new(),
-    };
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(out);
-        }
+) -> Result<ReaderOutput, String> {
+    let mut conn = Conn::connect(addr)?;
+    let mut out = ReaderOutput::default();
+    while !stop.load(Ordering::Relaxed) {
         let seq = cursor.fetch_add(1, Ordering::Relaxed);
-        if let Some(max) = max_requests {
-            if seq >= max {
-                return Ok(out);
-            }
+        if max_requests.is_some_and(|max| seq >= max) {
+            break;
         }
-        let req = &plan[seq % plan.len()];
+        let plan_idx = seq % plan.len();
+        let req = &plan[plan_idx];
         let t0 = Instant::now();
-        let (status, body) = client.request("POST", req.path, &req.body)?;
+        let (status, body) = conn.request("POST", req.path, &req.body)?;
         let us = t0.elapsed().as_micros() as u64;
-        match req.endpoint {
-            Endpoint::Explain => out.explain_us.push(us),
-            Endpoint::Recommend => out.recommend_us.push(us),
+        if req.is_explain() {
+            out.explain_us.push(us);
+        } else {
+            out.recommend_us.push(us);
         }
-        match verify_response(req, status, &body) {
-            Err(d) => out
-                .divergences
-                .push(format!("{} {} -> {d}", req.path, req.body)),
-            Ok(request_id) => {
-                // Fetched outside the timed section: the trace endpoint is
-                // an operator tool, not part of the serving path.
-                if fetch_traces && req.endpoint == Endpoint::Explain && status == 200 {
-                    let path = format!("/trace/{request_id}");
-                    let (ts, tbody) = client.request("GET", &path, "")?;
-                    if ts != 200 {
-                        out.divergences
-                            .push(format!("GET {path} -> {ts} {tbody:.200}"));
-                    } else {
-                        match serde_json::from_str::<ExplainTrace>(&tbody) {
-                            Ok(t) => out.traces.push((seq % plan.len(), t)),
-                            Err(e) => out
-                                .divergences
-                                .push(format!("GET {path}: unparseable trace: {e}")),
-                        }
-                    }
-                }
+        // Fetched outside the timed section: the trace endpoint is an
+        // operator tool, not part of the serving path. An answer without
+        // a request id fails verification on its own.
+        let request_id = (fetch_traces && req.is_explain() && status == 200)
+            .then(|| serde_json::from_str::<WireRead>(&body).ok()?.request_id)
+            .flatten();
+        if let Some(id) = request_id {
+            let path = format!("/trace/{id}");
+            match conn.request("GET", &path, "")? {
+                (200, trace) => match serde_json::from_str::<ExplainTrace>(&trace) {
+                    Ok(t) => out.traces.push((plan_idx, t)),
+                    Err(e) => out
+                        .divergences
+                        .push(format!("GET {path}: unparseable trace: {e}")),
+                },
+                (ts, tbody) => out
+                    .divergences
+                    .push(format!("GET {path} -> {ts} {tbody:.200}")),
             }
         }
+        out.replies.push(Reply {
+            plan_idx,
+            status,
+            body,
+        });
     }
+    Ok(out)
 }
 
 /// Replays every fetched trace on a fresh single-threaded context: each
@@ -1260,77 +1237,32 @@ fn replay_traces(
     verdicts
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let server_args = forwarded_server_args(args);
-    // Loadgen's own flags stop at the `--` separator.
-    let args = match args.iter().position(|a| a == "--") {
-        Some(i) => &args[..i],
-        None => args,
-    };
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let items: usize = parse_flag(args, "--items", if smoke { 200 } else { 300 })?;
-    let threads: usize = parse_flag(args, "--threads", if smoke { 2 } else { 4 })?;
-    let duration_secs: u64 = parse_flag(args, "--duration-secs", 10)?;
-    let k: usize = parse_flag(args, "--k", 5)?;
-    // Per-request CHECK worker budget handed to the engine (1 = each
-    // request stays on its service worker; answers are bit-identical
-    // either way — the reference comparison below enforces exactly that).
-    let parallelism: usize = parse_flag(args, "--parallelism", 1)?;
-    // Mixed read/write mode: a dedicated writer posts this many feedback
-    // batches per second while the readers run, and every read is
-    // verified against the reference on its pinned epoch afterwards.
-    let feedback_rate: f64 = parse_flag(args, "--feedback-rate", 0.0)?;
-    if feedback_rate > 0.0 && smoke {
-        return Err(
-            "--feedback-rate and --smoke are mutually exclusive (trace replay assumes a static graph)"
-                .to_owned(),
-        );
-    }
-    // Open-loop phase: a single offered rate, or a comma-separated sweep.
-    let arrival_rate: f64 = parse_flag(args, "--arrival-rate", 0.0)?;
-    let arrival_secs: f64 = parse_flag(args, "--arrival-secs", 4.0)?;
-    let open_deadline_ms: u64 = parse_flag(args, "--open-deadline-ms", 2000)?;
-    let open_rates: Vec<f64> = match flag(args, "--arrival-sweep") {
-        Some(raw) => raw
-            .split(',')
-            .map(|tok| {
-                tok.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad --arrival-sweep entry: {tok:?}"))
-            })
-            .collect::<Result<_, _>>()?,
-        None if arrival_rate > 0.0 => vec![arrival_rate],
-        None => Vec::new(),
-    };
-    let out_path = flag(args, "--out").unwrap_or_else(|| "BENCH_serve.json".to_owned());
+fn run(opts: &Opts) -> Result<(), String> {
+    // Declared first so it drops last, after any server still running.
+    let mut tmp = TempFiles(Vec::new());
+    let graph_file = tmp.path("hin");
+    let event_log = tmp.path("events.jsonl");
+    let open_event_log = tmp.path("open.events.jsonl");
+    let snap_file = tmp.path("snap");
 
     // Build the synthetic world, write it out, and re-parse the written
     // file: reference and server then explain the *same parsed graph*.
-    eprintln!("loadgen: building synthetic HIN ({items} items)");
-    let w = emigre_bench::world(items, 1e-8);
+    eprintln!("loadgen: building synthetic HIN ({} items)", opts.items);
+    let w = emigre_bench::world(opts.items, 1e-8);
     let text = emigre_hin::io::to_edge_list(&w.hin.graph);
-    let graph_file =
-        std::env::temp_dir().join(format!("emigre-loadgen-{}.hin", std::process::id()));
-    let event_log = std::env::temp_dir().join(format!(
-        "emigre-loadgen-{}.events.jsonl",
-        std::process::id()
-    ));
     std::fs::write(&graph_file, &text).map_err(|e| format!("writing graph file: {e}"))?;
     let graph = emigre_hin::io::from_edge_list(&text).map_err(|e| format!("reparse: {e}"))?;
-    let cfg = serve_config(&graph)?;
+    let cfg = config_for(&graph)?;
 
     eprintln!(
         "loadgen: precomputing reference answers for {} users",
         w.hin.users.len()
     );
-    let plan = build_plan(&graph, &cfg, &w.hin.users, k);
+    let plan = build_plan(&graph, &cfg, &w.hin.users, opts.k);
     if plan.is_empty() {
         return Err("empty request plan — no servable users in the world".to_owned());
     }
-    let n_explain = plan
-        .iter()
-        .filter(|p| p.endpoint == Endpoint::Explain)
-        .count();
+    let n_explain = plan.iter().filter(|p| p.is_explain()).count();
     eprintln!(
         "loadgen: plan has {} requests ({} explain, {} recommend)",
         plan.len(),
@@ -1338,115 +1270,55 @@ fn run(args: &[String]) -> Result<(), String> {
         plan.len() - n_explain
     );
 
-    let bin = server_binary(args)?;
-    let mut server = spawn_server(
+    let bin = server_binary(opts.server_bin.as_deref())?;
+    let server = spawn_server(
         &bin,
         &graph_file,
         &event_log,
-        parallelism,
+        opts.parallelism,
         60000,
-        &server_args,
+        &opts.server_args,
     )?;
     eprintln!("loadgen: server {} up at {}", bin.display(), server.addr);
-
-    let result = if feedback_rate > 0.0 {
-        drive_mixed(
-            &server.addr,
-            plan.clone(),
-            threads,
-            parallelism,
-            duration_secs,
-            items,
-            feedback_rate,
-            &graph,
-            &cfg,
-            &w.hin.users,
-        )
-    } else {
-        drive(
-            &server.addr,
-            plan.clone(),
-            smoke,
-            threads,
-            parallelism,
-            duration_secs,
-            items,
-            &graph,
-            &cfg,
-        )
-    };
-
-    // Graceful stop: POST /shutdown, then require a clean exit. The
-    // drain flushes the event log, so it is only read after the wait.
-    let shutdown = HttpClient::connect(&server.addr)
-        .and_then(|mut c| c.request("POST", "/shutdown", ""))
-        .map(|(status, _)| status);
-    let exit = server.child.wait().map_err(|e| format!("wait: {e}"))?;
-    if shutdown != Ok(200) {
-        let _ = std::fs::remove_file(&graph_file);
-        return Err(format!("POST /shutdown failed: {shutdown:?}"));
-    }
-    if !exit.success() {
-        let _ = std::fs::remove_file(&graph_file);
-        return Err(format!("server exited with {exit}"));
-    }
+    let result = drive(&server.addr, &plan, opts, &graph, &cfg, &w.hin.users);
+    let stopped = server.shutdown();
+    let mut report = result?;
+    stopped?;
     eprintln!("loadgen: server drained and exited cleanly");
-    let mut report = match result {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = std::fs::remove_file(&graph_file);
-            return Err(e);
-        }
-    };
 
     // Open-loop saturation sweep on a fresh server (the main run's graph
-    // may have drifted through feedback epochs, so the plan's reference
-    // answers only hold on a clean spawn).
-    let open_loop = if open_rates.is_empty() {
-        Ok(Vec::new())
-    } else {
-        run_open_loop(
-            &bin,
-            &graph_file,
-            parallelism,
-            threads,
-            plan,
-            &open_rates,
-            arrival_secs,
-            open_deadline_ms,
-            &server_args,
-        )
-    };
-    let _ = std::fs::remove_file(&graph_file);
-    report.open_loop = open_loop?;
+    // may have drifted through feedback epochs, so only the plan's epoch-0
+    // answers hold there).
+    if !opts.open_rates.is_empty() {
+        let (points, replies) = run_open_loop(&bin, &graph_file, &open_event_log, opts, &plan)?;
+        fail_on(
+            &verify_replies(&cfg, &plan, &[], &replies),
+            "open-loop response(s)",
+        )?;
+        report.open_loop = points;
+    }
 
     // Snapshot fast-start probe: the same graph the server just served,
     // through the `serve --graph-snapshot` startup path — write, open
     // (mmap where the platform allows), restore, and time it.
-    report.snapshot = {
-        let snap_file =
-            std::env::temp_dir().join(format!("emigre-loadgen-{}.snap", std::process::id()));
-        emigre_hin::write_snapshot(&graph, &snap_file)
-            .map_err(|e| format!("writing snapshot: {e}"))?;
-        let t0 = std::time::Instant::now();
-        let snap =
-            emigre_hin::Snapshot::open(&snap_file).map_err(|e| format!("opening snapshot: {e}"))?;
-        let restored = snap.to_hin();
-        let load_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let _ = std::fs::remove_file(&snap_file);
-        if restored.num_nodes() != graph.num_nodes() || restored.num_edges() != graph.num_edges() {
-            return Err("snapshot restore diverged from the served graph".to_owned());
-        }
-        eprintln!(
-            "loadgen: snapshot fast-start — {} bytes, {} restore in {load_ms:.2} ms",
-            snap.image_bytes(),
-            if snap.is_mapped() { "mmap" } else { "read" }
-        );
-        SnapshotReport {
-            load_ms,
-            image_bytes: snap.image_bytes() as u64,
-            mapped: snap.is_mapped(),
-        }
+    emigre_hin::write_snapshot(&graph, &snap_file).map_err(|e| format!("writing snapshot: {e}"))?;
+    let t0 = Instant::now();
+    let snap =
+        emigre_hin::Snapshot::open(&snap_file).map_err(|e| format!("opening snapshot: {e}"))?;
+    let restored = snap.to_hin();
+    let load_ms = t0.elapsed().as_secs_f64() * 1e3;
+    if restored.num_nodes() != graph.num_nodes() || restored.num_edges() != graph.num_edges() {
+        return Err("snapshot restore diverged from the served graph".to_owned());
+    }
+    eprintln!(
+        "loadgen: snapshot fast-start — {} bytes, {} restore in {load_ms:.2} ms",
+        snap.image_bytes(),
+        if snap.is_mapped() { "mmap" } else { "read" }
+    );
+    report.snapshot = SnapshotReport {
+        load_ms,
+        image_bytes: snap.image_bytes() as u64,
+        mapped: snap.is_mapped(),
     };
 
     // Structured event log: one JSON line per request — feedback
@@ -1456,25 +1328,24 @@ fn run(args: &[String]) -> Result<(), String> {
         report.requests + report.feedback.count,
         report.feedback.count,
     )?;
-    let _ = std::fs::remove_file(&event_log);
     eprintln!(
         "loadgen: event log verified — {} parseable line(s), zero lost",
         report.event_log.lines
     );
 
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    std::fs::write(&out_path, &json).map_err(|e| format!("writing {out_path}: {e}"))?;
+    std::fs::write(&opts.out, &json).map_err(|e| format!("writing {}: {e}", opts.out))?;
     println!("{json}");
     eprintln!(
-        "loadgen: {} requests in {:.2}s — {:.1} QPS, {} divergence(s); wrote {out_path}",
-        report.requests, report.duration_secs, report.qps, report.divergences
+        "loadgen: {} requests in {:.2}s — {:.1} QPS, {} divergence(s); wrote {}",
+        report.requests, report.duration_secs, report.qps, report.divergences, opts.out
     );
     Ok(())
 }
 
 /// Every line of the event log must parse as a [`RequestEvent`] with a
 /// valid request id, the line count must equal the number of requests
-/// the workers issued (fewer means events were dropped), and in mixed
+/// the clients issued (fewer means events were dropped), and in mixed
 /// runs exactly `feedback` of them must be feedback lines.
 fn verify_event_log(path: &Path, requests: u64, feedback: u64) -> Result<EventLogReport, String> {
     let text =
@@ -1512,274 +1383,118 @@ fn verify_event_log(path: &Path, requests: u64, feedback: u64) -> Result<EventLo
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The closed-loop run: `threads` readers (one pass over the plan under
+/// `--smoke`, else `duration_secs` of load) plus, with `--feedback-rate`,
+/// the feedback writer. Afterwards every reply is verified on the epoch
+/// it reports, and smoke runs replay the served traces.
 fn drive(
     addr: &str,
-    plan: Vec<PlannedRequest>,
-    smoke: bool,
-    threads: usize,
-    parallelism: usize,
-    duration_secs: u64,
-    items: usize,
-    graph: &Hin,
-    cfg: &EmigreConfig,
-) -> Result<BenchReport, String> {
-    // Health check before measuring.
-    let mut probe = HttpClient::connect(addr)?;
-    let (status, _) = probe.request("GET", "/healthz", "")?;
-    if status != 200 {
-        return Err(format!("healthz returned {status}"));
-    }
-
-    let plan = Arc::new(plan);
-    let cursor = Arc::new(AtomicUsize::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    // Smoke: exactly one verified pass over the plan. Load: run for the
-    // requested wall-clock duration.
-    let max_requests = smoke.then_some(plan.len());
-
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..threads.max(1))
-        .map(|_| {
-            let (addr, plan, cursor, stop) = (
-                addr.to_owned(),
-                Arc::clone(&plan),
-                Arc::clone(&cursor),
-                Arc::clone(&stop),
-            );
-            std::thread::spawn(move || worker(addr, plan, cursor, stop, max_requests, smoke))
-        })
-        .collect();
-    if !smoke {
-        std::thread::sleep(Duration::from_secs(duration_secs));
-        stop.store(true, Ordering::Relaxed);
-    }
-    let outputs = handles
-        .into_iter()
-        .map(|h| h.join().map_err(|_| "worker panicked".to_owned())?)
-        .collect::<Result<Vec<_>, String>>()?;
-    let elapsed = t0.elapsed().as_secs_f64();
-
-    let mut explain_us = Vec::new();
-    let mut recommend_us = Vec::new();
-    let mut divergences = Vec::new();
-    let mut traces = Vec::new();
-    for o in outputs {
-        explain_us.extend(o.explain_us);
-        recommend_us.extend(o.recommend_us);
-        divergences.extend(o.divergences);
-        traces.extend(o.traces);
-    }
-    let requests = (explain_us.len() + recommend_us.len()) as u64;
-
-    // Server-side view, snapshotted right at the end of the load window —
-    // before trace replay, which can outlast the server's keep-alive and
-    // get the idle probe connection reaped.
-    let (_, metrics_json) = probe.request("GET", "/metrics", "")?;
-    let server_metrics: MetricsSnapshot =
-        serde_json::from_str(&metrics_json).map_err(|e| format!("parsing /metrics: {e}"))?;
-
-    let verdicts_replayed = if smoke {
-        eprintln!("loadgen: replaying {} served trace(s)", traces.len());
-        replay_traces(graph, cfg, &plan, &traces, &mut divergences)
-    } else {
-        0
-    };
-
-    let report = BenchReport {
-        smoke,
-        items,
-        threads,
-        parallelism,
-        duration_secs: elapsed,
-        requests,
-        divergences: divergences.len() as u64,
-        qps: requests as f64 / elapsed.max(1e-9),
-        explain: latency_report(explain_us),
-        recommend: latency_report(recommend_us),
-        traces_replayed: traces.len() as u64,
-        verdicts_replayed,
-        feedback_rate: 0.0,
-        feedback: LatencyReport::default(),
-        feedback_events_applied: 0,
-        update_throughput_per_sec: 0.0,
-        read_p99_under_writes_us: 0,
-        stages: StageReport {
-            queue: stage_quantiles(&server_metrics.queue_wait),
-            context: stage_quantiles(&server_metrics.stage_context),
-            search: stage_quantiles(&server_metrics.stage_search),
-            test: stage_quantiles(&server_metrics.stage_test),
-            check_parallel: stage_quantiles(&server_metrics.stage_check_parallel),
-        },
-        event_log: EventLogReport::default(),
-        open_loop: Vec::new(),
-        heap_peak_bytes: server_metrics.heap_peak_bytes,
-        graph_bytes: server_metrics.graph_bytes,
-        snapshot: SnapshotReport::default(),
-        server_metrics,
-    };
-
-    for d in divergences.iter().take(5) {
-        eprintln!("divergence: {d}");
-    }
-    if !divergences.is_empty() {
-        return Err(format!(
-            "{} served response(s) diverged from the single-threaded reference",
-            divergences.len()
-        ));
-    }
-    Ok(report)
-}
-
-/// Mixed read/write measurement: `threads` closed-loop readers race one
-/// feedback writer for `duration_secs`, then the whole run is verified —
-/// the writer's event history replayed into an epoch chain, every read
-/// checked against the reference on its pinned epoch.
-#[allow(clippy::too_many_arguments)]
-fn drive_mixed(
-    addr: &str,
-    plan: Vec<PlannedRequest>,
-    threads: usize,
-    parallelism: usize,
-    duration_secs: u64,
-    items: usize,
-    feedback_rate: f64,
+    plan: &[PlannedRequest],
+    opts: &Opts,
     graph: &Hin,
     cfg: &EmigreConfig,
     users: &[NodeId],
 ) -> Result<BenchReport, String> {
-    let mut probe = HttpClient::connect(addr)?;
+    let mut probe = Conn::connect(addr)?;
     let (status, _) = probe.request("GET", "/healthz", "")?;
     if status != 200 {
         return Err(format!("healthz returned {status}"));
     }
 
-    // Writable item pool and the question pairs the writer must not touch
-    // (adding a rated edge on one would invalidate that planned explain
-    // for every later epoch).
-    let item_t = graph
-        .registry()
-        .find_node_type("item")
-        .ok_or("graph has no `item` node type")?;
-    let item_nodes: Vec<NodeId> = (0..graph.num_nodes() as u32)
-        .map(NodeId)
-        .filter(|&n| graph.node_type(n) == item_t)
-        .collect();
-    let avoid: Vec<(u32, u32)> = plan
-        .iter()
-        .filter_map(|p| match p.spec {
-            RequestSpec::Explain { user, wni, .. } => Some((user.0, wni.0)),
-            RequestSpec::Recommend { .. } => None,
-        })
-        .collect();
-
-    let plan = Arc::new(plan);
-    let cursor = Arc::new(AtomicUsize::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let max_requests = opts.smoke.then_some(plan.len());
     let t0 = Instant::now();
-    let writer = {
-        let (addr, graph, users, items, avoid, stop) = (
-            addr.to_owned(),
-            graph.clone(),
-            users.to_vec(),
-            item_nodes,
-            avoid,
-            Arc::clone(&stop),
-        );
-        let bidirectional = cfg.bidirectional_actions;
-        std::thread::spawn(move || {
-            feedback_writer(
-                addr,
-                graph,
-                users,
-                items,
-                avoid,
-                feedback_rate,
-                bidirectional,
-                stop,
-            )
-        })
-    };
-    let readers: Vec<_> = (0..threads.max(1))
-        .map(|_| {
-            let (addr, plan, cursor, stop) = (
-                addr.to_owned(),
-                Arc::clone(&plan),
-                Arc::clone(&cursor),
-                Arc::clone(&stop),
-            );
-            std::thread::spawn(move || mixed_reader(addr, plan, cursor, stop))
-        })
-        .collect();
-    std::thread::sleep(Duration::from_secs(duration_secs));
-    stop.store(true, Ordering::Relaxed);
-
-    let mut explain_us = Vec::new();
-    let mut recommend_us = Vec::new();
-    let mut reads = Vec::new();
-    for h in readers {
-        let (e, r, d) = h.join().map_err(|_| "reader panicked".to_owned())??;
-        explain_us.extend(e);
-        recommend_us.extend(r);
-        reads.extend(d);
-    }
-    let writer_out = writer.join().map_err(|_| "writer panicked".to_owned())??;
+    let (readers, writer) = std::thread::scope(|s| {
+        let (cursor, stop) = (&cursor, &stop);
+        let writer = (opts.feedback_rate > 0.0).then(|| {
+            s.spawn(move || {
+                feedback_writer(addr, graph, cfg, plan, users, opts.feedback_rate, stop)
+            })
+        });
+        let readers: Vec<_> = (0..opts.threads.max(1))
+            .map(|_| s.spawn(move || reader(addr, plan, cursor, stop, max_requests, opts.smoke)))
+            .collect();
+        // A smoke pass ends when the plan does (and runs no writer).
+        if !opts.smoke {
+            std::thread::sleep(Duration::from_secs(opts.duration_secs));
+            stop.store(true, Ordering::Relaxed);
+        }
+        let readers = readers
+            .into_iter()
+            .map(|h| h.join().map_err(|_| "reader panicked".to_owned())?)
+            .collect::<Result<Vec<_>, String>>();
+        let writer = writer
+            .map(|h| h.join().map_err(|_| "writer panicked".to_owned())?)
+            .transpose();
+        (readers, writer)
+    });
+    let (readers, writer) = (readers?, writer?.unwrap_or_default());
     let elapsed = t0.elapsed().as_secs_f64();
 
-    let mut divergences = writer_out.divergences;
+    let mut divergences = writer.divergences;
+    let (mut explain_us, mut recommend_us) = (Vec::new(), Vec::new());
+    let (mut replies, mut traces) = (Vec::new(), Vec::new());
+    for o in readers {
+        explain_us.extend(o.explain_us);
+        recommend_us.extend(o.recommend_us);
+        replies.extend(o.replies);
+        traces.extend(o.traces);
+        divergences.extend(o.divergences);
+    }
 
-    // Snapshot the server-side view right at the end of the load window:
-    // deferred-read verification below replays every published epoch and can
-    // outlast the server's keep-alive, which would get the idle probe
-    // connection reaped before a late /metrics fetch.
+    // Server-side view, snapshotted right at the end of the load window —
+    // verification and trace replay can outlast the server's keep-alive
+    // and get the idle probe connection reaped.
     let (_, metrics_json) = probe.request("GET", "/metrics", "")?;
     let server_metrics: MetricsSnapshot =
         serde_json::from_str(&metrics_json).map_err(|e| format!("parsing /metrics: {e}"))?;
-    if server_metrics.graph_epoch != writer_out.applied.len() as u64 {
+    if server_metrics.graph_epoch != writer.published.len() as u64 {
         divergences.push(format!(
             "server reports epoch {}, writer published {}",
             server_metrics.graph_epoch,
-            writer_out.applied.len()
+            writer.published.len()
         ));
     }
-    let events_applied = server_metrics.feedback_events_applied;
 
     eprintln!(
-        "loadgen: verifying {} read(s) against {} published epoch(s)",
-        reads.len(),
-        writer_out.applied.len()
+        "loadgen: verifying {} response(s) against {} published epoch(s)",
+        replies.len(),
+        writer.published.len()
     );
-    verify_deferred_reads(
-        graph,
-        cfg,
-        &plan,
-        &writer_out.applied,
-        &reads,
-        &mut divergences,
-    )?;
+    divergences.extend(verify_replies(cfg, plan, &writer.published, &replies));
+    let verdicts_replayed = if opts.smoke {
+        eprintln!("loadgen: replaying {} served trace(s)", traces.len());
+        replay_traces(graph, cfg, plan, &traces, &mut divergences)
+    } else {
+        0
+    };
 
-    let requests = (explain_us.len() + recommend_us.len()) as u64;
+    let requests = replies.len() as u64;
     let explain = latency_report(explain_us);
-    let read_p99_under_writes_us = explain.p99_us;
+    let events_applied = server_metrics.feedback_events_applied;
     let report = BenchReport {
-        smoke: false,
-        items,
-        threads,
-        parallelism,
+        smoke: opts.smoke,
+        items: opts.items,
+        threads: opts.threads,
+        parallelism: opts.parallelism,
         duration_secs: elapsed,
         requests,
         divergences: divergences.len() as u64,
         qps: requests as f64 / elapsed.max(1e-9),
+        read_p99_under_writes_us: if opts.feedback_rate > 0.0 {
+            explain.p99_us
+        } else {
+            0
+        },
         explain,
         recommend: latency_report(recommend_us),
-        traces_replayed: 0,
-        verdicts_replayed: 0,
-        feedback_rate,
-        feedback: latency_report(writer_out.latencies_us),
+        traces_replayed: traces.len() as u64,
+        verdicts_replayed,
+        feedback_rate: opts.feedback_rate,
+        feedback: latency_report(writer.latencies_us),
         feedback_events_applied: events_applied,
         update_throughput_per_sec: events_applied as f64 / elapsed.max(1e-9),
-        read_p99_under_writes_us,
         stages: StageReport {
             queue: stage_quantiles(&server_metrics.queue_wait),
             context: stage_quantiles(&server_metrics.stage_context),
@@ -1794,15 +1509,64 @@ fn drive_mixed(
         snapshot: SnapshotReport::default(),
         server_metrics,
     };
-
-    for d in divergences.iter().take(5) {
-        eprintln!("divergence: {d}");
-    }
-    if !divergences.is_empty() {
-        return Err(format!(
-            "{} response(s) diverged from the epoch-pinned reference",
-            divergences.len()
-        ));
-    }
+    fail_on(&divergences, "response(s)")?;
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Conn;
+    use std::io::Read;
+
+    /// Hands out one scripted chunk per `read`, then end of stream.
+    struct Chunks(Vec<&'static [u8]>);
+
+    impl Read for Chunks {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Ok(0);
+            }
+            let chunk = self.0.remove(0);
+            out[..chunk.len()].copy_from_slice(chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    fn conn(chunks: &[&'static [u8]]) -> Conn<Chunks> {
+        Conn {
+            stream: Chunks(chunks.to_vec()),
+            buf: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn two_pipelined_responses_in_one_read_parse_in_order() {
+        let mut c = conn(&[b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nab\
+              HTTP/1.1 429 Too Many Requests\r\ncontent-length: 3\r\n\r\nxyz"]);
+        assert_eq!(c.response(), Ok((200, "ab".to_owned())));
+        assert_eq!(c.response(), Ok((429, "xyz".to_owned())));
+        assert!(c.response().is_err(), "nothing is left on the stream");
+    }
+
+    #[test]
+    fn a_head_and_body_split_across_reads_reassemble() {
+        let mut c = conn(&[
+            b"HTTP/1.1 200 OK\r\nContent-Le",
+            b"ngth: 5\r\n\r\nhe",
+            b"llo",
+        ]);
+        assert_eq!(c.response(), Ok((200, "hello".to_owned())));
+    }
+
+    #[test]
+    fn a_missing_content_length_is_an_empty_body() {
+        let mut c = conn(&[b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n"]);
+        assert_eq!(c.response(), Ok((200, String::new())));
+    }
+
+    #[test]
+    fn a_truncated_body_is_an_error() {
+        let mut c = conn(&[b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort"]);
+        assert!(c.response().is_err());
+    }
 }

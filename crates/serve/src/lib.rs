@@ -51,8 +51,8 @@ pub use metrics::{
 pub use parse::{HttpRequest, ParseError, RequestParser};
 pub use sched::{AdmissionQueue, AdmitError, CostClassSnapshot, JobClass, JobMeta, SchedSnapshot};
 pub use service::{
-    recommend_from_push, reference_explain, reference_recommend, ExplainOutcome, ExplainResponse,
-    ExplanationService, RecommendOutcome, RecommendResponse, ServeError, ServiceConfig,
-    WorkerStallGuard,
+    config_for, recommend_from_push, reference_explain, reference_recommend, ExplainOutcome,
+    ExplainResponse, ExplanationService, RecommendOutcome, RecommendResponse, ServeError,
+    ServiceConfig, WorkerStallGuard,
 };
 pub use slow::{SlowEntry, SlowRing, SlowSnapshot};

@@ -87,8 +87,10 @@ use emigre_core::{
 };
 use emigre_hin::{GraphView, Hin, NodeId};
 use emigre_obs::{AllocScope, ExplainTrace, HeapSize, ObsHandle, Op, StageLatencies};
-use emigre_ppr::{ForwardPush, PushWorkspace, ReversePush, TransitionCsr};
-use emigre_rec::{PprRecommender, RecList};
+use emigre_ppr::{
+    ForwardPush, PprConfig, PushWorkspace, ReversePush, TransitionCsr, TransitionModel,
+};
+use emigre_rec::{PprRecommender, RecConfig, RecList};
 use parking_lot::Mutex;
 use std::fmt;
 use std::path::PathBuf;
@@ -1119,6 +1121,28 @@ pub fn recommend_from_push<G: emigre_hin::GraphView>(
     RecList::from_scores(&push.estimates, candidates, k)
         .entries()
         .to_vec()
+}
+
+/// The configuration `emigre serve` (and every other `emigre` subcommand)
+/// builds for a graph file: `item` nodes recommendable, `rated` edges
+/// actionable, weighted transitions, ε = 1e-8. A reference that is to
+/// match a served answer must be computed under this configuration.
+pub fn config_for(g: &Hin) -> Result<EmigreConfig, String> {
+    let item_t = g
+        .registry()
+        .find_node_type("item")
+        .ok_or("graph has no `item` node type")?;
+    let rated = g
+        .registry()
+        .find_edge_type("rated")
+        .ok_or("graph has no `rated` edge type")?;
+    let ppr = PprConfig::default()
+        .with_transition(TransitionModel::Weighted)
+        .with_epsilon(1e-8);
+    Ok(EmigreConfig::new(
+        RecConfig::new(item_t).with_ppr(ppr),
+        rated,
+    ))
 }
 
 /// Single-threaded reference for the service's `/recommend`: same

@@ -19,7 +19,7 @@
 
 use emigre::core::{minimal, Explainer, Method};
 use emigre::prelude::*;
-use emigre::serve::{ExplanationService, HttpServer, ServiceConfig};
+use emigre::serve::{config_for, ExplanationService, HttpServer, ServiceConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -110,26 +110,6 @@ fn node_arg(args: &[String], name: &str) -> Result<NodeId, String> {
     raw.parse::<u32>()
         .map(NodeId)
         .map_err(|_| format!("{name} must be a numeric node id, got {raw:?}"))
-}
-
-/// Standard configuration for CLI graphs: `item`-typed nodes are
-/// recommendable, `rated` edges are the actionable type, PPR defaults.
-fn config_for(g: &Hin) -> Result<EmigreConfig, String> {
-    let item_t = g
-        .registry()
-        .find_node_type("item")
-        .ok_or("graph has no `item` node type")?;
-    let rated = g
-        .registry()
-        .find_edge_type("rated")
-        .ok_or("graph has no `rated` edge type")?;
-    let ppr = PprConfig::default()
-        .with_transition(TransitionModel::Weighted)
-        .with_epsilon(1e-8);
-    Ok(EmigreConfig::new(
-        RecConfig::new(item_t).with_ppr(ppr),
-        rated,
-    ))
 }
 
 fn parse_method(args: &[String]) -> Result<Method, String> {
