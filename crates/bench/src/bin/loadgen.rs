@@ -1046,9 +1046,9 @@ struct StageReport {
     context: StageQuantiles,
     search: StageQuantiles,
     test: StageQuantiles,
-    /// Time inside parallel CHECK fan-outs — a sub-stage of `test`. Every
-    /// explain adds a sample, 0 µs when no CHECK fanned out, so at
-    /// `--parallelism 1` `count` is the explain count and each quantile 0.
+    /// Time inside parallel CHECK fan-outs — a sub-stage of `test`. Only an
+    /// explain whose CHECK scan fanned out adds a sample, so at
+    /// `--parallelism 1` `count` is 0.
     check_parallel: StageQuantiles,
 }
 

@@ -16,7 +16,9 @@ use crate::config::EmigreConfig;
 use crate::question::{QuestionError, WhyNotQuestion};
 use emigre_hin::{GraphDelta, GraphView, NodeId, NodeTypeId};
 use emigre_obs::{HeapSize, ObsHandle, Op};
-use emigre_ppr::{ColumnBound, CsrRows, ForwardPush, PushWorkspace, ReversePush, TransitionCsr};
+use emigre_ppr::{
+    ColumnBound, CsrRows, ForwardPush, PprConfig, PushWorkspace, ReversePush, TransitionCsr,
+};
 use emigre_rec::{PprRecommender, RecList};
 use std::cell::{OnceCell, RefCell};
 use std::sync::Arc;
@@ -240,6 +242,19 @@ pub fn target_list<G: GraphView>(
     RecList::from_scores(&push.estimates, candidates, cfg.target_list_size)
 }
 
+/// `PPR(·, t)` pushed on `kernel`, with the push counted into `obs`.
+pub(crate) fn push_column<K: CsrRows>(
+    kernel: &K,
+    ppr: &PprConfig,
+    t: NodeId,
+    obs: &ObsHandle,
+) -> Arc<ReversePush> {
+    let col = ReversePush::compute(kernel, ppr, t);
+    obs.count(Op::ReversePushes, col.pushes as u64);
+    obs.add_mass(col.drained);
+    Arc::new(col)
+}
+
 /// Pre-computed state shared by every explanation algorithm for one
 /// `(user, WNI)` question.
 ///
@@ -353,10 +368,10 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
     /// [`ExplainContext::from_artifacts`]. A malformed question fails
     /// before paying for the column.
     ///
-    /// One user's many questions (the batch and group loops) build the
-    /// artefacts once and call this per Why-Not item, so they share the
-    /// kernel, the user push, the recommendation list and the `PPR(·, rec)`
-    /// column.
+    /// The group loop builds one user's artefacts once and calls this per
+    /// Why-Not item, so its questions share the kernel, the user push, the
+    /// recommendation list and the `PPR(·, rec)` column. The batch loop
+    /// shares its item columns too (`batch::batch_contexts`).
     pub fn for_question(
         graph: &'g G,
         cfg: EmigreConfig,
@@ -366,10 +381,8 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
         obs: ObsHandle,
     ) -> Result<Self, QuestionError> {
         WhyNotQuestion::validate(graph, &cfg, artifacts.user, wni, Some(artifacts.rec))?;
-        let ppr_to_wni = ReversePush::compute(&*artifacts.kernel, &cfg.rec.ppr, wni);
-        obs.count(Op::ReversePushes, ppr_to_wni.pushes as u64);
-        obs.add_mass(ppr_to_wni.drained);
-        Self::from_artifacts(graph, cfg, artifacts, wni, Arc::new(ppr_to_wni), ws, obs)
+        let ppr_to_wni = push_column(&*artifacts.kernel, &cfg.rec.ppr, wni, &obs);
+        Self::from_artifacts(graph, cfg, artifacts, wni, ppr_to_wni, ws, obs)
     }
 
     /// Assembles a context from a user's shared artefacts, the
@@ -442,10 +455,7 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
         if let Some(source) = &self.columns {
             return source(t);
         }
-        let p = ReversePush::compute(&*self.kernel, &self.cfg.rec.ppr, t);
-        self.obs.count(Op::ReversePushes, p.pushes as u64);
-        self.obs.add_mass(p.drained);
-        Arc::new(p)
+        push_column(&*self.kernel, &self.cfg.rec.ppr, t, &self.obs)
     }
 
     /// Takes `count` CHECK states for parallel workers, building the ones

@@ -1,21 +1,22 @@
 //! Readiness-driven connection layer: the event-loop front end.
 //!
-//! A small **reactor pool** multiplexes every socket over `poller::Poller`
-//! (a vendored epoll shim on Linux, `poll(2)` elsewhere on unix):
+//! One **reactor**, on the thread that calls `HttpServer::run`, multiplexes
+//! every socket over `poller::Poller` (a vendored epoll shim on Linux,
+//! `poll(2)` elsewhere on unix):
 //!
 //! ```text
-//!             accept            round-robin injection
-//!   listener ───────► reactor 0 ──────────────────────► reactor i
-//!                        │                                  │
-//!                        │  readable: read → RequestParser  │
-//!                        │  (incremental, per-conn state)   │
-//!                        ▼                                  ▼
-//!                  ┌──────────────── dispatch channel ────────────┐
-//!                  │        handler pool (blocks on route())      │
-//!                  └──── completions (conn, seq, bytes) ──────────┘
-//!                        │ waker                              │
-//!                        ▼                                    ▼
-//!                  reorder by seq → write buffer → socket (backpressure)
+//!   listener ─accept─► reactor: readable → read → RequestParser
+//!                         │       (incremental, per-conn state)
+//!          ┌──────────────┴──────────────────────┐
+//!          │ POST /explain, /recommend           │ every other route
+//!          ▼ ExplanationService::submit          ▼ bounded channel
+//!   AdmissionQueue → workers ─ reply      control thread: route()
+//!   (429 at once when full)    callback          │
+//!          │                                     │
+//!          └──► mailbox (conn, seq, bytes) ◄─────┘
+//!                     │ waker
+//!                     ▼
+//!   reorder by seq → write buffer → socket (backpressure)
 //! ```
 //!
 //! ## Per-connection state machine
@@ -25,8 +26,8 @@
 //!  Reading ──────────► Parsing ───────────────────────────► Dispatched
 //!     ▲                   │ parse error                          │
 //!     │                   ▼                                      ▼
-//!     │             400/431 queued                     route() on handler
-//!     │                   │                                      │
+//!     │             400/431 queued                  admitted read, or
+//!     │                   │                         route() on control
 //!     │                   ▼          in-order by seq             ▼
 //!     └──────────── Closing ◄─────────────────────────── completion
 //!                        (drain write buffer, then close)
@@ -43,20 +44,26 @@
 //!   `keep_alive` are closed on the 100ms housekeeping tick.
 //! * **Malformed input** — framing violations answer 400 (431 for an
 //!   oversized head) with a JSON body before the close.
+//! * **Accept failures** — an `accept` that fails with anything but
+//!   `WouldBlock` or an interrupt (say, out of file descriptors) parks the
+//!   listener until a connection closes or the next tick, so the
+//!   level-triggered listener cannot spin the reactor.
 //!
-//! Handlers (`route()`) block on the service, so they run on a separate
-//! pool of `workers + queue_capacity` threads (clamped to 2..=128): every
-//! admissible request reaches the [`crate::sched::AdmissionQueue`]
-//! immediately and scheduling happens there, not in the dispatch
-//! channel.
+//! Reads never wait outside the [`crate::sched::AdmissionQueue`]: the
+//! reactor submits each one as it is parsed, a full queue answers 429 at
+//! once, and the worker that runs a read renders its response and posts
+//! it to the reactor's mailbox. Every other route runs on one control
+//! thread, because `/feedback` may build a whole epoch and must not block
+//! the reactor; `LiveGraph` serialises writers anyway.
 
 mod poller;
 
-use crate::http::{self, HttpConfig};
+use crate::http::{self, HttpConfig, Response};
 use crate::metrics::FrontendStats;
-use crate::parse::RequestParser;
+use crate::parse::{HttpRequest, RequestParser};
 use crate::service::ExplanationService;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Sender, TrySendError};
+use parking_lot::Mutex;
 use poller::{Interest, Poller};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
@@ -64,13 +71,13 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const TOKEN_WAKER: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
 const TOKEN_CONN_BASE: u64 = 16;
-/// Housekeeping cadence: idle reap + shutdown-flag poll.
+/// Housekeeping cadence: idle reap, accept re-arm, shutdown-flag poll.
 const TICK: Duration = Duration::from_millis(100);
 /// How long shutdown waits for in-flight responses before force-closing.
 const DRAIN_BUDGET: Duration = Duration::from_secs(5);
@@ -81,17 +88,19 @@ const PIPELINE_DEPTH: usize = 32;
 /// than the server writes gets its read interest parked until the buffer
 /// drains.
 const WRITE_BACKPRESSURE: usize = 256 * 1024;
+/// Requests waiting for the control thread before the reactor answers
+/// further ones 429.
+const CONTROL_QUEUE: usize = 4096;
 
-/// A parsed request on its way to the handler pool.
-struct HandlerJob {
-    reactor: usize,
+/// A parsed non-read request on its way to the control thread.
+struct ControlJob {
     conn: u64,
     seq: u64,
-    req: crate::parse::HttpRequest,
+    req: HttpRequest,
     keep: bool,
 }
 
-/// A rendered response on its way back to the owning reactor.
+/// A rendered response on its way back to the reactor.
 struct Completion {
     conn: u64,
     seq: u64,
@@ -99,17 +108,22 @@ struct Completion {
     keep: bool,
 }
 
-/// The cross-thread face of one reactor: where new connections and
-/// finished responses are posted, plus the waker that interrupts its
-/// `poll`.
-struct ReactorShared {
-    injections: Mutex<Vec<TcpStream>>,
+/// Where workers and the control thread post finished responses, plus
+/// the waker that interrupts the reactor's `poll`.
+struct Mailbox {
     completions: Mutex<Vec<Completion>>,
     waker_w: UnixStream,
 }
 
-impl ReactorShared {
-    fn wake(&self) {
+impl Mailbox {
+    fn post(&self, conn: u64, seq: u64, (status, content_type, body): Response, keep: bool) {
+        let bytes = http::render_response(status, content_type, &body, keep);
+        self.completions.lock().push(Completion {
+            conn,
+            seq,
+            bytes,
+            keep,
+        });
         // A full pipe already guarantees a pending wakeup.
         let _ = (&self.waker_w).write(&[1]);
     }
@@ -149,117 +163,78 @@ impl Conn {
 }
 
 struct Reactor {
-    idx: usize,
     poller: Poller,
-    shared: Arc<ReactorShared>,
+    mailbox: Arc<Mailbox>,
     waker_r: UnixStream,
     listener: Option<TcpListener>,
+    /// When a failed `accept` parked the listener's read interest.
+    accept_parked: Option<Instant>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    service: Arc<ExplanationService>,
     stats: Arc<FrontendStats>,
     shutdown: Arc<AtomicBool>,
     config: HttpConfig,
-    dispatch: Sender<HandlerJob>,
-    peers: Vec<Arc<ReactorShared>>,
-    /// Round-robin cursor for assigning accepted connections.
-    rr: usize,
+    control: Sender<ControlJob>,
 }
 
-/// Runs the event-loop front end until the shutdown flag is set and all
-/// in-flight responses have drained (bounded by [`DRAIN_BUDGET`]). Does
-/// **not** stop the service — the caller owns that ordering.
+/// Runs the event-loop front end on the calling thread until the shutdown
+/// flag is set and all in-flight responses have drained (bounded by
+/// [`DRAIN_BUDGET`]). Does **not** stop the service — the caller owns
+/// that ordering.
 pub(crate) fn run(
     listener: TcpListener,
     service: Arc<ExplanationService>,
     shutdown: Arc<AtomicBool>,
     config: HttpConfig,
 ) -> io::Result<()> {
-    let n_reactors = config.reactor_threads.max(1);
-    let n_handlers = (service.workers() + service.queue_capacity()).clamp(2, 128);
-    let stats = service.frontend_stats();
-    stats
-        .reactor_threads
-        .store(n_reactors as u64, Ordering::Relaxed);
     listener.set_nonblocking(true)?;
-
-    // Dispatch channel sized past the admission queue: when even this
-    // overflows, the reactor answers 429 inline rather than blocking.
-    let (dispatch_tx, dispatch_rx) = bounded::<HandlerJob>(4096);
-
-    let mut shareds: Vec<Arc<ReactorShared>> = Vec::with_capacity(n_reactors);
-    let mut wakers_r: Vec<UnixStream> = Vec::with_capacity(n_reactors);
-    for _ in 0..n_reactors {
-        let (r, w) = UnixStream::pair()?;
-        poller::set_nonblocking(r.as_raw_fd())?;
-        poller::set_nonblocking(w.as_raw_fd())?;
-        shareds.push(Arc::new(ReactorShared {
-            injections: Mutex::new(Vec::new()),
-            completions: Mutex::new(Vec::new()),
-            waker_w: w,
-        }));
-        wakers_r.push(r);
+    let (waker_r, waker_w) = UnixStream::pair()?;
+    waker_r.set_nonblocking(true)?;
+    waker_w.set_nonblocking(true)?;
+    let poller = Poller::new()?;
+    let mailbox = Arc::new(Mailbox {
+        completions: Mutex::new(Vec::new()),
+        waker_w,
+    });
+    let (control, jobs) = bounded::<ControlJob>(CONTROL_QUEUE);
+    let control_thread = {
+        let (service, shutdown, mailbox) = (
+            Arc::clone(&service),
+            Arc::clone(&shutdown),
+            Arc::clone(&mailbox),
+        );
+        std::thread::Builder::new()
+            .name("emigre-http-control".to_owned())
+            .spawn(move || {
+                while let Ok(job) = jobs.recv() {
+                    let response = http::route(&service, &shutdown, &job.req);
+                    mailbox.post(job.conn, job.seq, response, job.keep);
+                }
+            })?
+    };
+    let mut reactor = Reactor {
+        poller,
+        mailbox,
+        waker_r,
+        listener: Some(listener),
+        accept_parked: None,
+        conns: HashMap::new(),
+        next_token: TOKEN_CONN_BASE,
+        stats: service.frontend_stats(),
+        service,
+        shutdown,
+        config,
+        control,
+    };
+    let result = reactor.run();
+    // Dropping the reactor closes the control channel; the thread drains
+    // what it holds and exits.
+    drop(reactor);
+    match control_thread.join() {
+        Ok(()) => result,
+        Err(_) => Err(io::Error::other("HTTP control thread panicked")),
     }
-
-    let mut handler_threads = Vec::with_capacity(n_handlers);
-    for _ in 0..n_handlers {
-        let rx: Receiver<HandlerJob> = dispatch_rx.clone();
-        let service = Arc::clone(&service);
-        let shutdown = Arc::clone(&shutdown);
-        let peers: Vec<Arc<ReactorShared>> = shareds.clone();
-        handler_threads.push(std::thread::spawn(move || {
-            while let Ok(job) = rx.recv() {
-                let (status, content_type, body) = http::route(&service, &shutdown, &job.req);
-                let bytes = http::render_response(status, content_type, &body, job.keep);
-                let peer = &peers[job.reactor];
-                peer.completions.lock().unwrap().push(Completion {
-                    conn: job.conn,
-                    seq: job.seq,
-                    bytes,
-                    keep: job.keep,
-                });
-                peer.wake();
-            }
-        }));
-    }
-    drop(dispatch_rx);
-
-    let mut reactor_threads = Vec::with_capacity(n_reactors);
-    let mut listener = Some(listener);
-    for (idx, waker_r) in wakers_r.into_iter().enumerate() {
-        let mut reactor = Reactor {
-            idx,
-            poller: Poller::new()?,
-            shared: Arc::clone(&shareds[idx]),
-            waker_r,
-            listener: if idx == 0 { listener.take() } else { None },
-            conns: HashMap::new(),
-            next_token: TOKEN_CONN_BASE,
-            stats: Arc::clone(&stats),
-            shutdown: Arc::clone(&shutdown),
-            config: config.clone(),
-            dispatch: dispatch_tx.clone(),
-            peers: shareds.clone(),
-            rr: 0,
-        };
-        reactor_threads.push(std::thread::spawn(move || reactor.run()));
-    }
-    drop(dispatch_tx);
-
-    let mut result = Ok(());
-    for t in reactor_threads {
-        match t.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => result = Err(e),
-            Err(_) => {
-                result = Err(io::Error::other("reactor thread panicked"));
-            }
-        }
-    }
-    // Reactors dropped their dispatch senders; the pool drains and exits.
-    for t in handler_threads {
-        let _ = t.join();
-    }
-    result
 }
 
 impl Reactor {
@@ -278,13 +253,15 @@ impl Reactor {
             for &ev in events.iter() {
                 match ev.token {
                     TOKEN_WAKER => self.drain_waker(),
-                    TOKEN_LISTENER => self.accept_ready()?,
+                    TOKEN_LISTENER => self.accept_ready(),
                     token => self.conn_ready(token, ev),
                 }
             }
-            self.process_injections()?;
             self.process_completions();
             self.reap_idle();
+            if matches!(self.accept_parked, Some(t) if t.elapsed() >= TICK) {
+                self.rearm_accept();
+            }
             if self.shutdown.load(Ordering::SeqCst) {
                 let since = *draining_since.get_or_insert_with(Instant::now);
                 if self.drain_for_shutdown(since) {
@@ -321,78 +298,84 @@ impl Reactor {
         while matches!((&self.waker_r).read(&mut buf), Ok(n) if n > 0) {}
     }
 
-    fn accept_ready(&mut self) -> io::Result<()> {
+    fn accept_ready(&mut self) {
         loop {
             let Some(l) = &self.listener else {
-                return Ok(());
+                return;
             };
             match l.accept() {
                 Ok((stream, _peer)) => {
                     self.stats.on_accept();
-                    let target = self.rr % self.peers.len();
-                    self.rr += 1;
-                    self.peers[target].injections.lock().unwrap().push(stream);
-                    if target == self.idx {
-                        // Picked up by process_injections() this iteration.
-                        continue;
-                    }
-                    self.peers[target].wake();
+                    self.add_conn(stream);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return Ok(()),
+                Err(_) => {
+                    // Out of descriptors, say: the pending connection stays
+                    // queued and the level-triggered listener would wake
+                    // every poll to the same failing accept. Park it until
+                    // a connection closes or the next tick.
+                    let _ = self
+                        .poller
+                        .modify(l.as_raw_fd(), TOKEN_LISTENER, Interest::NONE);
+                    self.accept_parked = Some(Instant::now());
+                    return;
+                }
             }
         }
     }
 
-    fn process_injections(&mut self) -> io::Result<()> {
-        let streams: Vec<TcpStream> = std::mem::take(&mut *self.shared.injections.lock().unwrap());
-        for stream in streams {
-            if stream.set_nonblocking(true).is_err() {
-                self.stats.on_close();
-                continue;
+    /// Restores the listener's read interest after a failed `accept`.
+    fn rearm_accept(&mut self) {
+        if self.accept_parked.take().is_some() {
+            if let Some(l) = &self.listener {
+                let _ = self
+                    .poller
+                    .modify(l.as_raw_fd(), TOKEN_LISTENER, Interest::READ);
             }
-            let token = self.next_token;
-            self.next_token += 1;
-            if self
+        }
+    }
+
+    fn add_conn(&mut self, stream: TcpStream) {
+        let token = self.next_token;
+        if stream.set_nonblocking(true).is_err()
+            || self
                 .poller
                 .register(stream.as_raw_fd(), token, Interest::READ)
                 .is_err()
-            {
-                self.stats.on_close();
-                continue;
-            }
-            self.conns.insert(
-                token,
-                Conn {
-                    stream,
-                    parser: RequestParser::new(),
-                    next_seq: 0,
-                    next_write: 0,
-                    in_flight: 0,
-                    reorder: BTreeMap::new(),
-                    out: Vec::new(),
-                    out_pos: 0,
-                    requests: 0,
-                    last_activity: Instant::now(),
-                    interest: Interest::READ,
-                    closing: false,
-                },
-            );
-            // A client may have sent its first request before we
-            // registered; level-triggered epoll will report it, but read
-            // eagerly to save a loop turn.
-            self.read_and_dispatch(token);
-            self.flush_and_update(token);
+        {
+            self.stats.on_close();
+            return;
         }
-        Ok(())
+        self.next_token += 1;
+        self.conns.insert(
+            token,
+            Conn {
+                stream,
+                parser: RequestParser::new(),
+                next_seq: 0,
+                next_write: 0,
+                in_flight: 0,
+                reorder: BTreeMap::new(),
+                out: Vec::new(),
+                out_pos: 0,
+                requests: 0,
+                last_activity: Instant::now(),
+                interest: Interest::READ,
+                closing: false,
+            },
+        );
+        // A client may have sent its first request already; level-triggered
+        // epoll will report it, but read eagerly to save a loop turn.
+        self.read_and_dispatch(token);
+        self.flush_and_update(token);
     }
 
     fn process_completions(&mut self) {
-        let done: Vec<Completion> = std::mem::take(&mut *self.shared.completions.lock().unwrap());
+        let done: Vec<Completion> = std::mem::take(&mut *self.mailbox.completions.lock());
         for c in done {
             let Some(conn) = self.conns.get_mut(&c.conn) else {
-                continue; // connection died while the handler ran
+                continue; // connection died while its request ran
             };
             conn.in_flight = conn.in_flight.saturating_sub(1);
             conn.reorder.insert(c.seq, (c.bytes, c.keep));
@@ -467,8 +450,9 @@ impl Reactor {
         self.parse_and_dispatch(token);
     }
 
-    /// Drains complete requests out of the parser into the handler pool,
-    /// bounded by `PIPELINE_DEPTH`.
+    /// Drains complete requests out of the parser, bounded by
+    /// `PIPELINE_DEPTH`: reads go to the admission queue, every other
+    /// route to the control thread.
     fn parse_and_dispatch(&mut self, token: u64) {
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -492,29 +476,8 @@ impl Reactor {
                         // then close. Don't parse past it.
                         conn.closing = true;
                     }
-                    let job = HandlerJob {
-                        reactor: self.idx,
-                        conn: token,
-                        seq,
-                        req,
-                        keep,
-                    };
-                    match self.dispatch.try_send(job) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(job)) => {
-                            // Dispatch saturated: shed load at the edge
-                            // with the same 429 the admission queue uses.
-                            let body = http::json_error("overloaded", "dispatch queue full");
-                            let bytes = http::render_response(429, http::JSON, &body, job.keep);
-                            let conn = self.conns.get_mut(&token).unwrap();
-                            conn.in_flight -= 1;
-                            conn.reorder.insert(job.seq, (bytes, job.keep));
-                            self.pump_ready(token);
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            self.teardown(token);
-                            return;
-                        }
+                    if !self.dispatch(token, seq, req, keep) {
+                        return;
                     }
                 }
                 Ok(None) => return,
@@ -533,6 +496,42 @@ impl Reactor {
                 }
             }
         }
+    }
+
+    /// Sends one parsed request on its way: a read to the admission queue,
+    /// whose worker posts the response, any other route to the control
+    /// thread. Returns false if the connection was torn down.
+    fn dispatch(&mut self, token: u64, seq: u64, req: HttpRequest, keep: bool) -> bool {
+        match http::read_query(&self.service, &req) {
+            Some(Ok((query, deadline))) => {
+                let mailbox = Arc::clone(&self.mailbox);
+                let on_reply = move |request_id, reply| {
+                    mailbox.post(token, seq, http::read_response(request_id, reply), keep);
+                };
+                self.service.submit(query, deadline, Box::new(on_reply));
+            }
+            Some(Err(bad_request)) => self.mailbox.post(token, seq, bad_request, keep),
+            None => {
+                let job = ControlJob {
+                    conn: token,
+                    seq,
+                    req,
+                    keep,
+                };
+                match self.control.try_send(job) {
+                    Ok(()) => {}
+                    Err(TrySendError::Full(_)) => {
+                        let body = http::json_error("overloaded", "control queue full");
+                        self.mailbox.post(token, seq, (429, http::JSON, body), keep);
+                    }
+                    Err(TrySendError::Disconnected(_)) => {
+                        self.teardown(token);
+                        return false;
+                    }
+                }
+            }
+        }
+        true
     }
 
     /// Moves in-order completed responses from the reorder buffer into
@@ -621,6 +620,8 @@ impl Reactor {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
             self.stats.on_close();
+            // A freed descriptor may let a parked accept succeed.
+            self.rearm_accept();
         }
     }
 }

@@ -17,9 +17,6 @@
 //! interest explicitly when it parks a connection for backpressure, and
 //! never has to worry about missing an edge after a partial read.
 
-use std::io;
-use std::os::unix::io::RawFd;
-
 /// Which readiness directions a registration cares about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
@@ -276,26 +273,3 @@ mod sys {
 }
 
 pub use sys::Poller;
-
-/// Marks an fd non-blocking via `fcntl` — needed for the waker pipe
-/// halves, which `std` only exposes as blocking streams.
-pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-    const F_GETFL: i32 = 3;
-    const F_SETFL: i32 = 4;
-    #[cfg(target_os = "linux")]
-    const O_NONBLOCK: i32 = 0o4000;
-    #[cfg(not(target_os = "linux"))]
-    const O_NONBLOCK: i32 = 0x0004;
-    extern "C" {
-        fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-    }
-    let flags = unsafe { fcntl(fd, F_GETFL, 0) };
-    if flags < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    let rc = unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}

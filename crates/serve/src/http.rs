@@ -5,7 +5,11 @@
 //! covers. Connections are multiplexed by the event loop
 //! ([`crate::eventloop`]: keep-alive, pipelining, write backpressure), so
 //! serving needs a unix target; this module routes parsed requests and
-//! renders JSON bodies via the workspace's serde.
+//! renders JSON bodies via the workspace's serde. The reactor turns each
+//! read (`POST /explain`, `POST /recommend`) into a query it submits to the
+//! admission queue without blocking (`read_query`), and the worker that
+//! runs it renders the reply (`read_response`); every other route runs on
+//! the event loop's control thread (`route`).
 //!
 //! ## Endpoints
 //!
@@ -33,8 +37,9 @@
 use crate::live::{FeedbackError, FeedbackEvent};
 use crate::metrics::prometheus_text;
 use crate::parse::{HttpRequest, ParseError};
-use crate::service::{ExplanationService, ServeError};
+use crate::service::{Answer, ExplanationService, Query, Reply, ServeError};
 use emigre_core::{Explanation, Method};
+use emigre_hin::NodeId;
 use emigre_obs::StageLatencies;
 use serde::{Deserialize, Serialize};
 use std::io;
@@ -43,14 +48,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Front-end knobs (`emigre serve` flags map onto these). The handler
-/// pool, pipelining depth and write backpressure are fixed; see
-/// [`crate::eventloop`].
+/// Front-end knobs (`emigre serve` flags map onto these). The pipelining
+/// depth and write backpressure are fixed; see [`crate::eventloop`].
 #[derive(Debug, Clone)]
 pub struct HttpConfig {
-    /// Reactor threads (connections are sharded across them
-    /// round-robin; reactor 0 also owns the listener).
-    pub reactor_threads: usize,
     /// How long an idle keep-alive connection may sit before the server
     /// closes it. `Duration::ZERO` disables keep-alive entirely (every
     /// response carries `Connection: close`).
@@ -60,7 +61,6 @@ pub struct HttpConfig {
 impl Default for HttpConfig {
     fn default() -> Self {
         HttpConfig {
-            reactor_threads: 1,
             keep_alive: Duration::from_secs(30),
         }
     }
@@ -193,10 +193,11 @@ impl HttpServer {
         self.listener.local_addr()
     }
 
-    /// Serves until `POST /shutdown`. On exit the underlying service
-    /// drains every admitted request before this returns — a
-    /// SIGTERM-style graceful stop. The event loop needs a unix target;
-    /// elsewhere this returns [`io::ErrorKind::Unsupported`].
+    /// Serves until `POST /shutdown`, with the event loop's reactor on the
+    /// calling thread. On exit the underlying service drains every admitted
+    /// request before this returns — a SIGTERM-style graceful stop. The
+    /// event loop needs a unix target; elsewhere this returns
+    /// [`io::ErrorKind::Unsupported`].
     pub fn run(self) -> io::Result<()> {
         #[cfg(unix)]
         {
@@ -226,6 +227,9 @@ pub(crate) fn parse_error_response(e: &ParseError) -> (u16, String) {
     (e.status(), json_error(e.label(), e.detail()))
 }
 
+/// A rendered answer: status, content type and body.
+pub(crate) type Response = (u16, &'static str, String);
+
 pub(crate) const JSON: &str = "application/json";
 /// Prometheus text exposition content type (format version 0.0.4).
 const PROM_TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
@@ -243,7 +247,7 @@ fn json_error_id(error: &str, detail: impl Into<String>, request_id: Option<u64>
     .unwrap_or_else(|_| format!("{{\"error\":\"{error}\"}}"))
 }
 
-fn serve_error_response(e: ServeError, request_id: Option<u64>) -> (u16, &'static str, String) {
+fn serve_error_response(e: ServeError, request_id: Option<u64>) -> Response {
     let (status, label) = match &e {
         ServeError::Overloaded => (429, "overloaded"),
         ServeError::DeadlineExceeded => (504, "deadline_exceeded"),
@@ -258,11 +262,12 @@ fn serve_error_response(e: ServeError, request_id: Option<u64>) -> (u16, &'stati
     )
 }
 
+/// Answers every route but the two reads, which [`read_query`] takes.
 pub(crate) fn route(
     service: &ExplanationService,
     shutdown: &AtomicBool,
     req: &HttpRequest,
-) -> (u16, &'static str, String) {
+) -> Response {
     // Split off the query string; only /metrics interprets one today.
     let (path, query) = match req.path.split_once('?') {
         Some((p, q)) => (p, q),
@@ -315,8 +320,6 @@ pub(crate) fn route(
                 .unwrap(),
             )
         }
-        ("POST", "/explain") => handle_explain(service, &req.body),
-        ("POST", "/recommend") => handle_recommend(service, &req.body),
         ("POST", "/feedback") => handle_feedback(service, &req.body),
         ("POST", "/healthz" | "/metrics" | "/debug/slow")
         | ("GET", "/explain" | "/recommend" | "/feedback" | "/shutdown") => (
@@ -331,7 +334,7 @@ pub(crate) fn route(
 /// `GET /trace/<request-id>`: the stored [`emigre_obs::ExplainTrace`] of a
 /// recent explain request, replayable offline. 404 once evicted from the
 /// bounded store (or for ids that never ran an explain).
-fn handle_trace(service: &ExplanationService, id_str: &str) -> (u16, &'static str, String) {
+fn handle_trace(service: &ExplanationService, id_str: &str) -> Response {
     let Ok(id) = id_str.parse::<u64>() else {
         return (
             400,
@@ -360,66 +363,7 @@ fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, String> {
     serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
-fn handle_explain(service: &ExplanationService, body: &[u8]) -> (u16, &'static str, String) {
-    let req: ExplainBody = match parse_body(body) {
-        Ok(r) => r,
-        Err(e) => return (400, JSON, json_error("bad_request", e)),
-    };
-    let method = match req.method.as_deref() {
-        None => Method::AddPowerset,
-        Some(label) => match Method::from_label(label) {
-            Some(m) => m,
-            None => {
-                return (
-                    400,
-                    JSON,
-                    json_error("bad_request", format!("unknown method {label:?}")),
-                )
-            }
-        },
-    };
-    let deadline = req
-        .deadline_ms
-        .map(Duration::from_millis)
-        .unwrap_or(service.default_deadline());
-    let (request_id, result) = service.explain_request(
-        emigre_hin::NodeId(req.user),
-        emigre_hin::NodeId(req.why_not),
-        method,
-        deadline,
-    );
-    match result {
-        Ok(resp) => match resp.outcome {
-            Ok(explanation) => (
-                200,
-                JSON,
-                serde_json::to_string(&ExplainOkBody {
-                    status: "ok".to_owned(),
-                    request_id,
-                    explanation,
-                    stages: resp.stages,
-                    epoch: resp.epoch,
-                })
-                .unwrap_or_else(|e| json_error("internal", e.to_string())),
-            ),
-            Err(failure) => (
-                200,
-                JSON,
-                serde_json::to_string(&ExplainFailureBody {
-                    status: "failure".to_owned(),
-                    request_id,
-                    failure,
-                    stages: resp.stages,
-                    epoch: resp.epoch,
-                })
-                .unwrap_or_else(|e| json_error("internal", e.to_string())),
-            ),
-        },
-        Err(e) => serve_error_response(e, Some(request_id)),
-    }
-}
-
-fn handle_feedback(service: &ExplanationService, body: &[u8]) -> (u16, &'static str, String) {
+fn handle_feedback(service: &ExplanationService, body: &[u8]) -> Response {
     let req: FeedbackBody = match parse_body(body) {
         Ok(r) => r,
         Err(e) => return (400, JSON, json_error("bad_request", e)),
@@ -455,39 +399,100 @@ fn handle_feedback(service: &ExplanationService, body: &[u8]) -> (u16, &'static 
     }
 }
 
-fn handle_recommend(service: &ExplanationService, body: &[u8]) -> (u16, &'static str, String) {
-    let req: RecommendBody = match parse_body(body) {
-        Ok(r) => r,
-        Err(e) => return (400, JSON, json_error("bad_request", e)),
+/// The query and deadline of a read (`POST /explain`, `POST /recommend`),
+/// the 400 answer to a read whose body does not parse, or `None` for every
+/// other request.
+pub(crate) fn read_query(
+    service: &ExplanationService,
+    req: &HttpRequest,
+) -> Option<Result<(Query, Duration), Response>> {
+    let path = req
+        .path
+        .split_once('?')
+        .map_or(req.path.as_str(), |(p, _)| p);
+    let parsed = match (req.method.as_str(), path) {
+        ("POST", "/explain") => explain_query(&req.body),
+        ("POST", "/recommend") => parse_body(&req.body).map(|b: RecommendBody| {
+            let k = b.k.unwrap_or(10) as usize;
+            (
+                Query::Recommend {
+                    user: NodeId(b.user),
+                    k,
+                },
+                b.deadline_ms,
+            )
+        }),
+        _ => return None,
     };
-    let k = req.k.unwrap_or(10) as usize;
-    let deadline = req
-        .deadline_ms
-        .map(Duration::from_millis)
-        .unwrap_or(service.default_deadline());
-    let (request_id, result) = service.recommend_request(emigre_hin::NodeId(req.user), k, deadline);
-    match result {
-        Ok(resp) => (
-            200,
-            JSON,
-            serde_json::to_string(&RecommendOkBody {
+    Some(match parsed {
+        Ok((query, deadline_ms)) => Ok((
+            query,
+            deadline_ms
+                .map(Duration::from_millis)
+                .unwrap_or(service.default_deadline()),
+        )),
+        Err(e) => Err((400, JSON, json_error("bad_request", e))),
+    })
+}
+
+fn explain_query(body: &[u8]) -> Result<(Query, Option<u64>), String> {
+    let b: ExplainBody = parse_body(body)?;
+    let method = match b.method.as_deref() {
+        None => Method::AddPowerset,
+        Some(label) => {
+            Method::from_label(label).ok_or_else(|| format!("unknown method {label:?}"))?
+        }
+    };
+    let query = Query::Explain {
+        user: NodeId(b.user),
+        wni: NodeId(b.why_not),
+        method,
+    };
+    Ok((query, b.deadline_ms))
+}
+
+/// The HTTP answer to a read's reply: the explanation, the meta-explained
+/// failure or the list, or the status a rejection maps to.
+pub(crate) fn read_response(request_id: u64, reply: Reply) -> Response {
+    let body = match reply {
+        Ok((Answer::Explain(Ok(explanation)), stages, epoch)) => {
+            serde_json::to_string(&ExplainOkBody {
                 status: "ok".to_owned(),
                 request_id,
-                items: resp
-                    .items
-                    .into_iter()
-                    .map(|(n, s)| ItemScore {
-                        item: n.0,
-                        score: s,
-                    })
-                    .collect(),
-                stages: resp.stages,
-                epoch: resp.epoch,
+                explanation,
+                stages,
+                epoch,
             })
-            .unwrap_or_else(|e| json_error("internal", e.to_string())),
-        ),
-        Err(e) => serve_error_response(e, Some(request_id)),
-    }
+        }
+        Ok((Answer::Explain(Err(failure)), stages, epoch)) => {
+            serde_json::to_string(&ExplainFailureBody {
+                status: "failure".to_owned(),
+                request_id,
+                failure,
+                stages,
+                epoch,
+            })
+        }
+        Ok((Answer::Recommend(items), stages, epoch)) => serde_json::to_string(&RecommendOkBody {
+            status: "ok".to_owned(),
+            request_id,
+            items: items
+                .into_iter()
+                .map(|(n, s)| ItemScore {
+                    item: n.0,
+                    score: s,
+                })
+                .collect(),
+            stages,
+            epoch,
+        }),
+        Err(e) => return serve_error_response(e, Some(request_id)),
+    };
+    (
+        200,
+        JSON,
+        body.unwrap_or_else(|e| json_error("internal", e.to_string())),
+    )
 }
 
 fn status_reason(status: u16) -> &'static str {

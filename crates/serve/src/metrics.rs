@@ -40,9 +40,6 @@ pub struct FrontendStats {
     pub keepalive_reuses: AtomicU64,
     /// Requests answered 400/431 for framing violations (then closed).
     pub parse_errors: AtomicU64,
-    /// Reactor threads multiplexing the sockets (0 until the front end
-    /// runs).
-    pub reactor_threads: AtomicU64,
 }
 
 impl FrontendStats {
@@ -66,7 +63,6 @@ impl FrontendStats {
             connections_accepted_total: self.connections_accepted.load(Ordering::Relaxed),
             keepalive_reuses_total: self.keepalive_reuses.load(Ordering::Relaxed),
             parse_errors_total: self.parse_errors.load(Ordering::Relaxed),
-            reactor_threads: self.reactor_threads.load(Ordering::Relaxed),
         }
     }
 }
@@ -78,7 +74,6 @@ pub struct FrontendSnapshot {
     pub connections_accepted_total: u64,
     pub keepalive_reuses_total: u64,
     pub parse_errors_total: u64,
-    pub reactor_threads: u64,
 }
 
 /// Live serving metrics; one instance per service, shared by all workers.
@@ -126,7 +121,7 @@ pub struct ServeMetrics {
     /// Stage attribution: the TEST/CHECK loop.
     pub stage_test: LatencyHistogram,
     /// Stage attribution: time inside parallel CHECK fan-outs (a
-    /// sub-stage of `stage_test`; zero under sequential explainers).
+    /// sub-stage of `stage_test`), one sample per explain that fanned out.
     pub stage_check_parallel: LatencyHistogram,
 }
 
@@ -170,12 +165,16 @@ impl ServeMetrics {
     }
 
     /// Records one explain request's stage attribution into the per-stage
-    /// histograms (queue wait goes to the queue-wait histograms).
+    /// histograms (queue wait goes to the queue-wait histograms). Only an
+    /// explain whose CHECK scan fanned out adds a `check_parallel` sample:
+    /// a fan-out spawns its workers, so it never spans 0 µs.
     pub fn record_stages(&self, s: &StageLatencies) {
         self.stage_context.record_us(s.context_us);
         self.stage_search.record_us(s.search_us);
         self.stage_test.record_us(s.test_us);
-        self.stage_check_parallel.record_us(s.check_parallel_us);
+        if s.check_parallel_us > 0 {
+            self.stage_check_parallel.record_us(s.check_parallel_us);
+        }
     }
 
     /// Copies the atomic state and merges in the service-owned fields.
@@ -538,12 +537,6 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
         &[],
         s.frontend.parse_errors_total,
     );
-    p.header(
-        "emigre_reactor_threads",
-        "gauge",
-        "Reactor threads multiplexing sockets (0 until the front end runs)",
-    );
-    p.sample_u64("emigre_reactor_threads", &[], s.frontend.reactor_threads);
 
     p.header(
         "emigre_sched_reordered_total",
@@ -805,6 +798,25 @@ mod tests {
     }
 
     #[test]
+    fn check_parallel_counts_only_explains_that_fanned_out() {
+        let m = ServeMetrics::default();
+        m.record_stages(&StageLatencies {
+            context_us: 400,
+            test_us: 500,
+            ..StageLatencies::default()
+        });
+        assert_eq!(m.stage_test.snapshot().count, 1);
+        assert_eq!(m.stage_check_parallel.snapshot().count, 0);
+        m.record_stages(&StageLatencies {
+            test_us: 500,
+            check_parallel_us: 150,
+            ..StageLatencies::default()
+        });
+        assert_eq!(m.stage_test.snapshot().count, 2);
+        assert_eq!(m.stage_check_parallel.snapshot().count, 1);
+    }
+
+    #[test]
     fn prometheus_exposition_passes_the_lint() {
         let m = populated_metrics();
         let s = m.snapshot(ServiceOwned {
@@ -823,7 +835,6 @@ mod tests {
                 connections_accepted_total: 11,
                 keepalive_reuses_total: 6,
                 parse_errors_total: 1,
-                reactor_threads: 2,
             },
             sched: SchedSnapshot {
                 reordered_total: 4,
@@ -850,7 +861,6 @@ mod tests {
         assert!(text.contains("emigre_connections_accepted_total 11"));
         assert!(text.contains("emigre_keepalive_reuses_total 6"));
         assert!(text.contains("emigre_frontend_parse_errors_total 1"));
-        assert!(text.contains("emigre_reactor_threads 2"));
         assert!(text.contains("emigre_sched_reordered_total 4"));
         assert!(text.contains("emigre_sched_rejected_user_quota_total 2"));
         assert!(text.contains("emigre_sched_expected_cost_us{class=\"recommend\"} 1800"));

@@ -1,6 +1,6 @@
 //! QoS-aware admission scheduling.
 //!
-//! [`AdmissionQueue`] is the bounded queue between `admit()` and the
+//! [`AdmissionQueue`] is the bounded queue between `submit()` and the
 //! worker pool: a full queue answers `Overloaded`, and close drains what
 //! was admitted, then answers `None`. A freed worker takes the queued job
 //! with the earliest absolute deadline (EDF), so a tight-deadline request
@@ -265,13 +265,7 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// Maximum queued (not yet dispatched) jobs before `try_push`
-    /// answers `Overloaded`.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Expected cost for a class right now (what `admit` stamps into
+    /// Expected cost for a class right now (what `submit` stamps into
     /// the job and the event log).
     pub fn expected_cost_us(&self, class: JobClass) -> u64 {
         self.cost.expected_us(class)
@@ -293,14 +287,14 @@ impl<T> AdmissionQueue<T> {
 
     /// Non-blocking admission. A full queue answers `Overloaded` to
     /// everyone; while room remains, a user already holding its share
-    /// answers `UserQuota`.
-    pub fn try_push(&self, item: T, meta: JobMeta) -> Result<(), AdmitError> {
+    /// answers `UserQuota`. A refused job comes back with the error.
+    pub fn try_push(&self, item: T, meta: JobMeta) -> Result<(), (AdmitError, T)> {
         let mut st = self.state.lock().unwrap();
         if st.closed {
-            return Err(AdmitError::Closed);
+            return Err((AdmitError::Closed, item));
         }
         if st.entries.len() >= self.capacity {
-            return Err(AdmitError::Overloaded);
+            return Err((AdmitError::Overloaded, item));
         }
         let user_cap = self.user_cap();
         let user = st.users.entry(meta.user).or_insert(UserState {
@@ -310,7 +304,7 @@ impl<T> AdmissionQueue<T> {
         if user.pending >= user_cap {
             drop(st);
             self.rejected_user_quota.fetch_add(1, Ordering::Relaxed);
-            return Err(AdmitError::UserQuota);
+            return Err((AdmitError::UserQuota, item));
         }
         user.pending += 1;
         let seq = st.next_seq;
@@ -552,7 +546,7 @@ mod tests {
         push(&q, 0, 7, JobClass::Recommend, 1000);
         push(&q, 1, 7, JobClass::Recommend, 1000);
         let m = meta(2, 7, JobClass::Recommend, 1000);
-        assert_eq!(q.try_push(2, m), Err(AdmitError::UserQuota));
+        assert_eq!(q.try_push(2, m), Err((AdmitError::UserQuota, 2)));
         assert_eq!(q.rejected_user_quota(), 1);
         // Another user still gets in.
         push(&q, 3, 8, JobClass::Recommend, 1000);
@@ -565,7 +559,7 @@ mod tests {
         push(&q, 0, 1, JobClass::Recommend, 1000);
         push(&q, 1, 2, JobClass::Recommend, 1000);
         let m = meta(2, 3, JobClass::Recommend, 1000);
-        assert_eq!(q.try_push(2, m), Err(AdmitError::Overloaded));
+        assert_eq!(q.try_push(2, m), Err((AdmitError::Overloaded, 2)));
     }
 
     #[test]
@@ -574,7 +568,7 @@ mod tests {
         push(&q, 0, 1, JobClass::Recommend, 1000);
         q.close();
         let m = meta(1, 1, JobClass::Recommend, 1000);
-        assert_eq!(q.try_push(1, m), Err(AdmitError::Closed));
+        assert_eq!(q.try_push(1, m), Err((AdmitError::Closed, 1)));
         assert_eq!(q.pop().unwrap().0, 0);
         assert!(q.pop().is_none());
     }

@@ -5,17 +5,24 @@
 //!
 //! ```text
 //!  explain_request ───┐                                  N workers, one lifecycle per job:
-//!                     ├─ admit ──try_push──▶ AdmissionQueue ──pop──▶ serve_read
-//!  recommend_request ─┘    │      (earliest deadline         ├─ fault hook, pin GraphEpoch
+//!  recommend_request ─┼─ submit ─try_push─▶ AdmissionQueue ──pop──▶ serve_read
+//!  HTTP reactor ──────┘    │      (earliest deadline         ├─ fault hook, pin GraphEpoch
 //!         ▲                │       first + per-user          ├─ deadline check (DeadlineExceeded)
 //!         └── Overloaded ──┘       fairness, see             ├─ run_explain | run_recommend on a
 //!             when full or over    crate::sched)             │  private ObsHandle, over the session
 //!             the per-user share:                            │  and column caches and the worker's
 //!             admission control,                             │  PushWorkspace
-//!             never unbounded                                └─ record_read (also after a panic)
+//!             never unbounded                                ├─ record_read (also after a panic)
+//!                                                            └─ the read's reply callback
 //!
 //!  POST /feedback ──▶ apply_feedback ──▶ LiveGraph publish (next epoch)
 //! ```
+//!
+//! `submit` never blocks: it answers a rejection through the reply
+//! callback at once, and an admitted read gets its callback from the
+//! worker that ran it. The HTTP reactor admits reads this way, so the
+//! admission queue is the only place a read waits.
+//! `explain_request` and `recommend_request` submit and wait.
 //!
 //! The graph and its [`TransitionCsr`] kernel live behind a [`LiveGraph`]:
 //! each worker **pins** the current [`GraphEpoch`] once per dequeued job
@@ -224,7 +231,7 @@ pub struct RecommendResponse {
 
 /// What a read request asks.
 #[derive(Debug, Clone, Copy)]
-enum Query {
+pub(crate) enum Query {
     Explain {
         user: NodeId,
         wni: NodeId,
@@ -270,19 +277,23 @@ impl Query {
 }
 
 /// A worker's answer to a [`Query`].
-enum Answer {
+pub(crate) enum Answer {
     Explain(ExplainOutcome),
     Recommend(RecommendOutcome),
 }
 
 /// What a read request's caller receives: the answer with its stage
 /// latencies and pinned epoch, or why there is none.
-type Reply = Result<(Answer, StageLatencies, u64), ServeError>;
+pub(crate) type Reply = Result<(Answer, StageLatencies, u64), ServeError>;
+
+/// Where a submitted read's reply goes, with its request id: called once,
+/// by the worker after [`record_read`], or at once for a rejection.
+pub(crate) type OnReply = Box<dyn FnOnce(u64, Reply) + Send>;
 
 enum Work {
     Read {
         query: Query,
-        reply: Sender<Reply>,
+        on_reply: OnReply,
     },
     /// Test-only: parks the worker until `release` disconnects. Lets the
     /// telemetry test observe a non-zero queue depth deterministically.
@@ -295,7 +306,7 @@ enum Work {
 /// State shared between the front-end handle and every worker.
 struct Shared {
     /// QoS-aware admission queue (deadline order, fairness, cost model)
-    /// between `admit` and the workers — see [`crate::sched`].
+    /// between `submit` and the workers — see [`crate::sched`].
     queue: AdmissionQueue<Work>,
     /// Connection-layer counters, updated by whichever front end serves
     /// this service (zero when driven directly, e.g. in tests).
@@ -407,7 +418,7 @@ impl ExplanationService {
         method: Method,
         deadline: Duration,
     ) -> (u64, Result<ExplainResponse, ServeError>) {
-        let (request_id, reply) = self.admit(Query::Explain { user, wni, method }, deadline);
+        let (request_id, reply) = self.ask(Query::Explain { user, wni, method }, deadline);
         let response = reply.map(|(answer, stages, epoch)| match answer {
             Answer::Explain(outcome) => ExplainResponse {
                 outcome,
@@ -441,7 +452,7 @@ impl ExplanationService {
         k: usize,
         deadline: Duration,
     ) -> (u64, Result<RecommendResponse, ServeError>) {
-        let (request_id, reply) = self.admit(Query::Recommend { user, k }, deadline);
+        let (request_id, reply) = self.ask(Query::Recommend { user, k }, deadline);
         let response = reply.map(|(answer, stages, epoch)| match answer {
             Answer::Recommend(items) => RecommendResponse {
                 items,
@@ -453,15 +464,25 @@ impl ExplanationService {
         (request_id, response)
     }
 
-    /// Admission control for every read request: assigns the request id,
-    /// asks the cost model for an estimate, and enqueues without blocking
-    /// or rejects at once. A rejected request is accounted here (no
-    /// worker ever sees it); an admitted one waits for its worker's reply.
-    /// User-quota rejections surface as `Overloaded` to the caller and
-    /// count in `rejected_overload` (keeping the accounting invariant
-    /// `requests_total == completed_total + rejected_overload`); the
-    /// quota-specific count is in the scheduler snapshot.
-    fn admit(&self, query: Query, deadline: Duration) -> (u64, Reply) {
+    /// Submits `query` and waits for its reply.
+    fn ask(&self, query: Query, deadline: Duration) -> (u64, Reply) {
+        let (tx, rx) = bounded(1);
+        let on_reply = move |_, reply| drop(tx.send(reply));
+        let request_id = self.submit(query, deadline, Box::new(on_reply));
+        let reply = rx.recv().unwrap_or(Err(ServeError::ShuttingDown));
+        (request_id, reply)
+    }
+
+    /// Admission control for every read request, without blocking: assigns
+    /// the request id, asks the cost model for an estimate, and enqueues,
+    /// or rejects at once. A rejected request is accounted here (no worker
+    /// ever sees it) and answered through `on_reply` before this returns;
+    /// an admitted one is answered by its worker. User-quota rejections
+    /// surface as `Overloaded` and count in `rejected_overload` (keeping
+    /// the accounting invariant `requests_total == completed_total +
+    /// rejected_overload`); the quota-specific count is in the scheduler
+    /// snapshot. Returns the request id.
+    pub(crate) fn submit(&self, query: Query, deadline: Duration, on_reply: OnReply) -> u64 {
         let shared = &self.shared;
         let class = query.class();
         let admitted_at = Instant::now();
@@ -473,24 +494,26 @@ impl ExplanationService {
             deadline: admitted_at + deadline,
             expected_cost_us: shared.queue.expected_cost_us(class),
         };
-        let (reply, rx) = bounded(1);
         ServeMetrics::bump(&shared.metrics.requests_total);
-        let rejected = match shared.queue.try_push(Work::Read { query, reply }, meta) {
-            Ok(()) => {
-                let reply = rx.recv().unwrap_or(Err(ServeError::ShuttingDown));
-                return (meta.request_id, reply);
-            }
-            Err(AdmitError::Overloaded) | Err(AdmitError::UserQuota) => {
+        let (error, work) = match shared.queue.try_push(Work::Read { query, on_reply }, meta) {
+            Ok(()) => return meta.request_id,
+            Err(rejected) => rejected,
+        };
+        let error = match error {
+            AdmitError::Overloaded | AdmitError::UserQuota => {
                 ServeMetrics::bump(&shared.metrics.rejected_overload);
                 ServeError::Overloaded
             }
-            Err(AdmitError::Closed) => ServeError::ShuttingDown,
+            AdmitError::Closed => ServeError::ShuttingDown,
         };
         shared.metrics.endpoint(class).window.record(0, true);
         let mut event = query.event(&meta);
-        event.outcome = rejected.outcome().to_owned();
+        event.outcome = error.outcome().to_owned();
         shared.events.emit(&event);
-        (meta.request_id, Err(rejected))
+        if let Work::Read { on_reply, .. } = work {
+            on_reply(meta.request_id, Err(error));
+        }
+        meta.request_id
     }
 
     /// The replayable trace of a recent explain request, if still in the
@@ -582,11 +605,6 @@ impl ExplanationService {
     /// Worker threads serving the queue.
     pub fn workers(&self) -> usize {
         self.shared.workers
-    }
-
-    /// Admission-queue capacity (jobs beyond this are rejected 429).
-    pub fn queue_capacity(&self) -> usize {
-        self.shared.queue.capacity()
     }
 
     /// Time since [`ExplanationService::start`].
@@ -771,18 +789,18 @@ fn worker_loop(shared: Arc<Shared>) {
     // pop drains queued jobs even after close(): graceful shutdown answers
     // everything that was admitted.
     while let Some((work, meta)) = shared.queue.pop() {
-        let (query, reply) = match work {
+        let (query, on_reply) = match work {
             Work::Stall { started, release } => {
                 let _ = started.send(());
                 let _ = release.recv(); // parked until the guard drops
                 continue;
             }
-            Work::Read { query, reply } => (query, reply),
+            Work::Read { query, on_reply } => (query, on_reply),
         };
-        // The job runs under catch_unwind with the reply sender held
+        // The job runs under catch_unwind with the reply callback held
         // OUTSIDE the closure: a panic mid-computation (a bug, or an
         // injected fault) is recorded like any other dequeued request and
-        // answered `WorkerPanicked` instead of dropping the sender, and
+        // answered `WorkerPanicked` instead of dropping the callback, and
         // the worker survives to serve the next job.
         let dequeued = Instant::now();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -803,7 +821,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 Err(ServeError::WorkerPanicked),
             )
         });
-        let _ = reply.try_send(reply_value); // the caller may have gone away
+        on_reply(meta.request_id, reply_value);
     }
 }
 

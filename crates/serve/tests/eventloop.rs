@@ -1,7 +1,7 @@
 //! End-to-end tests of the event-driven HTTP front end: keep-alive
 //! reuse, pipelined bursts answered in order, malformed framing answered
-//! with JSON 400/431 before the close, and connection-level Prometheus
-//! gauges.
+//! with JSON 400/431 before the close, connection-level Prometheus
+//! gauges, and reads past a full admission queue rejected on arrival.
 
 #![cfg(unix)]
 
@@ -9,12 +9,12 @@ use emigre_data::pipeline::{AmazonHin, PreprocessConfig};
 use emigre_data::synth::{SynthConfig, SynthDataset};
 use emigre_hin::{Hin, NodeId};
 use emigre_serve::{
-    reference_recommend, ExplanationService, HttpConfig, HttpServer, ServiceConfig,
+    reference_recommend, ExplanationService, FaultPlan, HttpServer, MetricsSnapshot, ServiceConfig,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_world() -> (Hin, emigre_core::EmigreConfig, Vec<NodeId>) {
     let data = SynthDataset::generate(SynthConfig {
@@ -46,29 +46,21 @@ struct RunningServer {
 /// Starts a server and returns a user id whose recommendation list has
 /// at least 3 items (so `/recommend` bodies below are valid).
 fn spawn_server() -> (Arc<ExplanationService>, RunningServer, u32) {
+    spawn_server_with(ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    })
+}
+
+fn spawn_server_with(sc: ServiceConfig) -> (Arc<ExplanationService>, RunningServer, u32) {
     let (graph, cfg, users) = test_world();
     let user = users
         .iter()
         .find(|&&u| matches!(reference_recommend(&graph, &cfg, u, 5), Ok(r) if r.len() >= 3))
         .map(|u| u.0)
         .expect("world has a user with >=3 recommendations");
-    let service = Arc::new(ExplanationService::start(
-        graph,
-        cfg,
-        ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        },
-    ));
-    let server = HttpServer::bind_with(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        HttpConfig {
-            reactor_threads: 2,
-            ..HttpConfig::default()
-        },
-    )
-    .expect("bind");
+    let service = Arc::new(ExplanationService::start(graph, cfg, sc));
+    let server = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().unwrap();
     let thread = std::thread::spawn(move || server.run());
     (service, RunningServer { addr, thread }, user)
@@ -324,10 +316,73 @@ fn parse_errors_surface_in_the_prometheus_exposition() {
         "emigre_connections_accepted_total",
         "emigre_keepalive_reuses_total",
         "emigre_frontend_parse_errors_total 1",
-        "emigre_reactor_threads 2",
         "emigre_sched_reordered_total",
     ] {
         assert!(metrics.contains(family), "{family} missing from exposition");
+    }
+    stop(&addr, server);
+}
+
+#[test]
+fn reads_past_a_full_queue_are_rejected_on_arrival() {
+    let plan = FaultPlan::new();
+    // Request ids count reads from 1: the first one holds the only worker.
+    let gate = plan.block(1);
+    let (service, server, user) = spawn_server_with(ServiceConfig {
+        workers: 1,
+        queue_capacity: 2,
+        faults: Some(plan.handle()),
+        ..ServiceConfig::default()
+    });
+    let addr = server.addr;
+    let read = keep_alive_request("/recommend", &format!(r#"{{"user":{user},"k":3}}"#));
+    let send = |raw: &str| {
+        let mut conn = ResponseReader::new(TcpStream::connect(addr).expect("connect"));
+        conn.send(raw);
+        conn
+    };
+    let wait_until = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "never reached: {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+
+    let mut held = vec![send(&read)];
+    wait_until("the worker holds read 1", &|| plan.triggered() == 1);
+    held.push(send(&read));
+    held.push(send(&read));
+    wait_until("reads 2 and 3 fill the queue", &|| {
+        service.metrics().queue_depth == 2
+    });
+
+    for i in 4..=6 {
+        let start = Instant::now();
+        let mut conn = send(&read);
+        conn.stream
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let response = conn.next_response();
+        assert!(start.elapsed() < Duration::from_secs(1), "read {i} waited");
+        assert_eq!(status_of(&response), 429, "read {i}: {response}");
+        assert!(response.contains("\"error\":\"overloaded\""), "{response}");
+    }
+
+    // While the gate is still closed, /metrics has counted every read on
+    // arrival, and the three rejections among them.
+    let (status, response) = one_shot(&addr, "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
+    assert_eq!(status, 200, "{response}");
+    let body = &response[response.find("\r\n\r\n").expect("head") + 4..];
+    let m: MetricsSnapshot = serde_json::from_str(body).expect("metrics JSON");
+    assert_eq!(m.requests_total, 6, "{body}");
+    assert_eq!(m.rejected_overload, 3, "{body}");
+    assert_eq!(m.queue_depth, 2, "{body}");
+
+    drop(gate);
+    for (i, conn) in held.iter_mut().enumerate() {
+        let response = conn.next_response();
+        assert_eq!(status_of(&response), 200, "held read {}: {response}", i + 1);
     }
     stop(&addr, server);
 }

@@ -44,7 +44,6 @@ usage:
                [--event-log FILE]                 JSON-lines request event log
                [--feedback-log FILE]              replay edge updates before serving
                [--trace-cap N]                    replayable /trace/<id> store size
-               [--reactor-threads N]              event-loop reactor pool size
                [--keep-alive-secs N]              idle connection budget (0 = close)
                [--user-share F]                   per-user queue share in (0, 1]
                [--slow-ring N]                    slowest-N /debug/slow entries per endpoint
@@ -286,7 +285,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     "--event-log",
                     "--feedback-log",
                     "--trace-cap",
-                    "--reactor-threads",
                     "--keep-alive-secs",
                     "--user-share",
                     "--slow-ring",
@@ -363,12 +361,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 }
             }
             let mut hc = emigre::serve::HttpConfig::default();
-            if let Some(r) = flag(args, "--reactor-threads")? {
-                hc.reactor_threads = r.parse().map_err(|_| "bad --reactor-threads")?;
-                if hc.reactor_threads == 0 {
-                    return Err("--reactor-threads must be at least 1".to_owned());
-                }
-            }
             if let Some(k) = flag(args, "--keep-alive-secs")? {
                 // 0 disables keep-alive: every response closes.
                 let secs: u64 = k.parse().map_err(|_| "bad --keep-alive-secs")?;

@@ -89,7 +89,7 @@ fn recommend_with_a_huge_top_prints_every_candidate() {
 #[test]
 fn every_subcommand_rejects_a_flag_it_does_not_take() {
     let graph = DemoGraph::new("unknown-flag");
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (
             &[
                 "explain",
@@ -125,6 +125,11 @@ fn every_subcommand_rejects_a_flag_it_does_not_take() {
             &["serve", "--graph", &graph.path, "--sched", "deadline"],
             "error: unknown flag --sched for serve",
         ),
+        // One reactor serves every connection.
+        (
+            &["serve", "--graph", &graph.path, "--reactor-threads", "2"],
+            "error: unknown flag --reactor-threads for serve",
+        ),
     ];
     for (args, want) in cases {
         let out = emigre(args);
@@ -134,4 +139,130 @@ fn every_subcommand_rejects_a_flag_it_does_not_take() {
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} answered anyway: {out:?}");
     }
+}
+
+/// A spawned `emigre serve`, killed and reaped on drop.
+#[cfg(target_os = "linux")]
+struct Server {
+    child: std::process::Child,
+    addr: String,
+}
+
+#[cfg(target_os = "linux")]
+impl Server {
+    /// Runs `emigre serve --graph <graph> --port 0 <args>` under `sh -c`,
+    /// after the shell command `prelude`, and waits for its address.
+    fn start(prelude: &str, graph: &DemoGraph, args: &str) -> Self {
+        use std::io::{BufRead, BufReader};
+        let mut child = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                "{prelude} exec '{}' serve --graph '{}' --port 0 {args}",
+                env!("CARGO_BIN_EXE_emigre"),
+                graph.path
+            ))
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn the server");
+        let stdout = child.stdout.take().unwrap();
+        let mut server = Server {
+            child,
+            addr: String::new(),
+        };
+        for line in BufReader::new(stdout).lines() {
+            let line = line.expect("read stdout");
+            if let Some(addr) = line.strip_prefix("emigre-serve listening on ") {
+                server.addr = addr.to_owned();
+                return server;
+            }
+        }
+        panic!("the server exited before listening");
+    }
+
+    /// Sends `raw` on a fresh connection and returns the whole answer.
+    fn ask(&self, raw: &str) -> String {
+        use std::io::{Read, Write};
+        let mut conn = std::net::TcpStream::connect(&self.addr).expect("connect");
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        conn.write_all(raw.as_bytes()).unwrap();
+        let mut response = String::new();
+        conn.read_to_string(&mut response).expect("an answer");
+        response
+    }
+
+    /// `POST /shutdown`, then a clean exit.
+    fn stop(mut self) {
+        self.ask("POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        let status = self.child.wait().expect("server exit");
+        assert!(status.success(), "{status:?}");
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+#[cfg(target_os = "linux")]
+const HEALTHZ: &str = "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+
+/// The server runs its reactor on the main thread, one control thread and
+/// its workers: nothing else without `--event-log`.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_runs_its_workers_and_two_threads() {
+    let graph = DemoGraph::new("threads");
+    let server = Server::start("", &graph, "--workers 2");
+    // An answered /healthz ran on the control thread, so it has started.
+    assert!(server.ask(HEALTHZ).starts_with("HTTP/1.1 200"));
+    let tasks = std::fs::read_dir(format!("/proc/{}/task", server.child.id()))
+        .expect("list the server's threads")
+        .count();
+    assert_eq!(tasks, 4, "2 workers + reactor + control thread");
+    server.stop();
+}
+
+/// A server that runs out of file descriptors parks its listener instead
+/// of waking every `poll` to the same failing `accept`, and answers again
+/// once connections close.
+#[cfg(target_os = "linux")]
+#[test]
+fn descriptor_exhaustion_does_not_spin_the_server() {
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    /// User plus system CPU time of `pid`, in clock ticks.
+    fn cpu_ticks(pid: u32) -> u64 {
+        let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read stat");
+        // Fields after the parenthesised command name: state is the 3rd
+        // field overall, utime and stime the 14th and 15th.
+        let rest = &stat[stat.rfind(')').expect("comm") + 2..];
+        let fields: Vec<&str> = rest.split_whitespace().collect();
+        fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+    }
+
+    let graph = DemoGraph::new("emfile");
+    let server = Server::start("ulimit -n 48;", &graph, "");
+
+    // 80 idle connections against a 48-descriptor limit: the server
+    // accepts what it can and the rest wait in the backlog.
+    let idle: Vec<TcpStream> = (0..80)
+        .map(|_| TcpStream::connect(&server.addr).expect("connect"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    let pid = server.child.id();
+    let before = cpu_ticks(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    // /proc reports ticks of USER_HZ, 100 per second on Linux.
+    let used = cpu_ticks(pid) - before;
+    assert!(used < 30, "the server burned {used} ticks of CPU in 1 s");
+
+    drop(idle);
+    let response = server.ask(HEALTHZ);
+    assert!(response.starts_with("HTTP/1.1 200"), "{response:?}");
+    server.stop();
 }
