@@ -8,7 +8,7 @@
 //!   allocation-free workspace path;
 //! * the batched CHECK thread sweep, the obs-enabled and allocation-tracked
 //!   CHECK overheads, and (with `--scale`) the streaming 10k → 1M-node
-//!   compact-kernel curve.
+//!   kernel curve.
 //!
 //! Run with `cargo run --release -p emigre-bench --bin ppr_flat_bench
 //! [-- out.json]`; results are written as JSON (default `BENCH_ppr.json`)
@@ -22,9 +22,7 @@ use emigre_core::{Action, ExplainContext};
 use emigre_data::{ScaleGen, ScaleSpec};
 use emigre_hin::{EdgeKey, GraphView, Hin, NodeId};
 use emigre_obs::{CounterSnapshot, HeapSize, ObsHandle};
-use emigre_ppr::{
-    CsrRows, ForwardPush, PprConfig, Prob, ReversePush, TransitionCsr, TransitionModel,
-};
+use emigre_ppr::{CsrRows, ForwardPush, PprConfig, ReversePush, TransitionCsr, TransitionModel};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -197,7 +195,7 @@ fn parse_scale(tok: &str) -> usize {
 }
 
 /// The per-CHECK-cost-vs-graph-size curve: streaming power-law graph at
-/// `total` nodes, compact f32 kernel built without materialising a `Hin`,
+/// `total` nodes, kernel built without materialising a `Hin`,
 /// forward/reverse push and a one-row-patched CHECK push timed against it.
 ///
 /// At 1M nodes this is generator + build + a single timed run of each
@@ -217,7 +215,7 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
         emigre_obs::heap_stats().live_bytes
     };
     let t0 = Instant::now();
-    let kernel = gen.build_compact::<f32>(model, 65_536);
+    let kernel = gen.build_compact(model, 65_536);
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     #[cfg(feature = "heap-track")]
     let build_peak = Some(
@@ -275,13 +273,9 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
     // the patch-overlay overhead factor (≈ 1).
     let (dsts, probs) = kernel.forward_row(seed);
     assert!(dsts.len() >= 2, "scale seed user needs at least two edges");
-    let dropped = probs[0].to_f64();
-    let renorm = 1.0 / (1.0 - dropped);
+    let renorm = 1.0 / (1.0 - probs[0]);
     let new_dsts: Vec<u32> = dsts[1..].to_vec();
-    let new_probs: Vec<f32> = probs[1..]
-        .iter()
-        .map(|p| <f32 as Prob>::from_f64(p.to_f64() * renorm))
-        .collect();
+    let new_probs: Vec<f64> = probs[1..].iter().map(|p| p * renorm).collect();
     let check_ms = timed_ms(times, || {
         let patched = kernel.patched_rows(vec![(seed.0, new_dsts.clone(), new_probs.clone())]);
         std::hint::black_box(ForwardPush::compute(&patched, &cfg, seed));
@@ -525,9 +519,9 @@ fn main() {
                       PushWorkspace path. baseline: check_batch_t* = 1 thread, *_obs = \
                       uninstrumented CHECK, *_alloc_tracked = tracking paused, \
                       scale_check = unpatched forward push; null elsewhere. scale_* \
-                      entries: streaming power-law graphs at 10k–1M nodes, compact f32 \
-                      kernel, ε = 1e-6, best-of-5 (single run at 1M). See EXPERIMENTS.md \
-                      for methodology."
+                      entries: streaming power-law graphs at 10k–1M nodes, f64 \
+                      TransitionCsr, ε = 1e-6, best-of-5 (single run at 1M). See \
+                      EXPERIMENTS.md for methodology."
             .to_string(),
         epsilon,
         samples: 15,

@@ -8,8 +8,6 @@
 //! * `explainers` — every EMiGRe method on a fixed mid-size scenario (the
 //!   micro-benchmark behind Table 5's runtime ordering), plus the context
 //!   build;
-//! * `ablations` — the CHECK design choice DESIGN.md calls out: dynamic
-//!   CHECK vs from-scratch CHECK (`EmigreConfig::dynamic_test`);
 //! * `evaluation_sweep` — the per-scenario cost of the §6.2 experiment
 //!   loop: all eight paper methods on one scenario.
 //!

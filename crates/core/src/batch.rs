@@ -85,7 +85,7 @@ fn contexts_from<'g, G: GraphView>(
         if let Some(col) = pushed.borrow().get(&t) {
             return Arc::clone(col);
         }
-        let col = push_column(&*kernel, &ppr, t, &column_obs);
+        let col = push_column(&kernel, &ppr, t, &column_obs);
         pushed.borrow_mut().insert(t, Arc::clone(&col));
         col
     });

@@ -39,10 +39,6 @@ pub struct EmigreConfig {
     pub max_enumerated_subsets: usize,
     /// Global cap on CHECK/TEST invocations per explanation attempt.
     pub max_checks: usize,
-    /// Reuse the user's base-graph push state via dynamic residual repair in
-    /// the TEST step (`false` recomputes each counterfactual from scratch;
-    /// kept as a switch for the ablation benchmark).
-    pub dynamic_test: bool,
     /// Worker threads for candidate CHECK evaluation. `1` (the default)
     /// keeps the sequential path; `0` resolves to the machine's available
     /// parallelism; `n ≥ 2` fans CHECKs across `n` workers with a
@@ -65,7 +61,6 @@ impl EmigreConfig {
             max_subset_candidates: 16,
             max_enumerated_subsets: 100_000,
             max_checks: 2_000,
-            dynamic_test: true,
             parallelism: 1,
         }
     }

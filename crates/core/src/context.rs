@@ -4,7 +4,8 @@
 //! across modes and heuristics:
 //!
 //! * the user's recommendation list (yields `rec` and the target set `T`);
-//! * the user's forward-push state (reused by the dynamic CHECK);
+//! * the user's forward-push state (every CHECK repairs it rather than
+//!   pushing from the user afresh);
 //! * `PPR(·, rec)` and `PPR(·, WNI)` columns via Reverse Local Push — the
 //!   inputs of the contribution equations (5) and (6).
 //!
@@ -16,9 +17,7 @@ use crate::config::EmigreConfig;
 use crate::question::{QuestionError, WhyNotQuestion};
 use emigre_hin::{GraphDelta, GraphView, NodeId, NodeTypeId};
 use emigre_obs::{HeapSize, ObsHandle, Op};
-use emigre_ppr::{
-    ColumnBound, CsrRows, ForwardPush, PprConfig, PushWorkspace, ReversePush, TransitionCsr,
-};
+use emigre_ppr::{ColumnBound, ForwardPush, PprConfig, PushWorkspace, ReversePush, TransitionCsr};
 use emigre_rec::{PprRecommender, RecList};
 use std::cell::{OnceCell, RefCell};
 use std::sync::Arc;
@@ -136,15 +135,11 @@ pub(crate) struct CheckState {
 /// recommendation list, the `PPR(·, rec)` column, and the candidate index.
 /// The artefacts are `Arc`-shared so assembling a context from them is
 /// `O(1)` — no `O(n)`/`O(E)` clones per question.
-///
-/// Generic over the kernel layout `K` ([`CsrRows`]): the `f64` reference
-/// [`TransitionCsr`] by default, or an `f32` [`emigre_ppr::CompactCsr`]
-/// for large graphs. Every push below runs through the trait, so the
-/// choice is purely a memory/precision trade.
-pub struct UserArtifacts<K = TransitionCsr> {
+#[derive(Clone)]
+pub struct UserArtifacts {
     pub user: NodeId,
     /// Flat transition rows of the base graph.
-    pub kernel: Arc<K>,
+    pub kernel: Arc<TransitionCsr>,
     /// Forward-push state personalised on the user.
     pub user_push: Arc<ForwardPush>,
     /// The current top-1 recommendation.
@@ -162,7 +157,7 @@ pub struct UserArtifacts<K = TransitionCsr> {
 /// is deliberately excluded — it is the graph-wide transition CSR shared
 /// by every user and charged to its owner (the live `GraphEpoch`), so
 /// summing cached `UserArtifacts` never double counts it.
-impl<K> HeapSize for UserArtifacts<K> {
+impl HeapSize for UserArtifacts {
     fn heap_bytes(&self) -> usize {
         self.user_push.heap_bytes()
             + self.ppr_to_rec.heap_bytes()
@@ -171,22 +166,7 @@ impl<K> HeapSize for UserArtifacts<K> {
     }
 }
 
-/// Manual so the bound stays `K`-free: the kernel is behind an `Arc`.
-impl<K> Clone for UserArtifacts<K> {
-    fn clone(&self) -> Self {
-        UserArtifacts {
-            user: self.user,
-            kernel: Arc::clone(&self.kernel),
-            user_push: Arc::clone(&self.user_push),
-            rec: self.rec,
-            rec_list: self.rec_list.clone(),
-            ppr_to_rec: Arc::clone(&self.ppr_to_rec),
-            cand_base: self.cand_base.clone(),
-        }
-    }
-}
-
-impl<K: CsrRows> UserArtifacts<K> {
+impl UserArtifacts {
     /// Computes the user-shared artefacts: one forward push, the
     /// recommendation list (or `InvalidUser` if it is empty), one reverse
     /// push on `rec`, and the candidate index. The caller supplies the
@@ -194,7 +174,7 @@ impl<K: CsrRows> UserArtifacts<K> {
     pub fn build<G: GraphView>(
         graph: &G,
         cfg: &EmigreConfig,
-        kernel: Arc<K>,
+        kernel: Arc<TransitionCsr>,
         user: NodeId,
         obs: &ObsHandle,
     ) -> Result<Self, QuestionError> {
@@ -243,8 +223,8 @@ pub fn target_list<G: GraphView>(
 }
 
 /// `PPR(·, t)` pushed on `kernel`, with the push counted into `obs`.
-pub(crate) fn push_column<K: CsrRows>(
-    kernel: &K,
+pub(crate) fn push_column(
+    kernel: &TransitionCsr,
     ppr: &PprConfig,
     t: NodeId,
     obs: &ObsHandle,
@@ -257,11 +237,7 @@ pub(crate) fn push_column<K: CsrRows>(
 
 /// Pre-computed state shared by every explanation algorithm for one
 /// `(user, WNI)` question.
-///
-/// Generic over the kernel layout `K` like [`UserArtifacts`]; the default
-/// keeps every existing call site on the reference [`TransitionCsr`].
-/// Build over a different layout with [`ExplainContext::build_with_kernel`].
-pub struct ExplainContext<'g, G: GraphView, K = TransitionCsr> {
+pub struct ExplainContext<'g, G: GraphView> {
     pub graph: &'g G,
     pub cfg: EmigreConfig,
     pub user: NodeId,
@@ -281,7 +257,7 @@ pub struct ExplainContext<'g, G: GraphView, K = TransitionCsr> {
     pub ppr_to_wni: Arc<ReversePush>,
     /// Flat transition rows of the base graph, shared by every push in
     /// this context; counterfactual CHECKs patch the touched rows on top.
-    pub kernel: Arc<K>,
+    pub kernel: Arc<TransitionCsr>,
     /// Reusable CHECK scratch (push workspace + candidate index).
     pub(crate) check: RefCell<CheckState>,
     /// Recycled CHECK states for parallel workers: taken before a fan-out,
@@ -338,29 +314,6 @@ impl<'g, G: GraphView> ExplainContext<'g, G> {
         let ws = PushWorkspace::new(graph.num_nodes());
         Self::for_question(graph, cfg, &artifacts, wni, ws, obs)
     }
-}
-
-impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
-    /// [`ExplainContext::build_with_obs`] over a caller-supplied kernel of
-    /// any layout. The `O(E)` kernel sweep is the caller's (so one compact
-    /// kernel can serve many questions); everything else — validation, the
-    /// user artefacts, the `PPR(·, wni)` column — is computed here exactly
-    /// as in the default build.
-    pub fn build_with_kernel(
-        graph: &'g G,
-        cfg: EmigreConfig,
-        kernel: Arc<K>,
-        user: NodeId,
-        wni: NodeId,
-        obs: ObsHandle,
-    ) -> Result<Self, QuestionError> {
-        let _span = obs.span("context_build");
-        cfg.validate();
-        WhyNotQuestion::validate(graph, &cfg, user, wni, None)?;
-        let artifacts = UserArtifacts::build(graph, &cfg, kernel, user, &obs)?;
-        let ws = PushWorkspace::new(graph.num_nodes());
-        Self::for_question(graph, cfg, &artifacts, wni, ws, obs)
-    }
 
     /// The per-question half of every build: validates `wni` against the
     /// user's shared artefacts, runs its `PPR(·, wni)` column over their
@@ -375,13 +328,13 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
     pub fn for_question(
         graph: &'g G,
         cfg: EmigreConfig,
-        artifacts: &UserArtifacts<K>,
+        artifacts: &UserArtifacts,
         wni: NodeId,
         ws: PushWorkspace,
         obs: ObsHandle,
     ) -> Result<Self, QuestionError> {
         WhyNotQuestion::validate(graph, &cfg, artifacts.user, wni, Some(artifacts.rec))?;
-        let ppr_to_wni = push_column(&*artifacts.kernel, &cfg.rec.ppr, wni, &obs);
+        let ppr_to_wni = push_column(&artifacts.kernel, &cfg.rec.ppr, wni, &obs);
         Self::from_artifacts(graph, cfg, artifacts, wni, ppr_to_wni, ws, obs)
     }
 
@@ -397,7 +350,7 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
     pub fn from_artifacts(
         graph: &'g G,
         cfg: EmigreConfig,
-        artifacts: &UserArtifacts<K>,
+        artifacts: &UserArtifacts,
         wni: NodeId,
         ppr_to_wni: Arc<ReversePush>,
         mut ws: PushWorkspace,
@@ -405,11 +358,7 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
     ) -> Result<Self, QuestionError> {
         WhyNotQuestion::validate(graph, &cfg, artifacts.user, wni, Some(artifacts.rec))?;
         obs.trace_question(artifacts.user.0, wni.0, artifacts.rec.0);
-        if cfg.dynamic_test {
-            ws.load_base(&artifacts.user_push);
-        } else {
-            ws.clear(graph.num_nodes());
-        }
+        ws.load_base(&artifacts.user_push);
         Ok(ExplainContext {
             graph,
             cfg,
@@ -455,7 +404,7 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
         if let Some(source) = &self.columns {
             return source(t);
         }
-        push_column(&*self.kernel, &self.cfg.rec.ppr, t, &self.obs)
+        push_column(&self.kernel, &self.cfg.rec.ppr, t, &self.obs)
     }
 
     /// Takes `count` CHECK states for parallel workers, building the ones
@@ -475,11 +424,7 @@ impl<'g, G: GraphView, K: CsrRows> ExplainContext<'g, G, K> {
         }
         while states.len() < count {
             let mut ws = PushWorkspace::new(self.graph.num_nodes());
-            if self.cfg.dynamic_test {
-                ws.load_base(&self.user_push);
-            } else {
-                ws.clear(self.graph.num_nodes());
-            }
+            ws.load_base(&self.user_push);
             let cand = self.check.borrow().cand.clone();
             states.push(CheckState { ws, cand });
         }

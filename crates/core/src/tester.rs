@@ -8,10 +8,13 @@
 //! Exhaustive-direct) that skipping it drops the success rate by a third.
 //!
 //! [`Tester`] performs that verification. It owns nothing graph-sized: it
-//! borrows the question context and, when `dynamic_test` is enabled,
-//! derives each counterfactual PPR vector from the user's base-graph push
-//! state via residual repair ([`PushWorkspace::repair_row_change`]) instead
-//! of pushing from scratch.
+//! borrows the question context and derives each counterfactual PPR vector
+//! from the user's base-graph push state via residual repair
+//! ([`PushWorkspace::repair_row_change`]) instead of pushing from scratch:
+//! the dynamic update of Zhang, Lofgren & Goel. Its reference is exact PPR
+//! on the edited graph, not a second push: the testkit's
+//! `verdict_cross_check` suite and the root `property_check_engine`
+//! proptest hold its verdicts to the dense oracle.
 //!
 //! A CHECK pushes in stages of decreasing ε and stops as soon as an
 //! interval proves the verdict. Failing CHECKs, the bulk of a long search,
@@ -51,10 +54,10 @@ pub fn score_floor(cfg: &crate::config::EmigreConfig) -> f64 {
 /// [`ExplainContext`]'s interior-mutable cells so worker threads can share
 /// one copy (`G: GraphView` implies `Sync`).
 #[derive(Clone, Copy)]
-pub(crate) struct CheckShared<'a, G: GraphView, K = TransitionCsr> {
+pub(crate) struct CheckShared<'a, G: GraphView> {
     graph: &'a G,
     cfg: &'a EmigreConfig,
-    kernel: &'a K,
+    kernel: &'a TransitionCsr,
     user: NodeId,
     wni: NodeId,
     rec: NodeId,
@@ -62,8 +65,8 @@ pub(crate) struct CheckShared<'a, G: GraphView, K = TransitionCsr> {
     bounds: &'a [ColumnBound; 2],
 }
 
-impl<'a, G: GraphView, K: CsrRows> CheckShared<'a, G, K> {
-    pub(crate) fn of(ctx: &'a ExplainContext<'_, G, K>) -> Self {
+impl<'a, G: GraphView> CheckShared<'a, G> {
+    pub(crate) fn of(ctx: &'a ExplainContext<'_, G>) -> Self {
         CheckShared {
             graph: ctx.graph,
             cfg: &ctx.cfg,
@@ -98,16 +101,15 @@ pub(crate) struct CheckOutcome {
 /// every CHECK-shaped evaluation shares. Builds the delta and its overlay,
 /// patches the touched transition rows, overlays the candidate index, and
 /// starts the push state: the base state's residuals repaired for the
-/// changed rows (`dynamic_test`) or a fresh seed at the user.
-/// `decide` pushes over the patched rows as far as it needs and returns
-/// its answer with the candidate-index entries it scanned; the workspace
-/// and the index are then rolled back, and the evaluation's cost returned
-/// alongside the answer.
-fn counterfactual<G: GraphView, K: CsrRows, R>(
-    shared: &CheckShared<'_, G, K>,
+/// changed rows. `decide` pushes over the patched rows as far as it needs
+/// and returns its answer with the candidate-index entries it scanned; the
+/// workspace and the index are then rolled back, and the evaluation's cost
+/// returned alongside the answer.
+fn counterfactual<G: GraphView, R>(
+    shared: &CheckShared<'_, G>,
     state: &mut CheckState,
     actions: &[Action],
-    decide: impl FnOnce(&mut PushWorkspace, &CandidateIndex, &PatchedCsr<'_, K>) -> (R, u64),
+    decide: impl FnOnce(&mut PushWorkspace, &CandidateIndex, &PatchedCsr<'_>) -> (R, u64),
 ) -> (R, CheckCost) {
     let cfg = shared.cfg;
     let delta = actions_to_delta(actions, cfg);
@@ -124,17 +126,13 @@ fn counterfactual<G: GraphView, K: CsrRows, R>(
     let pushes_before = ws.pushes();
     let drained_before = ws.mass_drained();
     let stages_before = ws.stages();
-    if cfg.dynamic_test {
-        for &u in &touched {
-            ws.repair_row_change(
-                &cfg.rec.ppr,
-                u,
-                shared.kernel.forward_row(u),
-                patched.forward_row(u),
-            );
-        }
-    } else {
-        ws.add_residual(shared.user, 1.0);
+    for &u in &touched {
+        ws.repair_row_change(
+            &cfg.rec.ppr,
+            u,
+            shared.kernel.forward_row(u),
+            patched.forward_row(u),
+        );
     }
     let (answer, index_hits) = decide(ws, cand, &patched);
 
@@ -182,8 +180,8 @@ fn counterfactual<G: GraphView, K: CsrRows, R>(
 /// with only the delta's rows patched ([`counterfactual`]) and is rolled
 /// back through an undo log. No push-state clone, no per-call `O(n)`
 /// vectors, no full residual scans.
-pub(crate) fn run_check<G: GraphView, K: CsrRows>(
-    shared: &CheckShared<'_, G, K>,
+pub(crate) fn run_check<G: GraphView>(
+    shared: &CheckShared<'_, G>,
     state: &mut CheckState,
     actions: &[Action],
 ) -> CheckOutcome {
@@ -273,17 +271,13 @@ pub struct FirstPass {
 }
 
 /// Verifies candidate action sets for one Why-Not question.
-///
-/// Generic over the kernel layout `K` ([`CsrRows`]) like the context it
-/// borrows, so verdicts can be cross-checked between the `f64` reference
-/// [`TransitionCsr`] and the `f32` compact kernel.
-pub struct Tester<'c, 'g, G: GraphView, K = TransitionCsr> {
-    ctx: &'c ExplainContext<'g, G, K>,
+pub struct Tester<'c, 'g, G: GraphView> {
+    ctx: &'c ExplainContext<'g, G>,
     checks: Cell<usize>,
 }
 
-impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
-    pub fn new(ctx: &'c ExplainContext<'g, G, K>) -> Self {
+impl<'c, 'g, G: GraphView> Tester<'c, 'g, G> {
+    pub fn new(ctx: &'c ExplainContext<'g, G>) -> Self {
         Tester {
             ctx,
             checks: Cell::new(0),
@@ -355,10 +349,7 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
         &self,
         sets: &[Vec<Action>],
         mut pre: impl FnMut(usize) -> PreCheck,
-    ) -> FirstPass
-    where
-        K: Sync,
-    {
+    ) -> FirstPass {
         let threads = self.ctx.cfg.effective_parallelism().min(sets.len());
         if threads < 2 {
             for (i, actions) in sets.iter().enumerate() {
@@ -445,9 +436,9 @@ impl<'c, 'g, G: GraphView, K: CsrRows> Tester<'c, 'g, G, K> {
                 // Candidates on the EDITED graph: removals free their items
                 // for recommendation again; additions disqualify theirs.
                 // Items whose score sits at the push-noise floor are not
-                // recommendable: a zero-score "recommendation" is vacuous
-                // and its tie-breaking would differ between the dynamic and
-                // from-scratch engines.
+                // recommendable: a zero-score "recommendation" is vacuous,
+                // and its tie-break would follow push noise rather than the
+                // exact scores.
                 let floor = score_floor(cfg);
                 let scores = ws.estimates();
                 let candidates = cand
@@ -585,28 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_and_scratch_tests_agree() {
-        let f = fixture();
-        let mut cfg_scratch = f.cfg.clone();
-        cfg_scratch.dynamic_test = false;
-        let ctx_dyn = ExplainContext::build(&f.g, f.cfg.clone(), f.u, f.wni).unwrap();
-        let ctx_scr = ExplainContext::build(&f.g, cfg_scratch, f.u, f.wni).unwrap();
-        let t_dyn = Tester::new(&ctx_dyn);
-        let t_scr = Tester::new(&ctx_scr);
-        let actions = [
-            vec![Action::remove(EdgeKey::new(f.u, f.pivot, f.rated), 1.0)],
-            vec![Action::add(EdgeKey::new(f.u, f.bridge, f.rated), 1.0)],
-            vec![
-                Action::remove(EdgeKey::new(f.u, f.pivot, f.rated), 1.0),
-                Action::add(EdgeKey::new(f.u, f.bridge, f.rated), 1.0),
-            ],
-        ];
-        for set in &actions {
-            assert_eq!(t_dyn.top1_after(set), t_scr.top1_after(set));
-        }
-    }
-
-    #[test]
     fn removed_item_reenters_candidate_pool() {
         let f = fixture();
         let ctx = ExplainContext::build(&f.g, f.cfg.clone(), f.u, f.wni).unwrap();
@@ -659,35 +628,31 @@ mod tests {
         // The CHECK fast path must leave the context's workspace clean
         // (fully rolled back) after every call and never swap out its
         // graph-sized buffers — repeated checks reuse the same storage.
-        for dynamic in [true, false] {
-            let f = fixture();
-            let mut cfg = f.cfg.clone();
-            cfg.dynamic_test = dynamic;
-            let ctx = ExplainContext::build(&f.g, cfg, f.u, f.wni).unwrap();
-            let tester = Tester::new(&ctx);
-            let pool = [
-                Action::remove(EdgeKey::new(f.u, f.pivot, f.rated), 1.0),
-                Action::add(EdgeKey::new(f.u, f.bridge, f.rated), 1.0),
-            ];
-            let est_ptr = ctx.check.borrow().ws.estimates().as_ptr();
-            for round in 0..50u32 {
-                let mask = round % 4;
-                let actions: Vec<Action> = pool
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, a)| *a)
-                    .collect();
-                tester.test(&actions);
-                let check = ctx.check.borrow();
-                assert!(check.ws.is_clean(), "undo log not drained (dyn={dynamic})");
-                assert_eq!(check.ws.touched_len(), 0);
-                assert_eq!(
-                    check.ws.estimates().as_ptr(),
-                    est_ptr,
-                    "workspace buffer was reallocated (dyn={dynamic})"
-                );
-            }
+        let f = fixture();
+        let ctx = ExplainContext::build(&f.g, f.cfg.clone(), f.u, f.wni).unwrap();
+        let tester = Tester::new(&ctx);
+        let pool = [
+            Action::remove(EdgeKey::new(f.u, f.pivot, f.rated), 1.0),
+            Action::add(EdgeKey::new(f.u, f.bridge, f.rated), 1.0),
+        ];
+        let est_ptr = ctx.check.borrow().ws.estimates().as_ptr();
+        for round in 0..50u32 {
+            let mask = round % 4;
+            let actions: Vec<Action> = pool
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, a)| *a)
+                .collect();
+            tester.test(&actions);
+            let check = ctx.check.borrow();
+            assert!(check.ws.is_clean(), "undo log not drained");
+            assert_eq!(check.ws.touched_len(), 0);
+            assert_eq!(
+                check.ws.estimates().as_ptr(),
+                est_ptr,
+                "workspace buffer was reallocated"
+            );
         }
     }
 

@@ -331,7 +331,7 @@ impl SynthDataset {
 /// bipartite user↔item structure, but does so as a *stream*: edges are
 /// emitted user by user from per-user RNG streams, so a graph with
 /// millions of nodes and tens of millions of edges can be consumed (into
-/// a compact CSR, a file, a sketch) without ever materialising adjacency
+/// a transition CSR, a file, a sketch) without ever materialising adjacency
 /// for more than one chunk of users.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScaleSpec {
@@ -485,15 +485,16 @@ impl ScaleGen {
         2 * interactions
     }
 
-    /// Builds the compact CSR directly from the stream — the million-node
-    /// path. Peak memory is the CSR itself plus one chunk buffer; no
-    /// [`Hin`](emigre_hin::Hin) adjacency `Vec`s are ever allocated.
-    pub fn build_compact<P: emigre_ppr::Prob>(
+    /// Builds the transition CSR directly from the stream — the
+    /// million-node path. Peak memory is the CSR itself plus one chunk
+    /// buffer; no [`Hin`](emigre_hin::Hin) adjacency `Vec`s are ever
+    /// allocated.
+    pub fn build_compact(
         &self,
         model: emigre_ppr::TransitionModel,
         chunk_users: usize,
-    ) -> emigre_ppr::CompactCsr<P> {
-        emigre_ppr::CompactCsr::from_edge_stream(self.num_nodes(), model, true, |sink| {
+    ) -> emigre_ppr::TransitionCsr {
+        emigre_ppr::TransitionCsr::from_edge_stream(self.num_nodes(), model, true, |sink| {
             self.for_each_edge(chunk_users, &mut *sink)
         })
     }

@@ -14,7 +14,7 @@
 //! narrower. [`ColumnBound`] derives it.
 
 use crate::config::PprConfig;
-use crate::kernel::{CsrRows, PatchedCsr, Prob};
+use crate::kernel::{CsrRows, PatchedCsr};
 use crate::reverse::ReversePush;
 use crate::workspace::PushWorkspace;
 use std::sync::Arc;
@@ -72,12 +72,10 @@ const ROW_SUM_EXCESS: f64 = 1.0 / (1u64 << 20) as f64;
 /// *Row sums.* A stored row sums to at most 1 + δ, δ = 2⁻²⁰.
 /// An `f64` row `w/Σw`, normalised by a weight sum that is itself a left
 /// fold, sums to 1 within (deg + 3)·u ≤ 2⁻²¹ + 2⁻⁵⁰, because a
-/// `u32`-offset CSR holds fewer than 2³² entries. `CompactCsr<f32>` rounds
-/// each entry once more, by at most 2⁻²⁴ relative, which adds at most 2⁻²⁴
-/// to a row's sum; both stay below δ. A row of `Π` or `Π′` then sums to
-/// at most 1 + η, η = (1−α)δ / (α − (1−α)δ), and the three facts above
-/// weaken to `|π − c| ≤ (1+η)·ε_c`, `|Σ_v r(v)·π′(v,x)| ≤ (1+η)·R` and
-/// `Σ_y |ΔW(x,y)| ≤ 2(1+δ)`.
+/// `u32`-offset CSR holds fewer than 2³² entries. A row of `Π` or `Π′`
+/// then sums to at most 1 + η, η = (1−α)δ / (α − (1−α)δ), and the three
+/// facts above weaken to `|π − c| ≤ (1+η)·ε_c`,
+/// `|Σ_v r(v)·π′(v,x)| ≤ (1+η)·R` and `Σ_y |ΔW(x,y)| ≤ 2(1+δ)`.
 ///
 /// *Rounding.* Every sum the bound reads is a left fold of at most n + 3
 /// terms, whose magnitudes are bounded by the residual masses and by
@@ -157,12 +155,12 @@ impl ColumnBound {
     /// `Σ_x ( |Σ_y ΔW(x,y)·c(y)| + 2(1+δ)(1+η)·ε_c + g )` over the rows
     /// `edited` overrides, `ΔW` being each override minus its base row. In
     /// `O(Σ deg)` over those rows, old and new.
-    pub fn edit_shift<K: CsrRows>(&self, edited: &PatchedCsr<'_, K>) -> f64 {
+    pub fn edit_shift(&self, edited: &PatchedCsr<'_>) -> f64 {
         let c = &self.column.estimates;
-        let dot = |(dsts, probs): (&[u32], &[K::P])| -> f64 {
+        let dot = |(dsts, probs): (&[u32], &[f64])| -> f64 {
             dsts.iter()
                 .zip(probs)
-                .map(|(&y, p)| p.to_f64() * c[y as usize])
+                .map(|(&y, p)| p * c[y as usize])
                 .sum()
         };
         let per_row = 2.0 * (1.0 + ROW_SUM_EXCESS) * (1.0 + self.eta) * self.col_eps + self.g;

@@ -11,16 +11,16 @@
 //! where `p` are the estimates and `r` the residuals. Convergence means all
 //! |residuals| ≤ ε, bounding each estimate's error by `max_x PPR(x,t) · Σ|r|`.
 //!
-//! The push loop runs over a flat transition kernel ([`CsrRows`]): a
-//! [`crate::CompactCsr`] of the graph at either precision, or a
-//! counterfactual [`crate::PatchedCsr`] overlay of one. Residuals may be
+//! The push loop runs over a flat transition kernel ([`CsrRows`]): the
+//! [`crate::TransitionCsr`] of the graph, or a counterfactual
+//! [`crate::PatchedCsr`] overlay of one. Residuals may be
 //! *negative* after a dynamic repair
 //! ([`crate::PushWorkspace::repair_row_change`]); the push step is linear,
 //! so pushing negative mass is sound and every push loop handles both
 //! signs.
 
 use crate::config::PprConfig;
-use crate::kernel::{CsrRows, Prob};
+use crate::kernel::CsrRows;
 use emigre_hin::NodeId;
 
 /// State of a Forward Local Push from one source node.
@@ -112,9 +112,7 @@ impl ForwardPush {
                 while start < dsts.len() {
                     let end = (start + CHUNK).min(dsts.len());
                     for (j, &p) in probs[start..end].iter().enumerate() {
-                        // `to_f64` is the identity for f64 layouts, so the
-                        // reference path's arithmetic is unchanged.
-                        add[j] = spread * p.to_f64();
+                        add[j] = spread * p;
                     }
                     for (j, &v) in dsts[start..end].iter().enumerate() {
                         self.residuals[v as usize] += add[j];

@@ -7,59 +7,21 @@
 //! `W(u, v)` off a slice instead of re-deriving the source's out-degree
 //! and weight sum per in-edge.
 //!
-//! [`CompactCsr`] is the one layout: `u32` offsets and an `f32`- or
-//! `f64`-selectable probability element (see [`Prob`]).
-//! [`TransitionCsr`] names its `f64` instance, on which every
-//! verdict-critical path runs; `CompactCsr<f32>` trades ~6e-8 relative
-//! row error for the smallest footprint (see DESIGN.md "Scale substrate"
-//! for the error budget against ε).
+//! [`TransitionCsr`] is the one layout: `u32` offsets and `f64`
+//! probabilities, stored exactly as the transition model computes them.
 //!
 //! Counterfactual CHECKs evaluate `base ⊕ delta` graphs that differ from
 //! the base in a handful of user-rooted edges. Rebuilding the CSR per CHECK
-//! would defeat the purpose, so [`CsrRows::patched`] produces a
+//! would defeat the purpose, so [`TransitionCsr::patched`] produces a
 //! [`PatchedCsr`]: the base arrays shared by reference plus freshly built
 //! rows for only the touched sources (and the correspondingly patched
 //! reverse rows). Push loops are generic over [`CsrRows`], so the same
-//! monomorphised code serves every layout, patched or not.
+//! monomorphised code serves base and patched rows.
 
 use crate::transition::{transition_row_into, TransitionModel};
 use emigre_hin::{GraphView, NodeId};
 use emigre_obs::HeapSize;
 use std::cell::OnceCell;
-
-/// Probability element of a CSR layout.
-///
-/// The push kernels convert through `f64` at every read, so for `f64` the
-/// conversion is the identity and the generated code — and therefore every
-/// estimate, residual and verdict — is bit-identical to the pre-generic
-/// kernels. `f32` halves the probability arrays at ~6e-8 relative
-/// quantisation error per entry.
-pub trait Prob: Copy + Send + Sync + PartialEq + std::fmt::Debug + HeapSize + 'static {
-    fn to_f64(self) -> f64;
-    fn from_f64(v: f64) -> Self;
-}
-
-impl Prob for f64 {
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self
-    }
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        v
-    }
-}
-
-impl Prob for f32 {
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        v as f32
-    }
-}
 
 /// Row-slice access to a transition matrix `W` and its transpose.
 ///
@@ -67,117 +29,46 @@ impl Prob for f32 {
 /// `reverse_row(v)` yields `(srcs, probs)` with `probs[i] = W(srcs[i], v)`.
 /// Parallel edges are merged, so destinations within a row are distinct.
 pub trait CsrRows {
-    /// Element type of the probability arrays.
-    type P: Prob;
-
     fn num_nodes(&self) -> usize;
 
-    /// The transition model the rows were materialised under.
-    fn model(&self) -> TransitionModel;
-
-    fn forward_row(&self, u: NodeId) -> (&[u32], &[Self::P]);
-    fn reverse_row(&self, v: NodeId) -> (&[u32], &[Self::P]);
-
-    /// Overlays freshly computed rows for `touched` sources, evaluated on
-    /// `view` (the counterfactual graph). Reverse rows of every destination
-    /// that appears in an old or new touched row are patched to match, so
-    /// the result is exactly a from-scratch build on `view` up to row
-    /// ordering — at `O(Σ deg(touched))` cost instead of `O(E)`.
-    ///
-    /// Reverse patches are built **lazily** on the first
-    /// [`reverse_row`](CsrRows::reverse_row) call: the forward-push CHECK
-    /// loop never reads reverse rows, and eagerly transposing every
-    /// affected destination (for a popular item endpoint that is its whole
-    /// neighbourhood) used to dominate the add path's per-CHECK cost.
-    fn patched<'a, G: GraphView>(&'a self, view: &G, touched: &[NodeId]) -> PatchedCsr<'a, Self>
-    where
-        Self: Sized,
-    {
-        let mut fwd_patches: Vec<PatchRow<Self::P>> = Vec::with_capacity(touched.len());
-        let mut row: Vec<(NodeId, f64)> = Vec::new();
-        for &u in touched {
-            transition_row_into(view, self.model(), u, &mut row);
-            let dsts: Vec<u32> = row.iter().map(|&(v, _)| v.0).collect();
-            let probs: Vec<Self::P> = row.iter().map(|&(_, p)| Self::P::from_f64(p)).collect();
-            fwd_patches.push((u.0, dsts, probs));
-        }
-        fwd_patches.sort_unstable_by_key(|&(u, _, _)| u);
-
-        PatchedCsr {
-            base: self,
-            fwd_patches,
-            rev_patches: OnceCell::new(),
-        }
-    }
-
-    /// A [`PatchedCsr`] from caller-supplied forward rows (dsts sorted
-    /// ascending per row). Bypasses the [`GraphView`] evaluation of
-    /// [`CsrRows::patched`] entirely, which is what a caller that never
-    /// materialises a graph — the million-node bench leg — needs to run a
-    /// CHECK against a streamed kernel. Reverse patches derive lazily from
-    /// the supplied rows exactly as for view-built patches.
-    fn patched_rows<'a>(
-        &'a self,
-        mut rows: Vec<(u32, Vec<u32>, Vec<Self::P>)>,
-    ) -> PatchedCsr<'a, Self>
-    where
-        Self: Sized,
-    {
-        rows.sort_unstable_by_key(|&(u, _, _)| u);
-        PatchedCsr {
-            base: self,
-            fwd_patches: rows,
-            rev_patches: OnceCell::new(),
-        }
-    }
+    fn forward_row(&self, u: NodeId) -> (&[u32], &[f64]);
+    fn reverse_row(&self, v: NodeId) -> (&[u32], &[f64]);
 }
-
-/// The reference kernel: the compact layout at `f64` precision. Every
-/// verdict-critical path (contexts, CHECKs, the live graph's epochs) runs
-/// on it.
-pub type TransitionCsr = CompactCsr<f64>;
 
 /// The transition matrix of one `(graph, model)` pair in CSR form, forward
 /// and reverse, as a struct of arrays: `u32` row offsets (so a kernel is
-/// addressable up to 2^32−1 entries) and a caller-selected probability
-/// element.
-///
-/// `CompactCsr<f64>` ([`TransitionCsr`]) stores every probability exactly;
-/// `CompactCsr<f32>` (the default) narrows each probability once at build
-/// time:
+/// addressable up to 2^32−1 entries) and `f64` probabilities.
 ///
 /// ```text
 /// per direction      offsets      dsts      probs
-/// CompactCsr<f64>    4(n+1) B     4E B      8E B
-/// CompactCsr<f32>    4(n+1) B     4E B      4E B
+/// TransitionCsr      4(n+1) B     4E B      8E B
 /// ```
 #[derive(Debug, Clone)]
-pub struct CompactCsr<P: Prob = f32> {
+pub struct TransitionCsr {
     model: TransitionModel,
     fwd_offsets: Vec<u32>,
     fwd_dsts: Vec<u32>,
-    fwd_probs: Vec<P>,
+    fwd_probs: Vec<f64>,
     rev_offsets: Vec<u32>,
     rev_srcs: Vec<u32>,
-    rev_probs: Vec<P>,
+    rev_probs: Vec<f64>,
 }
 
-impl<P: Prob> CompactCsr<P> {
+impl TransitionCsr {
     /// Materialises every transition row of `g` under `model`. `O(V + E)`
-    /// memory, `O(E log deg_max)` time. Probabilities are computed at `f64`
-    /// and narrowed once per entry.
+    /// memory, `O(E log deg_max)` time.
     pub fn build<G: GraphView>(g: &G, model: TransitionModel) -> Self {
         let n = g.num_nodes();
         let mut fwd_offsets: Vec<u32> = Vec::with_capacity(n + 1);
         fwd_offsets.push(0);
         let mut fwd_dsts: Vec<u32> = Vec::new();
-        let mut fwd_probs: Vec<P> = Vec::new();
+        let mut fwd_probs: Vec<f64> = Vec::new();
         let mut row: Vec<(NodeId, f64)> = Vec::new();
         for u in 0..n as u32 {
             transition_row_into(g, model, NodeId(u), &mut row);
             for &(v, p) in &row {
                 fwd_dsts.push(v.0);
-                fwd_probs.push(P::from_f64(p));
+                fwd_probs.push(p);
             }
             fwd_offsets.push(checked_u32(fwd_dsts.len()));
         }
@@ -207,7 +98,7 @@ impl<P: Prob> CompactCsr<P> {
     ///
     /// Weight sums accumulate in emission order, so a stream that replays
     /// the insertion order of an equivalent [`Hin`](emigre_hin::Hin) build
-    /// reproduces that graph's rows **bit-for-bit** (at `P = f64`).
+    /// reproduces that graph's rows **bit-for-bit**.
     pub fn from_edge_stream<F>(
         num_nodes: usize,
         model: TransitionModel,
@@ -239,20 +130,20 @@ impl<P: Prob> CompactCsr<P> {
         }
 
         let mut fwd_dsts = vec![0u32; total];
-        let mut fwd_probs = vec![P::from_f64(0.0); total];
+        let mut fwd_probs = vec![0.0f64; total];
         let mut cursor: Vec<u32> = fwd_offsets[..n].to_vec();
         emit(&mut |src, dst, w| {
             let s = src as usize;
             let slot = cursor[s] as usize;
             cursor[s] += 1;
             fwd_dsts[slot] = dst;
-            fwd_probs[slot] = P::from_f64(model.edge_probability(w, wsum[s], deg[s] as usize));
+            fwd_probs[slot] = model.edge_probability(w, wsum[s], deg[s] as usize);
             if mirrored {
                 let d = dst as usize;
                 let slot = cursor[d] as usize;
                 cursor[d] += 1;
                 fwd_dsts[slot] = src;
-                fwd_probs[slot] = P::from_f64(model.edge_probability(w, wsum[d], deg[d] as usize));
+                fwd_probs[slot] = model.edge_probability(w, wsum[d], deg[d] as usize);
             }
         });
         drop(cursor);
@@ -269,7 +160,7 @@ impl<P: Prob> CompactCsr<P> {
         model: TransitionModel,
         fwd_offsets: Vec<u32>,
         fwd_dsts: Vec<u32>,
-        fwd_probs: Vec<P>,
+        fwd_probs: Vec<f64>,
     ) -> Self {
         let n = fwd_offsets.len() - 1;
         let mut rev_offsets = vec![0u32; n + 1];
@@ -281,7 +172,7 @@ impl<P: Prob> CompactCsr<P> {
         }
         let mut cursor = rev_offsets.clone();
         let mut rev_srcs = vec![0u32; fwd_dsts.len()];
-        let mut rev_probs = vec![P::from_f64(0.0); fwd_dsts.len()];
+        let mut rev_probs = vec![0.0f64; fwd_dsts.len()];
         for u in 0..n {
             for e in fwd_offsets[u] as usize..fwd_offsets[u + 1] as usize {
                 let v = fwd_dsts[e] as usize;
@@ -292,7 +183,7 @@ impl<P: Prob> CompactCsr<P> {
             }
         }
 
-        CompactCsr {
+        TransitionCsr {
             model,
             fwd_offsets,
             fwd_dsts,
@@ -303,10 +194,10 @@ impl<P: Prob> CompactCsr<P> {
         }
     }
 
-    /// A new **owned** kernel equal to `CompactCsr::build(view, model)`:
+    /// A new **owned** kernel equal to `TransitionCsr::build(view, model)`:
     /// the `touched` rows are re-evaluated on `view` (the updated graph) and
     /// every other row's slices are copied verbatim from `self`. This is the
-    /// committed counterpart of [`CsrRows::patched`] — instead of a
+    /// committed counterpart of [`TransitionCsr::patched`] — instead of a
     /// borrowed overlay for one CHECK, it produces a standalone kernel that
     /// outlives `self`, which is what an epoch publish needs. Forward cost
     /// is `O(Σ deg(touched))` recompute plus an `O(E)` memcpy; the reverse
@@ -315,7 +206,7 @@ impl<P: Prob> CompactCsr<P> {
     ///
     /// `view` must have the same node count as the base kernel: live
     /// feedback mutates edges between existing nodes, never the node set.
-    pub fn rebuild_rows<G: GraphView>(&self, view: &G, touched: &[NodeId]) -> CompactCsr<P> {
+    pub fn rebuild_rows<G: GraphView>(&self, view: &G, touched: &[NodeId]) -> TransitionCsr {
         let n = self.num_nodes();
         debug_assert_eq!(view.num_nodes(), n, "rebuild_rows: node count changed");
         let mut is_touched = vec![false; n];
@@ -326,14 +217,14 @@ impl<P: Prob> CompactCsr<P> {
         let mut fwd_offsets: Vec<u32> = Vec::with_capacity(n + 1);
         fwd_offsets.push(0);
         let mut fwd_dsts: Vec<u32> = Vec::with_capacity(self.fwd_dsts.len());
-        let mut fwd_probs: Vec<P> = Vec::with_capacity(self.fwd_probs.len());
+        let mut fwd_probs: Vec<f64> = Vec::with_capacity(self.fwd_probs.len());
         let mut row: Vec<(NodeId, f64)> = Vec::new();
         for (u, &rebuild) in is_touched.iter().enumerate() {
             if rebuild {
                 transition_row_into(view, self.model, NodeId(u as u32), &mut row);
                 for &(v, p) in &row {
                     fwd_dsts.push(v.0);
-                    fwd_probs.push(P::from_f64(p));
+                    fwd_probs.push(p);
                 }
             } else {
                 let (dsts, probs) = self.forward_row(NodeId(u as u32));
@@ -344,6 +235,44 @@ impl<P: Prob> CompactCsr<P> {
         }
 
         Self::from_forward(self.model, fwd_offsets, fwd_dsts, fwd_probs)
+    }
+
+    /// Overlays freshly computed rows for `touched` sources, evaluated on
+    /// `view` (the counterfactual graph). Reverse rows of every destination
+    /// that appears in an old or new touched row are patched to match, so
+    /// the result is exactly a from-scratch build on `view` up to row
+    /// ordering — at `O(Σ deg(touched))` cost instead of `O(E)`.
+    ///
+    /// Reverse patches are built **lazily** on the first
+    /// [`reverse_row`](CsrRows::reverse_row) call: the forward-push CHECK
+    /// loop never reads reverse rows, and eagerly transposing every
+    /// affected destination (for a popular item endpoint that is its whole
+    /// neighbourhood) used to dominate the add path's per-CHECK cost.
+    pub fn patched<G: GraphView>(&self, view: &G, touched: &[NodeId]) -> PatchedCsr<'_> {
+        let mut fwd_patches: Vec<PatchRow> = Vec::with_capacity(touched.len());
+        let mut row: Vec<(NodeId, f64)> = Vec::new();
+        for &u in touched {
+            transition_row_into(view, self.model, u, &mut row);
+            let dsts: Vec<u32> = row.iter().map(|&(v, _)| v.0).collect();
+            let probs: Vec<f64> = row.iter().map(|&(_, p)| p).collect();
+            fwd_patches.push((u.0, dsts, probs));
+        }
+        self.patched_rows(fwd_patches)
+    }
+
+    /// A [`PatchedCsr`] from caller-supplied forward rows (dsts sorted
+    /// ascending per row). Bypasses the [`GraphView`] evaluation of
+    /// [`TransitionCsr::patched`] entirely, which is what a caller that
+    /// never materialises a graph — the million-node bench leg — needs to
+    /// run a CHECK against a streamed kernel. Reverse patches derive lazily
+    /// from the supplied rows exactly as for view-built patches.
+    pub fn patched_rows(&self, mut rows: Vec<(u32, Vec<u32>, Vec<f64>)>) -> PatchedCsr<'_> {
+        rows.sort_unstable_by_key(|&(u, _, _)| u);
+        PatchedCsr {
+            base: self,
+            fwd_patches: rows,
+            rev_patches: OnceCell::new(),
+        }
     }
 
     /// The transition model the rows were materialised under.
@@ -359,24 +288,17 @@ impl<P: Prob> CompactCsr<P> {
 
 #[inline]
 fn checked_u32(v: usize) -> u32 {
-    u32::try_from(v).expect("compact CSR exceeds u32 entry offsets")
+    u32::try_from(v).expect("transition CSR exceeds u32 entry offsets")
 }
 
-impl<P: Prob> CsrRows for CompactCsr<P> {
-    type P = P;
-
+impl CsrRows for TransitionCsr {
     #[inline]
     fn num_nodes(&self) -> usize {
         self.fwd_offsets.len() - 1
     }
 
     #[inline]
-    fn model(&self) -> TransitionModel {
-        self.model
-    }
-
-    #[inline]
-    fn forward_row(&self, u: NodeId) -> (&[u32], &[P]) {
+    fn forward_row(&self, u: NodeId) -> (&[u32], &[f64]) {
         let (s, e) = (
             self.fwd_offsets[u.index()] as usize,
             self.fwd_offsets[u.index() + 1] as usize,
@@ -385,7 +307,7 @@ impl<P: Prob> CsrRows for CompactCsr<P> {
     }
 
     #[inline]
-    fn reverse_row(&self, v: NodeId) -> (&[u32], &[P]) {
+    fn reverse_row(&self, v: NodeId) -> (&[u32], &[f64]) {
         let (s, e) = (
             self.rev_offsets[v.index()] as usize,
             self.rev_offsets[v.index() + 1] as usize,
@@ -395,32 +317,25 @@ impl<P: Prob> CsrRows for CompactCsr<P> {
 }
 
 /// One overridden row: `(node, neighbours, probs)`, neighbours sorted.
-type PatchRow<P> = (u32, Vec<u32>, Vec<P>);
+type PatchRow = (u32, Vec<u32>, Vec<f64>);
 
 /// A base kernel with a few rows overridden — the transition matrix of a
-/// counterfactual `base ⊕ delta` graph. See [`CsrRows::patched`]. Generic
-/// over the base layout; the overlay stores its rows in the base's
-/// probability element so row access stays slice-borrowed and uniform.
-pub struct PatchedCsr<'a, B: CsrRows = TransitionCsr> {
-    base: &'a B,
+/// counterfactual `base ⊕ delta` graph. See [`TransitionCsr::patched`].
+pub struct PatchedCsr<'a> {
+    base: &'a TransitionCsr,
     /// Forward patch rows sorted by node; dsts sorted ascending.
-    fwd_patches: Vec<PatchRow<B::P>>,
+    fwd_patches: Vec<PatchRow>,
     /// Reverse patch rows sorted by node. Built lazily from
     /// `fwd_patches` + base on first reverse access: the transpose of the
     /// patch is derivable without the counterfactual view, and forward-only
     /// consumers (the CHECK push) never pay for it.
-    rev_patches: OnceCell<Vec<PatchRow<B::P>>>,
+    rev_patches: OnceCell<Vec<PatchRow>>,
 }
 
-impl<B: CsrRows> PatchedCsr<'_, B> {
+impl PatchedCsr<'_> {
     /// The unpatched base kernel.
-    pub fn base(&self) -> &B {
+    pub(crate) fn base(&self) -> &TransitionCsr {
         self.base
-    }
-
-    /// Number of overridden forward rows.
-    pub fn num_patched_rows(&self) -> usize {
-        self.fwd_patches.len()
     }
 
     /// The sources whose forward rows are overridden, ascending.
@@ -428,16 +343,11 @@ impl<B: CsrRows> PatchedCsr<'_, B> {
         self.fwd_patches.iter().map(|&(u, _, _)| NodeId(u))
     }
 
-    /// Whether the reverse transpose of the patch has been materialised.
-    pub fn reverse_materialized(&self) -> bool {
-        self.rev_patches.get().is_some()
-    }
-
     /// Builds the patched reverse rows: for every destination appearing in
     /// an old or new row of a patched source, the base reverse row with
     /// patched sources filtered out and re-appended from the new forward
     /// rows. Identical output to the former eager construction.
-    fn build_rev_patches(&self) -> Vec<PatchRow<B::P>> {
+    fn build_rev_patches(&self) -> Vec<PatchRow> {
         let mut affected: Vec<u32> = Vec::new();
         for &(u, ref dsts, _) in &self.fwd_patches {
             let (old_dsts, _) = self.base.forward_row(NodeId(u));
@@ -448,11 +358,11 @@ impl<B: CsrRows> PatchedCsr<'_, B> {
         affected.dedup();
 
         let touched_ids: Vec<u32> = self.fwd_patches.iter().map(|&(u, _, _)| u).collect();
-        let mut rev_patches: Vec<PatchRow<B::P>> = Vec::with_capacity(affected.len());
+        let mut rev_patches: Vec<PatchRow> = Vec::with_capacity(affected.len());
         for &v in &affected {
             let (srcs, probs) = self.base.reverse_row(NodeId(v));
             let mut new_srcs: Vec<u32> = Vec::with_capacity(srcs.len());
-            let mut new_probs: Vec<B::P> = Vec::with_capacity(probs.len());
+            let mut new_probs: Vec<f64> = Vec::with_capacity(probs.len());
             for (&s, &p) in srcs.iter().zip(probs) {
                 if touched_ids.binary_search(&s).is_err() {
                     new_srcs.push(s);
@@ -472,57 +382,33 @@ impl<B: CsrRows> PatchedCsr<'_, B> {
 }
 
 #[inline]
-fn lookup<P: Prob>(patches: &[PatchRow<P>], n: u32) -> Option<(&[u32], &[P])> {
+fn lookup(patches: &[PatchRow], n: u32) -> Option<(&[u32], &[f64])> {
     patches
         .binary_search_by_key(&n, |&(u, _, _)| u)
         .ok()
         .map(|i| (&patches[i].1[..], &patches[i].2[..]))
 }
 
-impl<B: CsrRows> CsrRows for PatchedCsr<'_, B> {
-    type P = B::P;
-
+impl CsrRows for PatchedCsr<'_> {
     #[inline]
     fn num_nodes(&self) -> usize {
         self.base.num_nodes()
     }
 
     #[inline]
-    fn model(&self) -> TransitionModel {
-        self.base.model()
-    }
-
-    #[inline]
-    fn forward_row(&self, u: NodeId) -> (&[u32], &[B::P]) {
+    fn forward_row(&self, u: NodeId) -> (&[u32], &[f64]) {
         lookup(&self.fwd_patches, u.0).unwrap_or_else(|| self.base.forward_row(u))
     }
 
     #[inline]
-    fn reverse_row(&self, v: NodeId) -> (&[u32], &[B::P]) {
+    fn reverse_row(&self, v: NodeId) -> (&[u32], &[f64]) {
         let rev = self.rev_patches.get_or_init(|| self.build_rev_patches());
         lookup(rev, v.0).unwrap_or_else(|| self.base.reverse_row(v))
     }
 }
 
-impl<K: CsrRows + ?Sized> CsrRows for &K {
-    type P = K::P;
-
-    fn num_nodes(&self) -> usize {
-        (**self).num_nodes()
-    }
-    fn model(&self) -> TransitionModel {
-        (**self).model()
-    }
-    fn forward_row(&self, u: NodeId) -> (&[u32], &[K::P]) {
-        (**self).forward_row(u)
-    }
-    fn reverse_row(&self, v: NodeId) -> (&[u32], &[K::P]) {
-        (**self).reverse_row(v)
-    }
-}
-
 /// Exact: six flat CSR arrays, nothing shared, counted at capacity.
-impl<P: Prob> HeapSize for CompactCsr<P> {
+impl HeapSize for TransitionCsr {
     fn heap_bytes(&self) -> usize {
         self.fwd_offsets.heap_bytes()
             + self.fwd_dsts.heap_bytes()
@@ -536,7 +422,7 @@ impl<P: Prob> HeapSize for CompactCsr<P> {
 /// Counts the *patch overlay only* — the borrowed base kernel is charged
 /// to its owner, not to every counterfactual view on top of it. The lazy
 /// reverse patches count once materialised.
-impl<B: CsrRows> HeapSize for PatchedCsr<'_, B> {
+impl HeapSize for PatchedCsr<'_> {
     fn heap_bytes(&self) -> usize {
         self.fwd_patches.heap_bytes() + self.rev_patches.get().map_or(0, |p| p.heap_bytes())
     }
@@ -720,7 +606,7 @@ mod tests {
         let g = sample_graph();
         let csr = TransitionCsr::build(&g, model());
         let patched = csr.patched(&g, &[]);
-        assert_eq!(patched.num_patched_rows(), 0);
+        assert_eq!(patched.patched_rows().count(), 0);
         let (d0, _) = csr.forward_row(NodeId(2));
         let (d1, _) = patched.forward_row(NodeId(2));
         assert_eq!(d0, d1);
@@ -741,12 +627,12 @@ mod tests {
         for u in 0..g.num_nodes() as u32 {
             let _ = patched.forward_row(NodeId(u));
         }
-        assert!(!patched.reverse_materialized());
+        assert!(patched.rev_patches.get().is_none());
 
         // First reverse access materialises it; rows must equal a rebuild.
         let rebuilt = TransitionCsr::build(&view, model());
         let (ps, pp) = patched.reverse_row(NodeId(1));
-        assert!(patched.reverse_materialized());
+        assert!(patched.rev_patches.get().is_some());
         let (rs, rp) = rebuilt.reverse_row(NodeId(1));
         let mut a: Vec<(u32, u64)> = ps.iter().zip(pp).map(|(&s, &p)| (s, p.to_bits())).collect();
         let mut b: Vec<(u32, u64)> = rs.iter().zip(rp).map(|(&s, &p)| (s, p.to_bits())).collect();
@@ -806,25 +692,6 @@ mod tests {
         assert!(patched.heap_bytes() < csr.heap_bytes());
     }
 
-    // ---- CompactCsr ----
-
-    #[test]
-    fn compact_f32_rows_track_reference_within_quantisation() {
-        let g = sample_graph();
-        let reference = TransitionCsr::build(&g, model());
-        let compact: CompactCsr<f32> = CompactCsr::build(&g, model());
-        for u in 0..g.num_nodes() as u32 {
-            let (cd, cp) = compact.forward_row(NodeId(u));
-            let (rd, rp) = reference.forward_row(NodeId(u));
-            assert_eq!(cd, rd);
-            for (&a, &b) in cp.iter().zip(rp) {
-                // One f64→f32 rounding: relative error ≤ 2^-24.
-                assert!((a.to_f64() - b).abs() <= b.abs() * 6.0e-8);
-                assert_eq!(a, b as f32, "narrowing must be a single rounding");
-            }
-        }
-    }
-
     /// A mirrored bipartite stream: 3 users (0..3) rating 4 items (3..7).
     fn bipartite_stream(sink: &mut dyn FnMut(u32, u32, f64)) {
         for (u, i, w) in [
@@ -839,43 +706,14 @@ mod tests {
     }
 
     #[test]
-    fn compact_f32_bytes_match_the_closed_form_against_f64() {
+    fn streamed_bytes_match_the_closed_form() {
         // A streamed build sizes every array exactly (capacity == len), so
-        // each layout's audit must equal its per-direction closed form
-        // 4(n+1) + 4E + size_of::<P>()·E: the f32 kernel saves exactly
-        // 4 bytes per entry and direction, and nothing else.
-        let narrow: CompactCsr<f32> =
-            CompactCsr::from_edge_stream(7, model(), true, bipartite_stream);
-        let wide: CompactCsr<f64> =
-            CompactCsr::from_edge_stream(7, model(), true, bipartite_stream);
-        let (n, e) = (7usize, narrow.num_entries());
+        // the audit must equal the per-direction closed form
+        // 4(n+1) + 4E + 8E.
+        let csr = TransitionCsr::from_edge_stream(7, model(), true, bipartite_stream);
+        let (n, e) = (7usize, csr.num_entries());
         assert_eq!(e, 10);
-        assert_eq!(wide.num_entries(), e);
-        assert_eq!(narrow.heap_bytes(), 2 * (4 * (n + 1) + 4 * e + 4 * e));
-        assert_eq!(wide.heap_bytes(), 2 * (4 * (n + 1) + 4 * e + 8 * e));
-        assert_eq!(wide.heap_bytes() - narrow.heap_bytes(), 2 * 4 * e);
-    }
-
-    #[test]
-    fn compact_f32_rebuild_rows_matches_full_build() {
-        let g = sample_graph();
-        let et = g.registry().find_edge_type("a").unwrap();
-        let csr: CompactCsr<f32> = CompactCsr::build(&g, model());
-        let mut d = GraphDelta::new();
-        d.remove_edge(EdgeKey::new(NodeId(0), NodeId(1), et));
-        d.add_edge(EdgeKey::new(NodeId(3), NodeId(0), et), 1.5);
-        let committed = d.apply_to(&g).unwrap();
-        let incremental = csr.rebuild_rows(&committed, &d.touched_sources());
-        let full: CompactCsr<f32> = CompactCsr::build(&committed, model());
-        assert_eq!(incremental.num_entries(), full.num_entries());
-        for u in 0..g.num_nodes() as u32 {
-            let (id, ip) = incremental.forward_row(NodeId(u));
-            let (fd, fp) = full.forward_row(NodeId(u));
-            assert_eq!(id, fd);
-            for (a, b) in ip.iter().zip(fp) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
+        assert_eq!(csr.heap_bytes(), 2 * (4 * (n + 1) + 4 * e + 8 * e));
     }
 
     #[test]
@@ -906,8 +744,8 @@ mod tests {
         }
 
         let m = TransitionModel::Weighted;
-        let from_view: CompactCsr<f64> = CompactCsr::build(&g, m);
-        let streamed: CompactCsr<f64> = CompactCsr::from_edge_stream(7, m, true, |sink| {
+        let from_view = TransitionCsr::build(&g, m);
+        let streamed = TransitionCsr::from_edge_stream(7, m, true, |sink| {
             for &(u, i, w) in &edges {
                 sink(u, i, w);
             }
@@ -934,19 +772,18 @@ mod tests {
     fn from_edge_stream_handles_dangling_nodes() {
         // Unmirrored stream: node 2 has no out-edges (dangling), node 0 has
         // no in-edges. Sub-stochastic convention must hold.
-        let csr: CompactCsr<f64> =
-            CompactCsr::from_edge_stream(3, TransitionModel::Weighted, false, |sink| {
-                sink(0, 1, 1.0);
-                sink(0, 2, 3.0);
-                sink(1, 2, 2.0);
-            });
+        let csr = TransitionCsr::from_edge_stream(3, TransitionModel::Weighted, false, |sink| {
+            sink(0, 1, 1.0);
+            sink(0, 2, 3.0);
+            sink(1, 2, 2.0);
+        });
         let (d2, _) = csr.forward_row(NodeId(2));
         assert!(d2.is_empty());
         let (s0, _) = csr.reverse_row(NodeId(0));
         assert!(s0.is_empty());
         let (d0, p0) = csr.forward_row(NodeId(0));
         assert_eq!(d0, &[1, 2]);
-        assert!((p0.iter().map(|p| p.to_f64()).sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!((p0.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -960,7 +797,7 @@ mod tests {
         let new_dsts: Vec<u32> = dsts[1..].to_vec();
         let new_probs: Vec<f64> = probs[1..].iter().map(|p| p / keep).collect();
         let patched = csr.patched_rows(vec![(0, new_dsts.clone(), new_probs.clone())]);
-        assert_eq!(patched.num_patched_rows(), 1);
+        assert_eq!(patched.patched_rows().count(), 1);
         let (pd, pp) = patched.forward_row(NodeId(0));
         assert_eq!(pd, &new_dsts[..]);
         assert_eq!(pp, &new_probs[..]);

@@ -7,10 +7,9 @@
 //! dynamic-graph updates. This crate implements one push engine for all of
 //! it, over flat transition kernels:
 //!
-//! * [`kernel`] — flat-CSR transition matrices ([`kernel::CompactCsr`];
-//!   [`kernel::TransitionCsr`] is its `f64` instance) with delta-aware row
-//!   patching ([`kernel::PatchedCsr`]). Every push reads its rows through
-//!   the [`kernel::CsrRows`] trait;
+//! * [`kernel`] — the flat-CSR transition matrix ([`kernel::TransitionCsr`])
+//!   with delta-aware row patching ([`kernel::PatchedCsr`]). Every push
+//!   reads its rows through the [`kernel::CsrRows`] trait;
 //! * [`forward`] — Forward Local Push from a source node, maintaining the
 //!   invariant of the paper's Eq. (3):
 //!   `PPR(s,t) = p(t) + Σ_x r(x)·PPR(x,t)`;
@@ -31,7 +30,7 @@
 //! A kernel is built from any [`emigre_hin::GraphView`] — the base graph,
 //! a snapshot, or a counterfactual [`emigre_hin::DeltaView`] overlay — and
 //! the pushes are generic over [`kernel::CsrRows`], so the same loop runs
-//! on every layout, patched or not.
+//! on base and patched rows.
 
 pub mod bound;
 pub mod config;
@@ -46,7 +45,7 @@ pub mod workspace;
 pub use bound::ColumnBound;
 pub use config::PprConfig;
 pub use forward::ForwardPush;
-pub use kernel::{CompactCsr, CsrRows, PatchedCsr, Prob, TransitionCsr};
+pub use kernel::{CsrRows, PatchedCsr, TransitionCsr};
 pub use power::ppr_power;
 pub use reverse::ReversePush;
 pub use topk::{rank_of, top_k};

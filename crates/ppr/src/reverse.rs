@@ -16,7 +16,7 @@
 //! rooted at `WNI`.
 
 use crate::config::PprConfig;
-use crate::kernel::{CsrRows, Prob};
+use crate::kernel::CsrRows;
 use emigre_hin::NodeId;
 
 /// State of a Reverse Local Push towards one target node.
@@ -88,7 +88,7 @@ impl ReversePush {
                 let spread = (1.0 - cfg.alpha) * r;
                 let (srcs, probs) = kernel.reverse_row(NodeId(v as u32));
                 for (&u, &p) in srcs.iter().zip(probs) {
-                    self.residuals[u as usize] += spread * p.to_f64();
+                    self.residuals[u as usize] += spread * p;
                 }
             }
             if !any {

@@ -6,7 +6,7 @@
 //! every precision stage. A [`PushWorkspace`] amortises all of that:
 //!
 //! * the base push state (the user's converged [`ForwardPush`], or the zero
-//!   state for from-scratch checks) is loaded **once**;
+//!   state of a fresh push) is loaded **once**;
 //! * each check runs as a *transaction*: every first write to a node's
 //!   estimate or residual appends its prior values to an undo log, and
 //!   [`PushWorkspace::rollback`] restores the base state in
@@ -31,7 +31,7 @@
 
 use crate::config::PprConfig;
 use crate::forward::ForwardPush;
-use crate::kernel::{CsrRows, Prob};
+use crate::kernel::CsrRows;
 use emigre_hin::NodeId;
 
 #[derive(Debug, Clone, Copy)]
@@ -99,22 +99,6 @@ impl PushWorkspace {
         self.base_mass = base.residuals.iter().map(|r| r.abs()).sum();
     }
 
-    /// Resets to the all-zero base state over `n` nodes, keeping buffer
-    /// capacity. The reuse counterpart of [`PushWorkspace::new`] for
-    /// workspaces recycled across questions (e.g. a serving worker's
-    /// scratch); cumulative `pushes`/`drained` tallies are preserved.
-    pub fn clear(&mut self, n: usize) {
-        self.estimates.clear();
-        self.estimates.resize(n, 0.0);
-        self.residuals.clear();
-        self.residuals.resize(n, 0.0);
-        self.touch_epoch.clear();
-        self.touch_epoch.resize(n, 0);
-        self.epoch = 1;
-        self.undo.clear();
-        self.base_mass = 0.0;
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -155,7 +139,7 @@ impl PushWorkspace {
 
     /// `Σ_v r(v)·c(v)` of the base state against `column`, in `O(n)`:
     /// once per column and base, between transactions. The zero base of a
-    /// from-scratch check costs nothing.
+    /// fresh push costs nothing.
     pub fn base_dot(&self, column: &[f64]) -> f64 {
         debug_assert!(self.is_clean(), "base_dot reads the base state");
         if self.base_mass == 0.0 {
@@ -235,12 +219,12 @@ impl PushWorkspace {
     /// shifts `r(t)` by `(1−α)/α · p(u) · ΔW(u,t)` for every affected `t`.
     /// The caller then resumes pushing over the *updated* kernel
     /// ([`Self::push_stage`]).
-    pub fn repair_row_change<P: Prob>(
+    pub fn repair_row_change(
         &mut self,
         cfg: &PprConfig,
         node: NodeId,
-        old_row: (&[u32], &[P]),
-        new_row: (&[u32], &[P]),
+        old_row: (&[u32], &[f64]),
+        new_row: (&[u32], &[f64]),
     ) {
         let pu = self.estimates[node.index()];
         if pu == 0.0 {
@@ -249,11 +233,11 @@ impl PushWorkspace {
         let scale = (1.0 - cfg.alpha) / cfg.alpha * pu;
         let (dsts, probs) = new_row;
         for (&t, &p) in dsts.iter().zip(probs) {
-            self.add_residual(NodeId(t), scale * p.to_f64());
+            self.add_residual(NodeId(t), scale * p);
         }
         let (dsts, probs) = old_row;
         for (&t, &p) in dsts.iter().zip(probs) {
-            self.add_residual(NodeId(t), -scale * p.to_f64());
+            self.add_residual(NodeId(t), -scale * p);
         }
     }
 
@@ -297,7 +281,7 @@ impl PushWorkspace {
                 for (&v, &p) in dsts.iter().zip(probs) {
                     let vi = v as usize;
                     touch(undo, touch_epoch, epoch, vi, estimates, residuals);
-                    residuals[vi] += spread * p.to_f64();
+                    residuals[vi] += spread * p;
                 }
             }
             if pushes == pushes_before {

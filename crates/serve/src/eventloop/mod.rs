@@ -44,10 +44,13 @@
 //!   `keep_alive` are closed on the 100ms housekeeping tick.
 //! * **Malformed input** — framing violations answer 400 (431 for an
 //!   oversized head) with a JSON body before the close.
-//! * **Accept failures** — an `accept` that fails with anything but
-//!   `WouldBlock` or an interrupt (say, out of file descriptors) parks the
-//!   listener until a connection closes or the next tick, so the
-//!   level-triggered listener cannot spin the reactor.
+//! * **Accept failures** — when `accept` fails because the process or the
+//!   system is out of descriptors (`EMFILE`, `ENFILE`), the idle
+//!   connection with the oldest activity is closed and the accept retried,
+//!   so an idle flood cannot lock new clients out. With no idle
+//!   connection to close, or on any other failure but `WouldBlock` or an
+//!   interrupt, the listener parks until a connection closes or the next
+//!   tick, so the level-triggered listener cannot spin the reactor.
 //!
 //! Reads never wait outside the [`crate::sched::AdmissionQueue`]: the
 //! reactor submits each one as it is parsed, a full queue answers 429 at
@@ -91,6 +94,10 @@ const WRITE_BACKPRESSURE: usize = 256 * 1024;
 /// Requests waiting for the control thread before the reactor answers
 /// further ones 429.
 const CONTROL_QUEUE: usize = 4096;
+/// `accept` errnos for a process (`EMFILE`) or system (`ENFILE`) out of
+/// descriptors; the same numbers on Linux and the BSDs.
+const EMFILE: i32 = 24;
+const ENFILE: i32 = 23;
 
 /// A parsed non-read request on its way to the control thread.
 struct ControlJob {
@@ -310,11 +317,20 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Out of descriptors, say: the pending connection stays
-                    // queued and the level-triggered listener would wake
-                    // every poll to the same failing accept. Park it until
-                    // a connection closes or the next tick.
+                Err(e) => {
+                    if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) {
+                        if let Some(token) = self.oldest_idle() {
+                            // Out of descriptors: the connection idle the
+                            // longest gives its descriptor to the new one.
+                            self.teardown(token);
+                            continue;
+                        }
+                    }
+                    // Nothing idle to close, or another failure: the
+                    // pending connection stays queued and the
+                    // level-triggered listener would wake every poll to the
+                    // same failing accept. Park it until a connection
+                    // closes or the next tick.
                     let _ = self
                         .poller
                         .modify(l.as_raw_fd(), TOKEN_LISTENER, Interest::NONE);
@@ -323,6 +339,15 @@ impl Reactor {
                 }
             }
         }
+    }
+
+    /// The idle connection whose last read or write is the oldest.
+    fn oldest_idle(&self) -> Option<u64> {
+        self.conns
+            .iter()
+            .filter(|(_, c)| c.idle())
+            .min_by_key(|(_, c)| c.last_activity)
+            .map(|(&token, _)| token)
     }
 
     /// Restores the listener's read interest after a failed `accept`.

@@ -15,7 +15,7 @@
 //! - Writers are serialised by a dedicated write lock and follow a
 //!   **two-step publish protocol**: (1) *apply* — validate the delta,
 //!   materialise the new graph, and rebuild the kernel's touched rows via
-//!   [`CompactCsr::rebuild_rows`](emigre_ppr::CompactCsr::rebuild_rows)
+//!   [`TransitionCsr::rebuild_rows`](emigre_ppr::TransitionCsr::rebuild_rows)
 //!   (`O(Σ deg(touched))` recompute +
 //!   `O(E)` copy, entirely outside the readers' lock); (2) *publish* —
 //!   swap the `Arc` under the current-epoch lock, an atomic pointer

@@ -65,10 +65,10 @@
 //! column pushes, and CHECKs are deterministic, caches only memoise
 //! values those deterministic computations would recompute on the same
 //! epoch, and workspace recycling restores the exact base state
-//! ([`PushWorkspace::load_base`]/[`PushWorkspace::clear`]). The
-//! `concurrency` integration test asserts this equivalence under mixed
-//! parallel traffic; the testkit `epoch_consistency` suite asserts it
-//! while feedback writes are racing the readers.
+//! ([`PushWorkspace::load_base`]). The `concurrency` integration test
+//! asserts this equivalence under mixed parallel traffic; the testkit
+//! `epoch_consistency` suite asserts it while feedback writes are racing
+//! the readers.
 //!
 //! ## Shutdown
 //!

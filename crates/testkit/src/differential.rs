@@ -31,9 +31,7 @@ use emigre_core::search::{add_search_space, remove_search_space};
 use emigre_core::tester::{PreCheck, Tester};
 use emigre_core::{minimal, Action, ExplainContext, Explainer, Method};
 use emigre_hin::{GraphView, Hin, NodeId};
-use emigre_obs::ObsHandle;
-use emigre_ppr::{CompactCsr, ForwardPush, ReversePush, TransitionCsr};
-use std::sync::Arc;
+use emigre_ppr::{ForwardPush, ReversePush, TransitionCsr};
 
 /// The paper's five Remove-mode algorithms, cross-checked on every
 /// sampled question.
@@ -236,13 +234,8 @@ pub fn cross_check_question(
 /// included. The action sets are every non-empty subset of the top `pool`
 /// candidates of each mode's search space. For each set whose oracle
 /// margin is decisive under [`push_error_bound`], the engine's TEST must
-/// equal the oracle's, three ways: `Tester::test` at parallelism 1, the
-/// speculative scan of `Tester::first_passing` at parallelism 2, and
-/// `Tester::test` over a `CompactCsr<f32>` kernel. The `f32` leg widens
-/// the band by the kernel's quantisation: each stored probability is
-/// within 2⁻²⁴ of its `f64` value relative, which moves every PPR score by
-/// at most (1−α)/α·2⁻²⁴ (the resolvent identity, with rows summing to at
-/// most 1); the band takes twice that.
+/// equal the oracle's, two ways: `Tester::test` at parallelism 1 and the
+/// speculative scan of `Tester::first_passing` at parallelism 2.
 pub fn cross_check_verdicts(
     world: &World,
     user: NodeId,
@@ -252,9 +245,7 @@ pub fn cross_check_verdicts(
 ) {
     let graph: &Hin = &world.graph;
     let cfg = &world.cfg;
-    let ppr = &cfg.rec.ppr;
-    let bound = push_error_bound(graph.num_nodes(), ppr.epsilon);
-    let f32_bound = bound + (1.0 - ppr.alpha) / ppr.alpha * 2f64.powi(-23);
+    let bound = push_error_bound(graph.num_nodes(), cfg.rec.ppr.epsilon);
     let build = |cfg: emigre_core::EmigreConfig| {
         ExplainContext::build(graph, cfg, user, wni).unwrap_or_else(|e| {
             panic!("viable question stopped validating: user={user:?} wni={wni:?}: {e:?}")
@@ -262,18 +253,6 @@ pub fn cross_check_verdicts(
     };
     let ctx = build(cfg.clone());
     let ctx_par = build(cfg.clone().with_parallelism(2));
-    let kernel32 = Arc::new(CompactCsr::<f32>::build(graph, ppr.transition));
-    // Quantisation can reorder a near-tied list, so the question may not
-    // validate on the f32 kernel; the verdicts it does reach still must.
-    let ctx32 = ExplainContext::build_with_kernel(
-        graph,
-        cfg.clone(),
-        kernel32,
-        user,
-        wni,
-        ObsHandle::disabled(),
-    )
-    .ok();
 
     let mut sets: Vec<Vec<Action>> = Vec::new();
     for space in [remove_search_space(&ctx), add_search_space(&ctx)] {
@@ -293,7 +272,6 @@ pub fn cross_check_verdicts(
         }
     }
     let (seq, par) = (Tester::new(&ctx), Tester::new(&ctx_par));
-    let narrow = ctx32.as_ref().map(Tester::new);
     for actions in &sets {
         let verdict = oracle_test(graph, cfg, user, wni, actions)
             .unwrap_or_else(|e| panic!("search-space subset does not apply: {e:?}"));
@@ -319,11 +297,6 @@ pub fn cross_check_verdicts(
             let pair = [actions.clone(), actions.clone()];
             let scanned = par.first_passing(&pair, |_| PreCheck::Proceed).found;
             assert_eq!(scanned.is_some(), verdict.wins, "parallel CHECK: {}", tag());
-        }
-        if let Some(narrow) = &narrow {
-            if verdict.decisive(f32_bound) {
-                assert_eq!(narrow.test(actions), verdict.wins, "f32 CHECK: {}", tag());
-            }
         }
     }
 }

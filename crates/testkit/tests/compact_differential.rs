@@ -1,25 +1,26 @@
-//! Differential suite, scale leg: compact kernels ≡ the reference kernel.
+//! Differential suite, scale leg: separately built kernels ≡ the
+//! context's own kernel.
 //!
-//! `TransitionCsr` is `CompactCsr<f64>`, so its row builds are pinned by
-//! the kernel's own unit tests (`forward_rows_match_transition_row`,
-//! `reverse_rows_are_exact_transpose`). This suite pins what layout and
-//! build-path changes promise on top: at `P = f32` rows agree with the
-//! `f64` reference up to one quantisation step; the streaming power-law
-//! generator's chunked edge-stream build matches a kernel built over the
-//! fully materialised `Hin` bit for bit; and every CHECK verdict reached
-//! through a separately built kernel is the verdict the context's own
-//! kernel reaches. Worlds are seeded and pathological (dangling items,
-//! near-zero weights, twin-item PPR ties).
+//! `TransitionCsr`'s row builds are pinned by the kernel's own unit tests
+//! (`forward_rows_match_transition_row`,
+//! `reverse_rows_are_exact_transpose`). This suite pins what the build
+//! paths promise on top: the streaming power-law generator's chunked
+//! edge-stream build matches a kernel built over the fully materialised
+//! `Hin` bit for bit, and every CHECK verdict reached through a kernel
+//! the caller built and shared, as the service shares its epoch's
+//! kernel, is the verdict a self-contained context reaches. Worlds are
+//! seeded and pathological (dangling items, near-zero weights, twin-item
+//! PPR ties).
 
 use std::sync::Arc;
 
 use emigre_core::search::remove_search_space;
 use emigre_core::tester::{PreCheck, Tester};
-use emigre_core::{Action, ExplainContext};
+use emigre_core::{Action, ExplainContext, UserArtifacts};
 use emigre_data::{ScaleGen, ScaleSpec};
 use emigre_hin::GraphView;
 use emigre_obs::ObsHandle;
-use emigre_ppr::{CompactCsr, CsrRows, TransitionCsr, TransitionModel};
+use emigre_ppr::{CsrRows, PushWorkspace, TransitionCsr, TransitionModel};
 use emigre_testkit::{viable_questions, WorldParams, WorldSpec};
 
 /// Pathology-heavy sampling envelope: small enough that 40 worlds build
@@ -35,26 +36,26 @@ fn params() -> WorldParams {
     }
 }
 
-/// Asserts both directions of `compact` agree with `reference` bitwise.
-fn assert_rows_bitwise<K: CsrRows<P = f64>>(reference: &TransitionCsr, compact: &K, tag: &str) {
+/// Asserts both directions of `streamed` agree with `reference` bitwise.
+fn assert_rows_bitwise(reference: &TransitionCsr, streamed: &TransitionCsr, tag: &str) {
     assert_eq!(
         reference.num_nodes(),
-        compact.num_nodes(),
+        streamed.num_nodes(),
         "{tag}: node count"
     );
-    assert_eq!(reference.model(), compact.model(), "{tag}: model");
+    assert_eq!(reference.model(), streamed.model(), "{tag}: model");
     for u in 0..reference.num_nodes() {
         let node = emigre_hin::NodeId(u as u32);
         for (dir, (rd, rp), (cd, cp)) in [
             (
                 "fwd",
                 reference.forward_row(node),
-                compact.forward_row(node),
+                streamed.forward_row(node),
             ),
             (
                 "rev",
                 reference.reverse_row(node),
-                compact.reverse_row(node),
+                streamed.reverse_row(node),
             ),
         ] {
             assert_eq!(rd, cd, "{tag}: {dir} dsts of node {u}");
@@ -88,35 +89,6 @@ fn pathological_worlds() -> Vec<(u64, WorldSpec)> {
 }
 
 #[test]
-fn compact_f32_rows_within_one_quantisation_step() {
-    // f32 round-to-nearest guarantees |q − p| ≤ 2⁻²⁴·|p|; allow 2 ulp of
-    // headroom for the widening back to f64 in the comparison.
-    const REL: f64 = 2.0 / (1u64 << 24) as f64;
-    for (seed, spec) in pathological_worlds() {
-        let world = spec.build();
-        let model = world.cfg.rec.ppr.transition;
-        let reference = TransitionCsr::build(&world.graph, model);
-        let compact = CompactCsr::<f32>::build(&world.graph, model);
-        for u in 0..reference.num_nodes() {
-            let node = emigre_hin::NodeId(u as u32);
-            for ((rd, rp), (cd, cp)) in [
-                (reference.forward_row(node), compact.forward_row(node)),
-                (reference.reverse_row(node), compact.reverse_row(node)),
-            ] {
-                assert_eq!(rd, cd, "seed {seed}: dsts of node {u}");
-                for (a, b) in rp.iter().zip(cp) {
-                    let q = *b as f64;
-                    assert!(
-                        (q - a).abs() <= REL * a.abs(),
-                        "seed {seed}: node {u}: f32 prob {q} vs f64 {a}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn streaming_build_matches_materialized_kernels_bitwise() {
     for seed in [1u64, 7, 99] {
         let spec = ScaleSpec::with_total_nodes(1_500, seed);
@@ -125,7 +97,7 @@ fn streaming_build_matches_materialized_kernels_bitwise() {
         // Chunked stream build vs. a reference kernel over the fully
         // materialised Hin: same edges in the same order, so identical
         // weight-sum accumulation and bit-identical probabilities.
-        let streamed = gen.build_compact::<f64>(model, 64);
+        let streamed = gen.build_compact(model, 64);
         let hin = gen.materialize_hin();
         let reference = TransitionCsr::build(&hin, model);
         assert_rows_bitwise(&reference, &streamed, &format!("scale seed {seed}"));
@@ -153,22 +125,23 @@ fn tester_verdicts_match_on_compact_kernel_at_threads_1_and_8() {
     for (seed, spec) in pathological_worlds() {
         let world = spec.build();
         let model = world.cfg.rec.ppr.transition;
-        let compact = Arc::new(CompactCsr::<f64>::build(&world.graph, model));
+        let kernel = Arc::new(TransitionCsr::build(&world.graph, model));
         for (user, wni) in viable_questions(&world, 2) {
             questions += 1;
             for threads in [1usize, 8] {
                 let cfg = world.cfg.clone().with_parallelism(threads);
                 let ctx_ref = ExplainContext::build(&world.graph, cfg.clone(), user, wni)
                     .expect("viable question stopped validating");
-                let ctx_cmp = ExplainContext::build_with_kernel(
-                    &world.graph,
-                    cfg,
-                    Arc::clone(&compact),
-                    user,
-                    wni,
-                    ObsHandle::disabled(),
-                )
-                .expect("viable question stopped validating on compact kernel");
+                // The service's path: user artefacts over a shared kernel,
+                // then the question's context over those artefacts.
+                let obs = ObsHandle::disabled();
+                let artifacts =
+                    UserArtifacts::build(&world.graph, &cfg, Arc::clone(&kernel), user, &obs)
+                        .expect("viable user stopped validating on the shared kernel");
+                let ws = PushWorkspace::new(world.graph.num_nodes());
+                let ctx_cmp =
+                    ExplainContext::for_question(&world.graph, cfg, &artifacts, wni, ws, obs)
+                        .expect("viable question stopped validating on the shared kernel");
                 let sets = candidate_sets(&ctx_ref);
                 if sets.is_empty() {
                     continue;
@@ -203,22 +176,4 @@ fn tester_verdicts_match_on_compact_kernel_at_threads_1_and_8() {
         questions >= 10,
         "only {questions} viable questions exercised"
     );
-}
-
-/// The explain path itself, driven through the default context, stays the
-/// reference `TransitionCsr` — pin that the generic plumbing did not change
-/// its verdicts either (guards the `K = TransitionCsr` default).
-#[test]
-fn default_context_still_uses_reference_kernel() {
-    let world = WorldSpec::sample_seeded(3, &params()).build();
-    if let Some(&(user, wni)) = viable_questions(&world, 1).first() {
-        let ctx = ExplainContext::build(&world.graph, world.cfg.clone(), user, wni).unwrap();
-        let tester = Tester::new(&ctx);
-        let sets = candidate_sets(&ctx);
-        for set in &sets {
-            // Verdicts must be deterministic across repeated CHECKs of the
-            // same set on the same context (scratch-state reuse is clean).
-            assert_eq!(tester.test(set), tester.test(set));
-        }
-    }
 }

@@ -8,7 +8,7 @@
 
 use emigre_core::explanation::{actions_to_delta, Action};
 use emigre_hin::{EdgeKey, GraphView, NodeId};
-use emigre_ppr::{ppr_power, CsrRows, ForwardPush, PprConfig, ReversePush, TransitionCsr};
+use emigre_ppr::{ppr_power, ForwardPush, PprConfig, ReversePush, TransitionCsr};
 use emigre_testkit::{check_ppr_agreement, DenseOracle, DiffStats, World, WorldParams, WorldSpec};
 
 /// Required engine/oracle agreement on every estimate.

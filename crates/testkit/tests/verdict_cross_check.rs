@@ -5,9 +5,11 @@
 //! The staged CHECK stops a failing one as soon as either interval test
 //! proves some item beats the Why-Not item, so this leg draws action
 //! subsets from both modes' search spaces and holds each decisive verdict
-//! to the dense oracle: sequentially, through the parallel scan, and over
-//! an `f32` kernel ([`cross_check_verdicts`]). Worlds are seeded, half of
-//! them pathological (twin items, dangling items, near-zero weights).
+//! to the dense oracle, sequentially and through the parallel scan
+//! ([`cross_check_verdicts`]). The oracle is exact PPR on the edited graph,
+//! so this leg is the residual-repaired CHECK's reference. Worlds are
+//! seeded, half of them pathological (twin items, dangling items,
+//! near-zero weights).
 
 use emigre_ppr::PprConfig;
 use emigre_testkit::{cross_check_verdicts, viable_questions, DiffStats, WorldParams, WorldSpec};
