@@ -3,12 +3,18 @@
 //! Measures, on the synthetic Amazon graph of [`emigre_bench::world`]:
 //!
 //! * forward and reverse push: `ForwardPush::compute` /
-//!   `ReversePush::compute` over a precomputed [`TransitionCsr`];
+//!   `ReversePush::compute` over a precomputed [`TransitionCsr`], and eight
+//!   columns pushed by one `ReversePush::compute_many` against eight lone
+//!   pushes, asserted bit-identical before they are timed;
 //! * CHECK: one remove-mode and one add-mode `Tester::test` verdict on the
 //!   allocation-free workspace path;
 //! * the batched CHECK thread sweep, the obs-enabled and allocation-tracked
 //!   CHECK overheads, and (with `--scale`) the streaming 10k → 1M-node
 //!   kernel curve.
+//!
+//! A `--scale` run measures no CHECK, so it reports both overheads as
+//! `n/a`, and an overhead gate asked of it fails rather than pass
+//! unmeasured.
 //!
 //! Run with `cargo run --release -p emigre-bench --bin ppr_flat_bench
 //! [-- out.json]`; results are written as JSON (default `BENCH_ppr.json`)
@@ -82,6 +88,14 @@ struct Entry {
     /// Peak heap bytes above the pre-build baseline during the streaming
     /// build. Requires the `heap-track` allocator; None otherwise.
     build_peak_bytes: Option<u64>,
+    /// `scale_reverse_push_x8` only: peak heap bytes above the baseline
+    /// while one `compute_many` call pushes the eight columns (lane rows
+    /// and output columns are alive together while the lanes are split
+    /// out). Requires the `heap-track` allocator; None otherwise.
+    peak_bytes: Option<u64>,
+    /// The same peak for the baseline: eight lone pushes collected into
+    /// one `Vec`, as a caller holding eight columns keeps them.
+    baseline_peak_bytes: Option<u64>,
 }
 
 #[derive(Serialize)]
@@ -117,6 +131,8 @@ fn entry_with_counters(
         resident_bytes: None,
         build_ms: None,
         build_peak_bytes: None,
+        peak_bytes: None,
+        baseline_peak_bytes: None,
     };
     match (e.baseline_us, e.speedup) {
         (Some(baseline), Some(speedup)) => println!(
@@ -169,17 +185,92 @@ fn first_addition(g: &Hin, cfg: &emigre_core::EmigreConfig, user: NodeId, wni: N
     unreachable!("graph has non-interacted items")
 }
 
-/// Best-of-`times` wall-clock milliseconds — the 1M-node leg cannot afford
-/// the 15-sample median discipline of [`measure_us`], so the scale sweep
+/// Best-of-`times` wall-clock milliseconds of `f`, with the peak heap
+/// bytes above the starting live heap over all runs (`heap-track` builds
+/// only) and the last run's result. Each result is dropped before the next
+/// run, so the peak is one run's. The 1M-node leg cannot afford the
+/// 15-sample median discipline of [`measure_us`], so the scale sweep
 /// trades sample count for graph size explicitly.
-fn timed_ms(times: usize, mut f: impl FnMut()) -> f64 {
+fn timed_ms<T>(times: usize, mut f: impl FnMut() -> T) -> (f64, Option<u64>, T) {
+    #[cfg(feature = "heap-track")]
+    let live_before = {
+        emigre_obs::reset_peak();
+        emigre_obs::heap_stats().live_bytes
+    };
     let mut best = f64::INFINITY;
+    let mut last = None;
     for _ in 0..times {
+        drop(last.take());
         let t = Instant::now();
-        f();
+        let out = std::hint::black_box(f());
         best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        last = Some(out);
     }
-    best
+    #[cfg(feature = "heap-track")]
+    let peak = Some(
+        emigre_obs::heap_stats()
+            .peak_bytes
+            .saturating_sub(live_before),
+    );
+    #[cfg(not(feature = "heap-track"))]
+    let peak = None;
+    (best, peak, last.expect("at least one run"))
+}
+
+/// Panics unless `many` and `lone` are the same columns bit for bit.
+fn assert_same_columns(many: &[ReversePush], lone: &[ReversePush]) {
+    assert_eq!(many.len(), lone.len());
+    for (m, l) in many.iter().zip(lone) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(m.target, l.target);
+        assert_eq!(m.pushes, l.pushes, "pushes of {:?}", l.target);
+        assert_eq!(m.drained.to_bits(), l.drained.to_bits());
+        assert!(
+            bits(&m.estimates) == bits(&l.estimates),
+            "estimates of {:?}",
+            l.target
+        );
+        assert!(
+            bits(&m.residuals) == bits(&l.residuals),
+            "residuals of {:?}",
+            l.target
+        );
+    }
+}
+
+/// One lone reverse push per target.
+fn lone_columns(kernel: &TransitionCsr, cfg: &PprConfig, targets: &[NodeId]) -> Vec<ReversePush> {
+    targets
+        .iter()
+        .map(|&t| ReversePush::compute(kernel, cfg, t))
+        .collect()
+}
+
+/// An overhead gate's verdict. `worst` is None when the run measured no
+/// CHECK, and a gate that was asked for must then fail: it has nothing to
+/// compare with its limit.
+fn gate(flag: &str, what: &str, worst: Option<f64>, limit: Option<f64>) -> Result<(), String> {
+    let Some(limit) = limit else {
+        return Ok(());
+    };
+    match worst {
+        None => Err(format!(
+            "{flag} {limit}: no CHECK was measured, so the {what} overhead is unknown \
+             (a --scale run measures none)"
+        )),
+        Some(w) if w > limit => Err(format!(
+            "{what} overhead {w:.2}% exceeds limit {limit:.2}% ({flag})"
+        )),
+        Some(_) => Ok(()),
+    }
+}
+
+/// `+x.xx%`, or `n/a` when the run measured no CHECK.
+fn overhead_text(worst: Option<f64>) -> String {
+    match worst {
+        Some(w) => format!("{w:+.2}%"),
+        None => "n/a (no CHECK measured)".to_string(),
+    }
 }
 
 /// Parses a `--scale` size token: `10k`, `100k`, `1m`, or a plain count.
@@ -244,9 +335,7 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
         .with_transition(model)
         .with_epsilon(1e-6);
     let seed = NodeId(0); // users occupy ids 0..num_users; user 0 always has edges
-    let fwd_ms = timed_ms(times, || {
-        std::hint::black_box(ForwardPush::compute(&kernel, &cfg, seed));
-    });
+    let (fwd_ms, _, _) = timed_ms(times, || ForwardPush::compute(&kernel, &cfg, seed));
     entries.push(entry(
         "scale_forward_push",
         items,
@@ -256,9 +345,7 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
     ));
 
     let target = NodeId((total - items) as u32); // head item of the popularity Zipf
-    let rev_ms = timed_ms(times, || {
-        std::hint::black_box(ReversePush::compute(&kernel, &cfg, target));
-    });
+    let (rev_ms, _, _) = timed_ms(times, || ReversePush::compute(&kernel, &cfg, target));
     entries.push(entry(
         "scale_reverse_push",
         items,
@@ -276,9 +363,9 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
     let renorm = 1.0 / (1.0 - probs[0]);
     let new_dsts: Vec<u32> = dsts[1..].to_vec();
     let new_probs: Vec<f64> = probs[1..].iter().map(|p| p * renorm).collect();
-    let check_ms = timed_ms(times, || {
+    let (check_ms, _, _) = timed_ms(times, || {
         let patched = kernel.patched_rows(vec![(seed.0, new_dsts.clone(), new_probs.clone())]);
-        std::hint::black_box(ForwardPush::compute(&patched, &cfg, seed));
+        ForwardPush::compute(&patched, &cfg, seed)
     });
     let mut e = entry(
         "scale_check",
@@ -288,6 +375,28 @@ fn scale_sweep(total: usize, entries: &mut Vec<Entry>) {
         check_ms * 1e3,
     );
     e.resident_bytes = Some(resident);
+    entries.push(e);
+
+    // The eight head items' columns: one lane sweep against eight lone
+    // pushes (baseline), with each side's transient heap peak.
+    let heads: Vec<NodeId> = (0..8).map(|k| NodeId((total - items + k) as u32)).collect();
+    let (lone_ms, lone_peak, lone) = timed_ms(times, || lone_columns(&kernel, &cfg, &heads));
+    let (many_ms, many_peak, many) =
+        timed_ms(times, || ReversePush::compute_many(&kernel, &cfg, &heads));
+    assert_same_columns(&many, &lone);
+    let mut e = entry(
+        "scale_reverse_push_x8",
+        items,
+        total,
+        Some(lone_ms * 1e3),
+        many_ms * 1e3,
+    );
+    e.peak_bytes = many_peak;
+    e.baseline_peak_bytes = lone_peak;
+    println!(
+        "{:>26} transient peak {:?} bytes, lone pushes' peak {:?} bytes",
+        "", many_peak, lone_peak
+    );
     entries.push(e);
 }
 
@@ -335,9 +444,9 @@ fn main() {
     }
     let epsilon = 1e-7;
     let mut entries = Vec::new();
-    let mut worst_obs_overhead_pct = f64::NEG_INFINITY;
+    let mut obs_overheads_pct: Vec<f64> = Vec::new();
     #[cfg(feature = "heap-track")]
-    let mut worst_alloc_overhead_pct = f64::NEG_INFINITY;
+    let mut alloc_overheads_pct: Vec<f64> = Vec::new();
 
     // An explicit `--scale` runs only the scale sweep (the CI smoke path);
     // the default full run appends the whole 10k → 1M curve after the
@@ -368,8 +477,25 @@ fn main() {
         });
         entries.push(entry("reverse_push", items, n, None, rev));
 
-        // CHECK: one remove-mode and one add-mode counterfactual verdict.
         let ctx = ExplainContext::build(g, w.cfg.clone(), user, wni).expect("valid scenario");
+
+        // Eight of the user's list items pushed as one lane block, against
+        // eight lone pushes. The columns must match bit for bit first.
+        let list: Vec<NodeId> = ctx.rec_list.items().into_iter().take(8).collect();
+        assert_eq!(list.len(), 8, "scenario user's list has eight items");
+        assert_same_columns(
+            &ReversePush::compute_many(&kernel, cfg, &list),
+            &lone_columns(&kernel, cfg, &list),
+        );
+        let lone = measure_us(1, || {
+            std::hint::black_box(lone_columns(&kernel, cfg, &list));
+        });
+        let many = measure_us(1, || {
+            std::hint::black_box(ReversePush::compute_many(&kernel, cfg, &list));
+        });
+        entries.push(entry("reverse_push_x8", items, n, Some(lone), many));
+
+        // CHECK: one remove-mode and one add-mode counterfactual verdict.
         let tester = Tester::new(&ctx);
         let remove = vec![first_removal(g, w.hin.rated, user)];
         let add = vec![first_addition(g, &w.cfg, user, wni)];
@@ -444,7 +570,7 @@ fn main() {
             std::hint::black_box(tester_obs.test(&remove));
         });
         let overhead_pct = (chk_rm_obs / chk_rm - 1.0) * 100.0;
-        worst_obs_overhead_pct = worst_obs_overhead_pct.max(overhead_pct);
+        obs_overheads_pct.push(overhead_pct);
         entries.push(entry_with_counters(
             "check_remove_obs",
             items,
@@ -489,7 +615,7 @@ fn main() {
                 std::hint::black_box(tester.test(&remove));
             });
             let alloc_overhead_pct = (chk_rm_tracked / chk_rm_paused - 1.0) * 100.0;
-            worst_alloc_overhead_pct = worst_alloc_overhead_pct.max(alloc_overhead_pct);
+            alloc_overheads_pct.push(alloc_overhead_pct);
             entries.push(entry(
                 "check_remove_alloc_tracked",
                 items,
@@ -518,7 +644,9 @@ fn main() {
                       (median of 15 samples, release build), flat = TransitionCsr/\
                       PushWorkspace path. baseline: check_batch_t* = 1 thread, *_obs = \
                       uninstrumented CHECK, *_alloc_tracked = tracking paused, \
-                      scale_check = unpatched forward push; null elsewhere. scale_* \
+                      scale_check = unpatched forward push, *_x8 = eight lone \
+                      ReversePush::compute calls against one compute_many; null \
+                      elsewhere. scale_* \
                       entries: streaming power-law graphs at 10k–1M nodes, f64 \
                       TransitionCsr, ε = 1e-6, best-of-5 (single run at 1M). See \
                       EXPERIMENTS.md for methodology."
@@ -530,24 +658,38 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("serialise report");
     std::fs::write(&out_path, json + "\n").expect("write report");
     println!("\nwrote {out_path}");
-    println!("worst obs-enabled CHECK overhead: {worst_obs_overhead_pct:+.2}%");
-    if let Some(limit) = max_obs_overhead_pct {
-        if worst_obs_overhead_pct > limit {
-            eprintln!("obs overhead {worst_obs_overhead_pct:.2}% exceeds limit {limit:.2}%");
-            std::process::exit(1);
-        }
-    }
+    // None when the run measured no CHECK (a `--scale` run).
+    let worst_obs_overhead_pct = obs_overheads_pct.into_iter().reduce(f64::max);
+    println!(
+        "worst obs-enabled CHECK overhead: {}",
+        overhead_text(worst_obs_overhead_pct)
+    );
+    let obs_verdict = gate(
+        "--max-obs-overhead-pct",
+        "obs",
+        worst_obs_overhead_pct,
+        max_obs_overhead_pct,
+    );
     #[cfg(feature = "heap-track")]
-    {
-        println!("worst alloc-tracking CHECK overhead: {worst_alloc_overhead_pct:+.2}%");
-        if let Some(limit) = max_alloc_overhead_pct {
-            if worst_alloc_overhead_pct > limit {
-                eprintln!(
-                    "alloc-tracking overhead {worst_alloc_overhead_pct:.2}% \
-                     exceeds limit {limit:.2}%"
-                );
-                std::process::exit(1);
-            }
+    let alloc_verdict = {
+        let worst_alloc_overhead_pct = alloc_overheads_pct.into_iter().reduce(f64::max);
+        println!(
+            "worst alloc-tracking CHECK overhead: {}",
+            overhead_text(worst_alloc_overhead_pct)
+        );
+        gate(
+            "--max-alloc-overhead-pct",
+            "alloc-tracking",
+            worst_alloc_overhead_pct,
+            max_alloc_overhead_pct,
+        )
+    };
+    #[cfg(not(feature = "heap-track"))]
+    let alloc_verdict = Ok(());
+    for verdict in [obs_verdict, alloc_verdict] {
+        if let Err(e) = verdict {
+            eprintln!("{e}");
+            std::process::exit(1);
         }
     }
 }

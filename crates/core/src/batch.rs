@@ -8,10 +8,13 @@
 //! per-question setup from three push runs to one. Its contexts also share
 //! one map of item columns: a Why-Not item's column and every target
 //! column Exhaustive Comparison reads are pushed once per batch, so a
-//! 10-item list pushes at most 9 item columns instead of up to 81.
+//! 10-item list pushes at most 9 item columns instead of up to 81. The
+//! valid Why-Not items' columns are pushed together, by one multi-target
+//! reverse push, so every later target lookup of a whole-list batch hits
+//! the map.
 
 use crate::config::EmigreConfig;
-use crate::context::{push_column, ExplainContext, UserArtifacts};
+use crate::context::{push_columns, ExplainContext, UserArtifacts};
 use crate::explainer::{Explainer, Method};
 use crate::explanation::Explanation;
 use crate::failure::ExplainFailure;
@@ -77,35 +80,59 @@ fn contexts_from<'g, G: GraphView>(
     wnis: &[NodeId],
     obs: &ObsHandle,
 ) -> Vec<Result<ExplainContext<'g, G>, QuestionError>> {
-    // The batch's item columns, each pushed on first use: the Why-Not
-    // items' at build time, other targets when a search first reads them.
+    // The batch's item columns, each pushed once: the valid Why-Not items'
+    // together below, any other target when a search first asks for it.
     let pushed: RefCell<HashMap<NodeId, Arc<ReversePush>>> = RefCell::default();
     let (kernel, ppr, column_obs) = (Arc::clone(&artifacts.kernel), cfg.rec.ppr, obs.clone());
-    let column = Rc::new(move |t: NodeId| {
-        if let Some(col) = pushed.borrow().get(&t) {
-            return Arc::clone(col);
+    let columns = Rc::new(move |items: &[NodeId]| {
+        let mut missing: Vec<NodeId> = Vec::new();
+        for &t in items {
+            if !pushed.borrow().contains_key(&t) && !missing.contains(&t) {
+                missing.push(t);
+            }
         }
-        let col = push_column(&kernel, &ppr, t, &column_obs);
-        pushed.borrow_mut().insert(t, Arc::clone(&col));
-        col
+        let fresh = push_columns(&kernel, &ppr, &missing, &column_obs);
+        let mut pushed = pushed.borrow_mut();
+        pushed.extend(missing.into_iter().zip(fresh));
+        items
+            .iter()
+            .map(|t| Arc::clone(&pushed[t]))
+            .collect::<Vec<_>>()
     });
-    wnis.iter()
+    // A malformed question fails before paying for its column.
+    let checked: Vec<Result<NodeId, QuestionError>> = wnis
+        .iter()
         .map(|&wni| {
+            WhyNotQuestion::validate(graph, cfg, artifacts.user, wni, Some(artifacts.rec))
+                .map(|_| wni)
+        })
+        .collect();
+    {
+        let _span = obs.span("context_build");
+        let valid: Vec<NodeId> = checked
+            .iter()
+            .filter_map(|c| c.as_ref().ok().copied())
+            .collect();
+        columns(&valid);
+    }
+    checked
+        .into_iter()
+        .map(|checked| {
+            let wni = checked?;
             let _span = obs.span("context_build");
-            // A malformed question fails before paying for its column.
-            WhyNotQuestion::validate(graph, cfg, artifacts.user, wni, Some(artifacts.rec))?;
             let ws = PushWorkspace::new(graph.num_nodes());
+            let ppr_to_wni = columns(&[wni]).pop().expect("one column per item");
             let ctx = ExplainContext::from_artifacts(
                 graph,
                 cfg.clone(),
                 artifacts,
                 wni,
-                column(wni),
+                ppr_to_wni,
                 ws,
                 obs.clone(),
             )?;
-            let column = Rc::clone(&column);
-            Ok(ctx.with_column_source(move |t| column(t)))
+            let columns = Rc::clone(&columns);
+            Ok(ctx.with_column_source(move |items| columns(items)))
         })
         .collect()
 }

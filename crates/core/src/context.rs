@@ -10,8 +10,10 @@
 //!   inputs of the contribution equations (5) and (6).
 //!
 //! [`ExplainContext::build`] computes them once; every algorithm in this
-//! crate then borrows the context. Any other item's column — Algorithm 5
-//! needs one per target — comes from [`ExplainContext::column`].
+//! crate then borrows the context. Any other items' columns — Algorithm 5
+//! needs one per target, PRINCE one per replacement — come from
+//! [`ExplainContext::columns`], which asks for all of them at once so that
+//! their pushes share one lane sweep ([`ReversePush::compute_many`]).
 
 use crate::config::EmigreConfig;
 use crate::question::{QuestionError, WhyNotQuestion};
@@ -222,18 +224,28 @@ pub fn target_list<G: GraphView>(
     RecList::from_scores(&push.estimates, candidates, cfg.target_list_size)
 }
 
-/// `PPR(·, t)` pushed on `kernel`, with the push counted into `obs`.
-pub(crate) fn push_column(
+/// `PPR(·, t)` for each of `items`, in order, pushed by one
+/// [`ReversePush::compute_many`] on `kernel`, with each push counted into
+/// `obs` in item order.
+pub(crate) fn push_columns(
     kernel: &TransitionCsr,
     ppr: &PprConfig,
-    t: NodeId,
+    items: &[NodeId],
     obs: &ObsHandle,
-) -> Arc<ReversePush> {
-    let col = ReversePush::compute(kernel, ppr, t);
-    obs.count(Op::ReversePushes, col.pushes as u64);
-    obs.add_mass(col.drained);
-    Arc::new(col)
+) -> Vec<Arc<ReversePush>> {
+    ReversePush::compute_many(kernel, ppr, items)
+        .into_iter()
+        .map(|col| {
+            obs.count(Op::ReversePushes, col.pushes as u64);
+            obs.add_mass(col.drained);
+            Arc::new(col)
+        })
+        .collect()
 }
+
+/// Where [`ExplainContext::columns`] finds the columns of items other than
+/// `rec` and the Why-Not item: `PPR(·, t)` for each item asked, in order.
+type ColumnSource<'g> = Box<dyn Fn(&[NodeId]) -> Vec<Arc<ReversePush>> + 'g>;
 
 /// Pre-computed state shared by every explanation algorithm for one
 /// `(user, WNI)` question.
@@ -272,10 +284,10 @@ pub struct ExplainContext<'g, G: GraphView> {
     /// (counters, spans, the per-question trace). Disabled by default;
     /// see [`ExplainContext::build_with_obs`].
     pub obs: ObsHandle,
-    /// Where [`ExplainContext::column`] finds `PPR(·, t)` for items other
+    /// Where [`ExplainContext::columns`] finds `PPR(·, t)` for items other
     /// than `rec` and the Why-Not item, if the caller attached a source
     /// ([`ExplainContext::with_column_source`]).
-    columns: Option<Box<dyn Fn(NodeId) -> Arc<ReversePush> + 'g>>,
+    column_source: Option<ColumnSource<'g>>,
 }
 
 impl<'g, G: GraphView> ExplainContext<'g, G> {
@@ -334,7 +346,9 @@ impl<'g, G: GraphView> ExplainContext<'g, G> {
         obs: ObsHandle,
     ) -> Result<Self, QuestionError> {
         WhyNotQuestion::validate(graph, &cfg, artifacts.user, wni, Some(artifacts.rec))?;
-        let ppr_to_wni = push_column(&artifacts.kernel, &cfg.rec.ppr, wni, &obs);
+        let ppr_to_wni = push_columns(&artifacts.kernel, &cfg.rec.ppr, &[wni], &obs)
+            .pop()
+            .expect("one column per item");
         Self::from_artifacts(graph, cfg, artifacts, wni, ppr_to_wni, ws, obs)
     }
 
@@ -377,34 +391,54 @@ impl<'g, G: GraphView> ExplainContext<'g, G> {
             spare_states: RefCell::new(Vec::new()),
             bounds: OnceCell::new(),
             obs,
-            columns: None,
+            column_source: None,
         })
     }
 
-    /// Attaches the source [`ExplainContext::column`] reads every item
-    /// column from, other than `rec`'s and the Why-Not item's. The source
-    /// must return `PPR(·, t)` on this context's graph, as a fresh push
-    /// would, and count any push it runs itself.
-    pub fn with_column_source(mut self, source: impl Fn(NodeId) -> Arc<ReversePush> + 'g) -> Self {
-        self.columns = Some(Box::new(source));
+    /// Attaches the source [`ExplainContext::columns`] reads item columns
+    /// from, other than `rec`'s and the Why-Not item's. Given items, the
+    /// source must return `PPR(·, t)` for each, in order, on this context's
+    /// graph, as a fresh push would, and count any push it runs itself.
+    pub fn with_column_source(
+        mut self,
+        source: impl Fn(&[NodeId]) -> Vec<Arc<ReversePush>> + 'g,
+    ) -> Self {
+        self.column_source = Some(Box::new(source));
         self
     }
 
-    /// `PPR(·, t)` for an item `t`. `rec` and the Why-Not item answer with
-    /// the context's own columns; any other item goes to the attached
-    /// source. Without one, the column is pushed on the context's kernel
-    /// and counted into its observability handle.
-    pub fn column(&self, t: NodeId) -> Arc<ReversePush> {
-        if t == self.rec {
-            return Arc::clone(&self.ppr_to_rec);
+    /// `PPR(·, t)` for each item `t` of `items`, in order. `rec` and the
+    /// Why-Not item answer with the context's own columns; the rest go to
+    /// the attached source in one call. Without a source, they are pushed
+    /// by one [`ReversePush::compute_many`] on the context's kernel and
+    /// counted into its observability handle.
+    pub fn columns(&self, items: &[NodeId]) -> Vec<Arc<ReversePush>> {
+        let own = |t: NodeId| {
+            if t == self.rec {
+                Some(&self.ppr_to_rec)
+            } else if t == self.wni {
+                Some(&self.ppr_to_wni)
+            } else {
+                None
+            }
+        };
+        let rest: Vec<NodeId> = items
+            .iter()
+            .copied()
+            .filter(|&t| own(t).is_none())
+            .collect();
+        let mut fetched = match &self.column_source {
+            Some(source) => source(&rest),
+            None => push_columns(&self.kernel, &self.cfg.rec.ppr, &rest, &self.obs),
         }
-        if t == self.wni {
-            return Arc::clone(&self.ppr_to_wni);
-        }
-        if let Some(source) = &self.columns {
-            return source(t);
-        }
-        push_column(&self.kernel, &self.cfg.rec.ppr, t, &self.obs)
+        .into_iter();
+        items
+            .iter()
+            .map(|&t| match own(t) {
+                Some(col) => Arc::clone(col),
+                None => fetched.next().expect("one column per item"),
+            })
+            .collect()
     }
 
     /// Takes `count` CHECK states for parallel workers, building the ones

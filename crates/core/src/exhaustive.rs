@@ -25,8 +25,9 @@
 //! (paper §5.2.2). The enumeration prunes only exactly: each target's sum
 //! is linear in the chosen rows, so the scan skips the subtrees whose best
 //! case cannot beat some threshold, and still counts their subsets as
-//! enumerated. Each target's column comes from [`ExplainContext::column`],
-//! which a serving caller backs with its epoch cache.
+//! enumerated. The targets' columns come from one
+//! [`ExplainContext::columns`] call, which a serving caller backs with its
+//! epoch cache: the columns it has to push share one lane sweep.
 //!
 //! One boundary case is worth knowing: when the edge-type restriction
 //! `T_e` reduces the candidate pool to *exactly* the action set that the
@@ -109,12 +110,12 @@ fn run<G: GraphView>(
     let capped = pool.len() > ctx.cfg.max_subset_candidates;
     pool.truncate(ctx.cfg.max_subset_candidates);
 
-    // One `PPR(·, t)` column per target, through the context: `rec`'s is
-    // the context's own, and the rest come from the caller's column source
-    // (the service's epoch cache) or a fresh reverse push each.
+    // One `PPR(·, t)` column per target, asked for at once: `rec`'s is the
+    // context's own, and the rest come from the caller's column source (the
+    // service's epoch cache) or one multi-target reverse push.
     let ranking_span = ctx.obs.span("candidate_ranking");
     let targets = ctx.targets();
-    let pushes: Vec<Arc<ReversePush>> = targets.iter().map(|&t| ctx.column(t)).collect();
+    let pushes: Vec<Arc<ReversePush>> = ctx.columns(&targets);
 
     // C[n][t] and Threshold[t].
     let contribution_matrix: Vec<Vec<f64>> = pool

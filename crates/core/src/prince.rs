@@ -15,7 +15,10 @@
 //! `W(u,n)·(PPR(n,rec) − PPR(n,r*))` and accumulated greedily until the
 //! rec-over-r* gap is predicted to close (PRINCE's Theorem 1 shows this
 //! greedy set is optimal per replacement item); the smallest verified set
-//! over all replacements is returned.
+//! over all replacements is returned. The replacements' `PPR(·, r*)`
+//! columns come from one [`ExplainContext::columns`] call: the Why-Not
+//! item's is the context's own, and the rest share one lane sweep (or the
+//! caller's column source) and are counted like every other push.
 
 use crate::context::ExplainContext;
 use crate::explanation::{Action, Explanation, Mode};
@@ -23,7 +26,6 @@ use crate::failure::{classify_failure, ExplainFailure};
 use crate::search::allowed_actions;
 use crate::tester::Tester;
 use emigre_hin::{GraphView, NodeId};
-use emigre_ppr::ReversePush;
 
 /// Result of a PRINCE run: the counterfactual set plus the replacement item
 /// that takes over the top slot.
@@ -59,13 +61,10 @@ pub fn prince<G: GraphView>(ctx: &ExplainContext<'_, G>) -> Result<WhyExplanatio
         .filter(|&t| t != ctx.rec)
         .collect();
 
+    let columns = ctx.columns(&replacements);
+
     let mut best: Option<WhyExplanation> = None;
-    for r_star in replacements {
-        let ppr_to_r = if r_star == ctx.wni {
-            (*ctx.ppr_to_wni).clone()
-        } else {
-            ReversePush::compute(&*ctx.kernel, &ctx.cfg.rec.ppr, r_star)
-        };
+    for ppr_to_r in columns {
         // Swap contributions towards replacing rec by r*; their sum is the
         // gap of rec over r* from the user's perspective.
         let swap: Vec<f64> = actions_pool
@@ -199,6 +198,29 @@ mod tests {
         assert_ne!(why.replacement, wni);
         let adapted = as_whynot_explanation(&why, wni);
         assert!(!adapted.verified);
+    }
+
+    #[test]
+    fn prince_counts_the_replacement_columns_it_pushes() {
+        let (g, cfg, u, _, _, wni) = fixture();
+        let obs = emigre_obs::ObsHandle::enabled();
+        let ctx = ExplainContext::build_with_obs(&g, cfg, u, wni, obs.clone()).unwrap();
+        let before = obs.counters().reverse_pushes;
+        prince(&ctx).unwrap();
+        // The Why-Not item's column is the context's own; every other
+        // replacement's is pushed once and counted.
+        let expected: usize = ctx
+            .rec_list
+            .items()
+            .into_iter()
+            .filter(|&t| t != ctx.rec && t != ctx.wni)
+            .map(|t| emigre_ppr::ReversePush::compute(&*ctx.kernel, &ctx.cfg.rec.ppr, t).pushes)
+            .sum();
+        assert!(
+            expected > 0,
+            "the fixture has a replacement besides the Why-Not item"
+        );
+        assert_eq!(obs.counters().reverse_pushes - before, expected as u64);
     }
 
     #[test]

@@ -14,6 +14,12 @@
 //! inputs of the contribution equations (5) and (6). The Add-mode search
 //! space (Algorithm 2, line 8) is exactly the support of the RLP estimates
 //! rooted at `WNI`.
+//!
+//! Algorithm 5 needs one column per item of the target list, and PRINCE one
+//! per replacement. [`ReversePush::compute_many`] pushes up to eight columns
+//! in one sweep over lane-interleaved rows: one walk of a reverse row
+//! updates every lane, and each lane pushes exactly when a lone
+//! [`ReversePush::compute`] would, so every column is bit-identical to it.
 
 use crate::config::PprConfig;
 use crate::kernel::CsrRows;
@@ -97,6 +103,29 @@ impl ReversePush {
         }
     }
 
+    /// Runs RLP towards every target of `targets`, in order; duplicates
+    /// are allowed. Each column is bit-identical to
+    /// [`ReversePush::compute`] on its target: same estimates, residuals,
+    /// `pushes` and `drained`.
+    ///
+    /// Targets go in blocks of at most eight. A block of one is a
+    /// lone `compute`. A larger block runs one sweep loop whose residual and
+    /// estimate rows hold one lane per target, at width 2, 4 or 8: a block
+    /// of 3 runs at width 4, and a block of 5–7 at width 8.
+    pub fn compute_many<K: CsrRows>(kernel: &K, cfg: &PprConfig, targets: &[NodeId]) -> Vec<Self> {
+        cfg.validate();
+        let mut out = Vec::with_capacity(targets.len());
+        for block in targets.chunks(MAX_LANES) {
+            match block.len() {
+                1 => out.push(Self::compute(kernel, cfg, block[0])),
+                2 => out.extend(push_lanes::<K, 2>(kernel, cfg, block)),
+                3 | 4 => out.extend(push_lanes::<K, 4>(kernel, cfg, block)),
+                _ => out.extend(push_lanes::<K, 8>(kernel, cfg, block)),
+            }
+        }
+        out
+    }
+
     /// Estimated `PPR(s, target)`.
     #[inline]
     pub fn estimate(&self, s: NodeId) -> f64 {
@@ -118,6 +147,90 @@ impl ReversePush {
     pub fn residual_mass(&self) -> f64 {
         self.residuals.iter().map(|r| r.abs()).sum()
     }
+}
+
+/// Most columns one [`ReversePush::compute_many`] sweep carries.
+const MAX_LANES: usize = 8;
+
+/// One Gauss–Seidel sweep loop for `targets.len() ≤ L` columns at once.
+///
+/// Node `v`'s residuals and estimates are one `[f64; L]` row, so a reverse
+/// row is walked once per visit however many lanes push there. Lane `l`
+/// pushes at `v` exactly when its own |r_l(v)| > ε; an idle lane adds
+/// `0.0 * p`, which leaves every non-negative residual's bits unchanged.
+/// Each lane therefore makes its lone push's updates in the lone push's
+/// order, with the same expressions and no fused multiply-add, and a lane
+/// that has converged stays so while the others finish. Lanes past
+/// `targets.len()` start at zero and never push.
+fn push_lanes<K: CsrRows, const L: usize>(
+    kernel: &K,
+    cfg: &PprConfig,
+    targets: &[NodeId],
+) -> Vec<ReversePush> {
+    let (eps, alpha) = (cfg.epsilon, cfg.alpha);
+    let n = kernel.num_nodes();
+    let mut estimates = vec![[0.0f64; L]; n];
+    let mut residuals = vec![[0.0f64; L]; n];
+    for (l, t) in targets.iter().enumerate() {
+        residuals[t.index()][l] = 1.0;
+    }
+    let mut pushes = [0usize; L];
+    let mut drained = [0.0f64; L];
+    loop {
+        let mut any = false;
+        for v in 0..n {
+            let r = residuals[v];
+            let mut spread = [0.0f64; L];
+            let mut active = false;
+            for l in 0..L {
+                if r[l].abs() > eps {
+                    active = true;
+                    residuals[v][l] = 0.0;
+                    estimates[v][l] += alpha * r[l];
+                    pushes[l] += 1;
+                    drained[l] += r[l].abs();
+                    spread[l] = (1.0 - alpha) * r[l];
+                }
+            }
+            if !active {
+                continue;
+            }
+            any = true;
+            let (srcs, probs) = kernel.reverse_row(NodeId(v as u32));
+            for (&u, &p) in srcs.iter().zip(probs) {
+                let row = &mut residuals[u as usize];
+                for l in 0..L {
+                    row[l] += spread[l] * p;
+                }
+            }
+        }
+        if !any {
+            break;
+        }
+    }
+    // Estimates first, so their lane rows are freed before the residuals
+    // are split out.
+    let estimates = split_lanes(estimates, targets.len());
+    let residuals = split_lanes(residuals, targets.len());
+    targets
+        .iter()
+        .zip(estimates.into_iter().zip(residuals))
+        .enumerate()
+        .map(|(l, (&target, (estimates, residuals)))| ReversePush {
+            target,
+            estimates,
+            residuals,
+            pushes: pushes[l],
+            drained: drained[l],
+        })
+        .collect()
+}
+
+/// The first `k` lanes of interleaved rows as `k` dense columns.
+fn split_lanes<const L: usize>(rows: Vec<[f64; L]>, k: usize) -> Vec<Vec<f64>> {
+    (0..k)
+        .map(|l| rows.iter().map(|row| row[l]).collect())
+        .collect()
 }
 
 #[cfg(test)]

@@ -1032,32 +1032,61 @@ fn artifacts(
     Ok((art, false))
 }
 
-/// `PPR(·, item)` from the column cache, computing on miss; the bool is
-/// the cache-hit flag. Epoch-keyed like [`artifacts`]. The caller must
-/// have validated `item` (in bounds) first.
-fn column(
+/// `PPR(·, item)` for each of `items`, in order, from the column cache;
+/// the bool is each item's cache-hit flag. Epoch-keyed like [`artifacts`].
+/// Every item is looked up before any is inserted, and the misses are
+/// pushed by one [`ReversePush::compute_many`], counted and inserted in
+/// item order. The caller must have validated every item (in bounds)
+/// first.
+fn columns(
     shared: &Shared,
     snap: &GraphEpoch,
-    item: NodeId,
+    items: &[NodeId],
     obs: &ObsHandle,
-) -> (Arc<ReversePush>, bool) {
-    let cached = shared.columns.lock().get_at(&item.0, snap.epoch);
-    if let Some(hit) = cached {
-        if column_valid(snap, item, &hit) {
-            return (hit, true);
-        }
-        ServeMetrics::bump(&shared.metrics.cache_poison_detected);
-        shared.columns.lock().remove(&item.0);
-    }
-    let col = ReversePush::compute(&*snap.kernel, &shared.cfg.rec.ppr, item);
-    obs.count(Op::ReversePushes, col.pushes as u64);
-    obs.add_mass(col.drained);
-    let col = Arc::new(col);
-    shared
-        .columns
-        .lock()
-        .insert_at(item.0, snap.epoch, Arc::clone(&col));
-    (col, false)
+) -> Vec<(Arc<ReversePush>, bool)> {
+    let found: Vec<Option<Arc<ReversePush>>> = {
+        let mut cache = shared.columns.lock();
+        items
+            .iter()
+            .map(|&item| {
+                let hit = cache.get_at(&item.0, snap.epoch)?;
+                if column_valid(snap, item, &hit) {
+                    return Some(hit);
+                }
+                // Quarantine: never serve a poisoned column — drop it and
+                // push it again below as a miss.
+                ServeMetrics::bump(&shared.metrics.cache_poison_detected);
+                cache.remove(&item.0);
+                None
+            })
+            .collect()
+    };
+    let misses: Vec<NodeId> = items
+        .iter()
+        .zip(&found)
+        .filter(|(_, hit)| hit.is_none())
+        .map(|(&item, _)| item)
+        .collect();
+    let mut pushed =
+        ReversePush::compute_many(&*snap.kernel, &shared.cfg.rec.ppr, &misses).into_iter();
+    items
+        .iter()
+        .zip(found)
+        .map(|(&item, hit)| match hit {
+            Some(col) => (col, true),
+            None => {
+                let col = pushed.next().expect("one push per miss");
+                obs.count(Op::ReversePushes, col.pushes as u64);
+                obs.add_mass(col.drained);
+                let col = Arc::new(col);
+                shared
+                    .columns
+                    .lock()
+                    .insert_at(item.0, snap.epoch, Arc::clone(&col));
+                (col, false)
+            }
+        })
+        .collect()
 }
 
 fn run_explain(
@@ -1078,7 +1107,9 @@ fn run_explain(
     // Full question validation before paying for the WNI column.
     WhyNotQuestion::validate(&*snap.graph, &shared.cfg, user, wni, Some(art.rec))
         .map_err(ServeError::InvalidQuestion)?;
-    let (col, column_hit) = column(shared, snap, wni, obs);
+    let (col, column_hit) = columns(shared, snap, &[wni], obs)
+        .pop()
+        .expect("one column per item");
     // Lend the worker's workspace to the context; take it back afterwards.
     let ws = std::mem::replace(ws_slot, PushWorkspace::new(0));
     match ExplainContext::from_artifacts(
@@ -1094,9 +1125,14 @@ fn run_explain(
             drop(cb); // context stage ends where the search begins
 
             // Every other item column the search reads (Exhaustive
-            // Comparison's targets) comes from the same epoch cache; a
-            // miss pushes inside the search's own span.
-            let ctx = ctx.with_column_source(|t| column(shared, snap, t, obs).0);
+            // Comparison's targets) comes from the same epoch cache, in
+            // one call; its misses push inside the search's own span.
+            let ctx = ctx.with_column_source(|items| {
+                columns(shared, snap, items, obs)
+                    .into_iter()
+                    .map(|(col, _)| col)
+                    .collect()
+            });
             let outcome = Explainer::explain_with_context(&ctx, method);
             *ws_slot = ctx.into_workspace();
             Ok((Answer::Explain(outcome), session_hit, Some(column_hit)))

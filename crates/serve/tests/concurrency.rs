@@ -8,6 +8,7 @@ use emigre_core::{ExplainContext, Method};
 use emigre_data::pipeline::{AmazonHin, PreprocessConfig};
 use emigre_data::synth::{SynthConfig, SynthDataset};
 use emigre_hin::{Hin, NodeId};
+use emigre_ppr::ReversePush;
 use emigre_serve::{
     reference_explain, reference_recommend, ExplanationService, ServeError, ServiceConfig,
 };
@@ -381,6 +382,67 @@ fn exhaustive_targets_reuse_cached_columns() {
         "the repeat reads every column from the cache"
     );
     assert_eq!(first, reference);
+    assert_eq!(second, reference);
+}
+
+#[test]
+fn a_two_entry_cache_looks_up_each_asked_column_once() {
+    let (graph, cfg, users) = test_world();
+    let (user, wni) = build_calls(&graph, &cfg, &users)
+        .into_iter()
+        .find_map(|c| match c {
+            Call::Explain(u, w, _) => Some((u, w)),
+            _ => None,
+        })
+        .expect("the mix has explains");
+    let method = Method::RemoveExhaustive;
+    // The items an explain asks the column cache for: the Why-Not item
+    // at context build, then every target but `rec` in one call. Its
+    // reverse pushes are one lone push per asked item plus `rec`'s, which
+    // the session build pushes.
+    let (asked, lone_pushes) = {
+        let ctx = ExplainContext::build(&graph, cfg.clone(), user, wni).unwrap();
+        let asked: Vec<NodeId> = std::iter::once(wni)
+            .chain(ctx.targets().into_iter().filter(|&t| t != ctx.rec))
+            .collect();
+        let pushes: u64 = asked
+            .iter()
+            .chain(std::iter::once(&ctx.rec))
+            .map(|&t| ReversePush::compute(&*ctx.kernel, &cfg.rec.ppr, t).pushes as u64)
+            .sum();
+        (asked.len() as u64, pushes)
+    };
+    assert!(
+        asked > 2,
+        "the question asks for more columns than the cache holds"
+    );
+    let reference = reference_explain(&graph, &cfg, user, wni, method).unwrap();
+
+    let service = ExplanationService::start(
+        graph,
+        cfg,
+        ServiceConfig {
+            workers: 1,
+            session_capacity: 2,
+            column_capacity: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    let lookups = |m: &emigre_serve::MetricsSnapshot| m.column_cache.hits + m.column_cache.misses;
+    let first = service.explain(user, wni, method).unwrap();
+    let m1 = service.metrics();
+    assert_eq!(lookups(&m1), asked, "one lookup per asked item");
+    assert_eq!(m1.column_cache.misses, asked);
+    assert_eq!(m1.ops.reverse_pushes, lone_pushes);
+    assert_eq!(first, reference);
+
+    let second = service.explain(user, wni, method).unwrap();
+    let m2 = service.metrics();
+    assert_eq!(
+        lookups(&m2) - lookups(&m1),
+        asked,
+        "one lookup per asked item"
+    );
     assert_eq!(second, reference);
 }
 

@@ -13,6 +13,9 @@
 //!   exceeds ε, so each push drains > ε and the push count is at most
 //!   `drained / ε`.
 //!
+//! The reverse counters are checked on a lone column and on every column
+//! of one multi-target push (`ReversePush::compute_many`).
+//!
 //! The point of this suite is that the bounds are *scale-invariant*: the
 //! same assertions run on 10 k-node (always) and 100 k-node (release
 //! builds, the CI `scale` job) streaming power-law graphs, and as a
@@ -92,30 +95,49 @@ fn forward_push_work_is_bounded_at_scale() {
     }
 }
 
+/// A reverse column's counters at scale: its estimate total is `α ·`
+/// drained mass, and its push count is at most `drained / ε`.
+fn assert_reverse_counters(total: usize, cfg: &PprConfig, rev: &ReversePush) {
+    let tol = ulp_budget(rev.pushes);
+    let est: f64 = rev.estimates.iter().sum();
+    assert!(
+        (est - cfg.alpha * rev.drained).abs() <= tol.max(1e-12 * est.abs()),
+        "n={total}, target {:?}: Σest = {est} but α·drained = {}",
+        rev.target,
+        cfg.alpha * rev.drained
+    );
+    let bound = rev.drained / cfg.epsilon;
+    assert!(
+        (rev.pushes as f64) <= bound * (1.0 + 1e-9) + 1.0,
+        "n={total}, target {:?}: {} reverse pushes exceeds drained/ε = {bound}",
+        rev.target,
+        rev.pushes
+    );
+    assert!(
+        rev.pushes > 0,
+        "n={total}, target {:?}: target push never happened",
+        rev.target
+    );
+}
+
 #[test]
 fn reverse_push_invariants_hold_at_scale() {
     for (total, epsilon) in scale_sizes() {
         let kernel = scale_kernel(total, 0xCAFE ^ total as u64);
         let cfg = PprConfig::default().with_epsilon(epsilon);
         // Item ids start after the users; under the popularity Zipf the
-        // first item is the head of the distribution, guaranteeing edges.
+        // first items are the head of the distribution, guaranteeing edges.
         let spec = ScaleSpec::with_total_nodes(total, 0xCAFE ^ total as u64);
         let target = NodeId(spec.num_users as u32);
-        let rev = ReversePush::compute(&kernel, &cfg, target);
-        let tol = ulp_budget(rev.pushes);
-        let est: f64 = rev.estimates.iter().sum();
-        assert!(
-            (est - cfg.alpha * rev.drained).abs() <= tol.max(1e-12 * est.abs()),
-            "n={total}: Σest = {est} but α·drained = {}",
-            cfg.alpha * rev.drained
-        );
-        let bound = rev.drained / epsilon;
-        assert!(
-            (rev.pushes as f64) <= bound * (1.0 + 1e-9) + 1.0,
-            "n={total}: {} reverse pushes exceeds drained/ε = {bound}",
-            rev.pushes
-        );
-        assert!(rev.pushes > 0, "n={total}: target push never happened");
+        assert_reverse_counters(total, &cfg, &ReversePush::compute(&kernel, &cfg, target));
+        // The eight head items' columns from one multi-target push.
+        let heads: Vec<NodeId> = (0..8).map(|k| NodeId(target.0 + k)).collect();
+        let columns = ReversePush::compute_many(&kernel, &cfg, &heads);
+        assert_eq!(columns.len(), heads.len());
+        for (col, &t) in columns.iter().zip(&heads) {
+            assert_eq!(col.target, t);
+            assert_reverse_counters(total, &cfg, col);
+        }
     }
 }
 

@@ -232,7 +232,8 @@ fn serve_runs_its_workers_and_two_threads() {
 
 /// A server that runs out of file descriptors neither spins on the failing
 /// `accept` nor locks new clients out: it closes its longest-idle
-/// connection to answer a fresh one while an idle flood is still held.
+/// connection to answer a fresh one while an idle flood is still held, a
+/// `/healthz` and an admitted `POST /explain` alike.
 #[cfg(target_os = "linux")]
 #[test]
 fn descriptor_exhaustion_does_not_spin_the_server() {
@@ -271,6 +272,18 @@ fn descriptor_exhaustion_does_not_spin_the_server() {
     let waited = asked.elapsed();
     assert!(response.starts_with("HTTP/1.1 200"), "{response:?}");
     assert!(waited < Duration::from_secs(2), "/healthz took {waited:?}");
+
+    // So must a read, which the reactor admits to the worker queue.
+    let body = r#"{"user":1,"why_not":7}"#;
+    let explain = format!(
+        "POST /explain HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let asked = std::time::Instant::now();
+    let response = server.ask_within(&explain, Duration::from_secs(2));
+    let waited = asked.elapsed();
+    assert!(response.starts_with("HTTP/1.1 200"), "{response:?}");
+    assert!(waited < Duration::from_secs(2), "/explain took {waited:?}");
     drop(idle);
     server.stop();
 }
