@@ -144,7 +144,9 @@ impl GraphDelta {
         DeltaView::new(base, self)
     }
 
-    /// Materialises `base ⊕ delta` into a fresh [`crate::Hin`].
+    /// Materialises `base ⊕ delta` into a new [`crate::Hin`] that shares
+    /// every node record the delta does not touch with `base`: the cost is
+    /// one pointer per node plus a copy of each edited endpoint's record.
     ///
     /// Used by tests to check overlay/materialised equivalence, and by
     /// callers that want to *commit* an accepted explanation.
@@ -163,10 +165,10 @@ impl GraphDelta {
 
 /// `base ⊕ delta` exposed as a read-only [`GraphView`].
 ///
-/// Lookup structures (hash sets over the removed keys, per-endpoint
-/// partitions of the added edges) are built once at construction; the delta
-/// is expected to be tiny (explanations have a handful of edges) so
-/// construction is effectively free.
+/// A hash set over the removed keys is built once at construction; the
+/// added edges are scanned in full on every adjacency visit. The delta is
+/// expected to be tiny (explanations have a handful of edges), so both
+/// are effectively free.
 pub struct DeltaView<'a, G: GraphView> {
     base: &'a G,
     removed: HashSet<EdgeKey>,

@@ -9,6 +9,7 @@ use crate::types::{EdgeKey, EdgeTypeId, NodeId, NodeTypeId, TypeRegistry};
 use crate::view::GraphView;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// One directed adjacency entry: the node at the other end of the edge, the
 /// edge's type and its weight.
@@ -50,7 +51,7 @@ impl fmt::Display for HinError {
 
 impl std::error::Error for HinError {}
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct NodeData {
     ntype: NodeTypeId,
     /// Optional human-readable label ("Harry Potter", "user #17", ...).
@@ -68,6 +69,12 @@ struct NodeData {
 /// `(src, dst, edge-type)` key. Adjacency is stored twice (out and in) so
 /// that forward *and* reverse local-push PPR run without building transposes.
 ///
+/// Node records are copy-on-write: a clone shares every record with its
+/// original, and a mutation deep-copies only the records it edits. A graph
+/// built by [`GraphDelta::apply_to`](crate::GraphDelta::apply_to)
+/// therefore costs one pointer per node plus copies of the records its
+/// edits touch.
+///
 /// ```
 /// use emigre_hin::{Hin, GraphView};
 ///
@@ -82,9 +89,9 @@ struct NodeData {
 /// assert_eq!(g.out_degree(u), 1);
 /// assert!(g.has_edge(u, i, rated));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Hin {
-    nodes: Vec<NodeData>,
+    nodes: Vec<Arc<NodeData>>,
     registry: TypeRegistry,
     num_edges: usize,
 }
@@ -112,13 +119,13 @@ impl Hin {
     /// Adds a node of the given type, returning its id.
     pub fn add_node(&mut self, ntype: NodeTypeId, label: Option<&str>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeData {
+        self.nodes.push(Arc::new(NodeData {
             ntype,
             label: label.map(str::to_owned),
             out: Vec::new(),
             inc: Vec::new(),
             out_weight_sum: 0.0,
-        });
+        }));
         id
     }
 
@@ -143,6 +150,12 @@ impl Hin {
         }
     }
 
+    /// The one way a mutator reaches a record: copies it first if another
+    /// graph still shares it.
+    fn node_mut(&mut self, n: NodeId) -> &mut NodeData {
+        Arc::make_mut(&mut self.nodes[n.index()])
+    }
+
     /// Inserts the directed edge `(src, dst, etype)` with the given weight.
     ///
     /// Fails on duplicate keys, unknown nodes, self-loops, or non-positive /
@@ -165,13 +178,14 @@ impl Hin {
         if self.has_edge(src, dst, etype) {
             return Err(HinError::DuplicateEdge(EdgeKey::new(src, dst, etype)));
         }
-        self.nodes[src.index()].out.push(EdgeRecord {
+        let s = self.node_mut(src);
+        s.out.push(EdgeRecord {
             node: dst,
             etype,
             weight,
         });
-        self.nodes[src.index()].out_weight_sum += weight;
-        self.nodes[dst.index()].inc.push(EdgeRecord {
+        s.out_weight_sum += weight;
+        self.node_mut(dst).inc.push(EdgeRecord {
             node: src,
             etype,
             weight,
@@ -204,14 +218,15 @@ impl Hin {
         self.check_node(src)?;
         self.check_node(dst)?;
         let key = EdgeKey::new(src, dst, etype);
-        let out = &mut self.nodes[src.index()].out;
-        let pos = out
+        let pos = self.nodes[src.index()]
+            .out
             .iter()
             .position(|e| e.node == dst && e.etype == etype)
             .ok_or(HinError::MissingEdge(key))?;
-        let removed = out.swap_remove(pos);
-        self.nodes[src.index()].out_weight_sum -= removed.weight;
-        let inc = &mut self.nodes[dst.index()].inc;
+        let s = self.node_mut(src);
+        let removed = s.out.swap_remove(pos);
+        s.out_weight_sum -= removed.weight;
+        let inc = &mut self.node_mut(dst).inc;
         let ipos = inc
             .iter()
             .position(|e| e.node == src && e.etype == etype)
@@ -281,31 +296,35 @@ impl Hin {
         out_weight_sum: f64,
     ) {
         self.num_edges += out.len();
-        self.nodes.push(NodeData {
+        self.nodes.push(Arc::new(NodeData {
             ntype,
             label,
             out,
             inc,
             out_weight_sum,
-        });
+        }));
     }
 
-    /// Heap bytes owned by the graph: the node arena, both adjacency
-    /// buffers of every node, label strings, and the type registry.
-    /// Counts buffer *capacities* (what the structure asked the allocator
-    /// for), excluding `size_of::<Hin>()` itself. This is the structural
-    /// footprint behind the server's `emigre_graph_bytes` gauge.
+    /// Heap bytes reachable from the graph: the record pointer array, each
+    /// record with its two `Arc` counters, both adjacency buffers of every
+    /// node, label strings, and the type registry. Counts buffer
+    /// *capacities* (what the structure asked the allocator for),
+    /// excluding `size_of::<Hin>()` itself. Records shared with another
+    /// graph are counted in full by each. This is the structural footprint
+    /// behind the server's `emigre_graph_bytes` gauge.
     pub fn heap_bytes(&self) -> usize {
-        let nodes = self.nodes.capacity() * std::mem::size_of::<NodeData>();
+        let pointers = self.nodes.capacity() * std::mem::size_of::<Arc<NodeData>>();
+        let record = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<NodeData>();
         let per_node: usize = self
             .nodes
             .iter()
             .map(|d| {
-                (d.out.capacity() + d.inc.capacity()) * std::mem::size_of::<EdgeRecord>()
+                record
+                    + (d.out.capacity() + d.inc.capacity()) * std::mem::size_of::<EdgeRecord>()
                     + d.label.as_ref().map_or(0, |l| l.capacity())
             })
             .sum();
-        nodes + per_node + self.registry.heap_bytes()
+        pointers + per_node + self.registry.heap_bytes()
     }
 }
 
@@ -510,5 +529,59 @@ mod tests {
         g.remove_edge(u, a, t).unwrap();
         assert!(snapshot.has_edge(u, a, t));
         assert!(!g.has_edge(u, a, t));
+    }
+
+    #[test]
+    fn mutations_copy_only_the_records_they_edit() {
+        let (mut g, u, a, b, t) = small();
+        g.add_edge(u, a, t, 1.0).unwrap();
+        let parent = g.clone();
+        let shared =
+            |g: &Hin, n: NodeId| Arc::ptr_eq(&g.nodes[n.index()], &parent.nodes[n.index()]);
+        assert!(g.node_ids().all(|n| shared(&g, n)));
+        // Failed mutations leave every record shared.
+        assert!(g.add_edge(u, a, t, 1.0).is_err());
+        assert!(g.remove_edge(a, b, t).is_err());
+        assert!(g.node_ids().all(|n| shared(&g, n)));
+        g.add_edge(a, b, t, 2.0).unwrap();
+        assert!(shared(&g, u));
+        assert!(!shared(&g, a) && !shared(&g, b));
+        assert_eq!(parent.out_degree(a), 0);
+        assert_eq!(parent.in_degree(b), 0);
+    }
+
+    #[test]
+    fn heap_bytes_counts_pointers_records_lists_labels_and_registry() {
+        let mut g = Hin {
+            nodes: Vec::with_capacity(3),
+            ..Hin::default()
+        };
+        let nt = g.registry_mut().node_type("n");
+        let et = g.registry_mut().edge_type("e");
+        let e = |node: u32, weight: f64| EdgeRecord {
+            node: NodeId(node),
+            etype: et,
+            weight,
+        };
+        // `vec![..]` and `String::from` allocate exactly their length.
+        g.restore_node(
+            nt,
+            Some(String::from("ab")),
+            vec![e(1, 1.0), e(2, 2.0)],
+            vec![],
+            3.0,
+        );
+        g.restore_node(nt, None, vec![], vec![e(0, 1.0)], 0.0);
+        g.restore_node(nt, Some(String::from("c")), vec![], vec![e(0, 2.0)], 0.0);
+        let record = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<NodeData>();
+        // Pointers, records, four edge entries and three label bytes.
+        let nodes = 3 * std::mem::size_of::<usize>()
+            + 3 * record
+            + 4 * std::mem::size_of::<EdgeRecord>()
+            + 3;
+        assert_eq!(g.heap_bytes(), nodes + g.registry().heap_bytes());
+        // A clone counts the records it shares in full.
+        let c = g.clone();
+        assert_eq!(c.heap_bytes(), nodes + c.registry().heap_bytes());
     }
 }

@@ -70,6 +70,13 @@ pub fn to_edge_list(g: &Hin) -> String {
     out
 }
 
+/// The next whitespace-separated field parsed as `T`; `None` when it is
+/// missing or does not parse (a fraction or a sign where `T` is unsigned,
+/// a value past `T`'s range).
+fn next_field<'a, T: std::str::FromStr>(parts: &mut impl Iterator<Item = &'a str>) -> Option<T> {
+    parts.next().and_then(|s| s.parse().ok())
+}
+
 /// Parses the edge-list format back into a graph.
 pub fn from_edge_list(text: &str) -> Result<Hin, ParseError> {
     let mut lines = text.lines().enumerate();
@@ -91,10 +98,7 @@ pub fn from_edge_list(text: &str) -> Result<Hin, ParseError> {
         let kind = parts.next().expect("non-empty line");
         match kind {
             "nodetype" | "edgetype" => {
-                let id: u16 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad(lineno, "bad type id"))?;
+                let id: u16 = next_field(&mut parts).ok_or_else(|| bad(lineno, "bad type id"))?;
                 let name = parts
                     .next()
                     .ok_or_else(|| bad(lineno, "missing type name"))?;
@@ -108,14 +112,8 @@ pub fn from_edge_list(text: &str) -> Result<Hin, ParseError> {
                 }
             }
             "node" => {
-                let id: u32 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad(lineno, "bad node id"))?;
-                let t: u16 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad(lineno, "bad node type"))?;
+                let id: u32 = next_field(&mut parts).ok_or_else(|| bad(lineno, "bad node id"))?;
+                let t: u16 = next_field(&mut parts).ok_or_else(|| bad(lineno, "bad node type"))?;
                 if t as usize >= g.registry().num_node_types() {
                     return Err(bad(lineno, "unknown node type"));
                 }
@@ -134,16 +132,10 @@ pub fn from_edge_list(text: &str) -> Result<Hin, ParseError> {
                 }
             }
             "edge" => {
-                let mut num = |what: &str| -> Result<f64, ParseError> {
-                    parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad(lineno, what))
-                };
-                let src = num("bad src")? as u32;
-                let dst = num("bad dst")? as u32;
-                let et = num("bad edge type")? as u16;
-                let w = num("bad weight")?;
+                let src: u32 = next_field(&mut parts).ok_or_else(|| bad(lineno, "bad src"))?;
+                let dst: u32 = next_field(&mut parts).ok_or_else(|| bad(lineno, "bad dst"))?;
+                let et: u16 = next_field(&mut parts).ok_or_else(|| bad(lineno, "bad edge type"))?;
+                let w: f64 = next_field(&mut parts).ok_or_else(|| bad(lineno, "bad weight"))?;
                 if et as usize >= g.registry().num_edge_types() {
                     return Err(bad(lineno, "unknown edge type"));
                 }
@@ -251,6 +243,33 @@ mod tests {
             from_edge_list(&text),
             Err(ParseError::BadRecord { line: 2, .. })
         ));
+    }
+
+    #[test]
+    fn malformed_edge_ids_are_rejected_not_coerced() {
+        let prefix =
+            format!("{HEADER}\nnodetype 0 n\nedgetype 0 e\nnode 0 0\nnode 1 0\nnode 2 0\n");
+        for (edge, reason) in [
+            ("edge 3.9 -1 0 1", "bad src"),
+            ("edge 0 -1 0 1", "bad dst"),
+            ("edge nan 2 0 1", "bad src"),
+            ("edge 0 2 0.7 1", "bad edge type"),
+            ("edge 0 4294967296 0 1", "bad dst"),
+            ("edge 0 2 65536 1", "bad edge type"),
+            ("edge 0 2 0", "bad weight"),
+        ] {
+            match from_edge_list(&format!("{prefix}{edge}\n")) {
+                Err(ParseError::BadRecord { line: 7, reason: r }) => {
+                    assert_eq!(r, reason, "{edge}");
+                }
+                other => panic!("{edge}: unexpected {other:?}"),
+            }
+        }
+        let g = from_edge_list(&format!("{prefix}edge 0 2 0 1.5\n")).unwrap();
+        assert_eq!(
+            g.edge_weight(NodeId(0), NodeId(2), EdgeTypeId(0)),
+            Some(1.5)
+        );
     }
 
     #[test]

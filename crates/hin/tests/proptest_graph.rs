@@ -1,8 +1,9 @@
 //! Property tests for the HIN substrate: mutation invariants, overlay /
-//! materialisation equivalence, and subgraph-extraction soundness under
-//! random graphs and random edit scripts.
+//! materialisation equivalence, copy-on-write isolation of clones, and
+//! subgraph-extraction soundness under random graphs and random edit
+//! scripts.
 
-use emigre_hin::{EdgeKey, EdgeTypeId, GraphDelta, GraphView, Hin, NodeId};
+use emigre_hin::{EdgeKey, EdgeRecord, EdgeTypeId, GraphDelta, GraphView, Hin, NodeId};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -49,6 +50,73 @@ fn apply(g: &mut Hin, ops: &[Op]) {
             }
         }
     }
+}
+
+/// Builds a delta from the ops that are valid against `g` in sequence,
+/// skipping the rest.
+fn valid_delta(g: &Hin, edits: &[Op]) -> GraphDelta {
+    let mut d = GraphDelta::new();
+    for op in edits {
+        match *op {
+            Op::Add {
+                src,
+                dst,
+                etype,
+                weight,
+            } => {
+                let key = EdgeKey::new(NodeId(src), NodeId(dst), EdgeTypeId(etype));
+                if src != dst
+                    && !g.has_edge(key.src, key.dst, key.etype)
+                    && !d.added().iter().any(|a| a.key == key)
+                    && !d.removed().contains(&key)
+                {
+                    d.add_edge(key, weight);
+                }
+            }
+            Op::Remove { src, dst, etype } => {
+                let key = EdgeKey::new(NodeId(src), NodeId(dst), EdgeTypeId(etype));
+                if g.has_edge(key.src, key.dst, key.etype)
+                    && !d.removed().contains(&key)
+                    && !d.added().iter().any(|a| a.key == key)
+                {
+                    d.remove_edge(key);
+                }
+            }
+        }
+    }
+    d
+}
+
+/// One adjacency list in stored order, weights by bit pattern.
+type List = Vec<(NodeId, EdgeTypeId, u64)>;
+
+/// Everything a graph's readers see: both adjacency lists of every node,
+/// its cached out-weight sum by bit pattern, and the edge count.
+fn observe(g: &Hin) -> (Vec<(List, List, u64)>, usize) {
+    let list = |l: &[EdgeRecord]| -> List {
+        l.iter()
+            .map(|e| (e.node, e.etype, e.weight.to_bits()))
+            .collect()
+    };
+    let nodes = g
+        .node_ids()
+        .map(|n| {
+            (
+                list(g.out_edges(n)),
+                list(g.in_edges(n)),
+                g.out_weight_sum(n).to_bits(),
+            )
+        })
+        .collect();
+    (nodes, g.num_edges())
+}
+
+/// A copy of `g` that shares nothing with it: the binary image restores
+/// adjacency order and cached sums verbatim into fresh records.
+fn independent_copy(g: &Hin) -> Hin {
+    emigre_hin::Snapshot::from_bytes(emigre_hin::snapshot_to_bytes(g))
+        .expect("a fresh image opens")
+        .to_hin()
 }
 
 fn fresh(n: u32) -> Hin {
@@ -99,28 +167,7 @@ proptest! {
     fn overlay_equals_materialised(script in ops(7, 2), edits in ops(7, 2)) {
         let mut g = fresh(7);
         apply(&mut g, &script);
-        // Build a consistent delta from the edit ops (skip invalid ones).
-        let mut d = GraphDelta::new();
-        for op in &edits {
-            match *op {
-                Op::Add { src, dst, etype, weight } => {
-                    let key = EdgeKey::new(NodeId(src), NodeId(dst), EdgeTypeId(etype));
-                    if src != dst && !g.has_edge(key.src, key.dst, key.etype)
-                        && !d.added().iter().any(|a| a.key == key)
-                        && !d.removed().contains(&key) {
-                        d.add_edge(key, weight);
-                    }
-                }
-                Op::Remove { src, dst, etype } => {
-                    let key = EdgeKey::new(NodeId(src), NodeId(dst), EdgeTypeId(etype));
-                    if g.has_edge(key.src, key.dst, key.etype)
-                        && !d.removed().contains(&key)
-                        && !d.added().iter().any(|a| a.key == key) {
-                        d.remove_edge(key);
-                    }
-                }
-            }
-        }
+        let d = valid_delta(&g, &edits);
         prop_assume!(d.validate(&g).is_ok());
         let materialised = d.apply_to(&g).unwrap();
         let view = d.overlay(&g);
@@ -134,6 +181,34 @@ proptest! {
             b.sort();
             prop_assert_eq!(a, b, "out mismatch at {}", u);
         }
+    }
+
+    /// A clone shares its node records with the original until either
+    /// edits one. Edits to the clone, made directly or through
+    /// `GraphDelta::apply_to`, never show through to the original, and
+    /// the edited clone equals the same edits made to a copy that shares
+    /// nothing.
+    #[test]
+    fn edits_to_a_clone_leave_the_original_untouched(
+        script in ops(8, 2),
+        edits in ops(8, 2),
+    ) {
+        let mut g = fresh(8);
+        apply(&mut g, &script);
+        let before = observe(&g);
+
+        let mut direct = g.clone();
+        apply(&mut direct, &edits);
+        let mut expected = independent_copy(&g);
+        apply(&mut expected, &edits);
+        prop_assert_eq!(observe(&direct), observe(&expected));
+        prop_assert_eq!(observe(&g), before.clone());
+
+        let d = valid_delta(&g, &edits);
+        let via_delta = d.apply_to(&g).expect("a valid delta applies");
+        let expected = d.apply_to(&independent_copy(&g)).expect("a valid delta applies");
+        prop_assert_eq!(observe(&via_delta), observe(&expected));
+        prop_assert_eq!(observe(&g), before);
     }
 
     /// Binary snapshots, opened in memory, preserve every query the

@@ -14,12 +14,15 @@
 //!   concurrent publish can never tear one explanation across two graphs.
 //! - Writers are serialised by a dedicated write lock and follow a
 //!   **two-step publish protocol**: (1) *apply* — validate the delta,
-//!   materialise the new graph, and rebuild the kernel's touched rows via
+//!   materialise the new graph (one pointer per node, plus a copy of each
+//!   edited endpoint's record; every other record is shared with the
+//!   parent epoch), and rebuild the kernel's touched rows via
 //!   [`TransitionCsr::rebuild_rows`](emigre_ppr::TransitionCsr::rebuild_rows)
 //!   (`O(Σ deg(touched))` recompute +
 //!   `O(E)` copy, entirely outside the readers' lock); (2) *publish* —
 //!   swap the `Arc` under the current-epoch lock, an atomic pointer
-//!   replacement. There is no intermediate state a reader can observe:
+//!   replacement, and drop the superseded epoch after the lock is
+//!   released. There is no intermediate state a reader can observe:
 //!   either the old epoch or the fully built new one.
 //!
 //! A panic anywhere in step (1) — including an injected
@@ -29,13 +32,16 @@
 //! delays visibility but can't expose partial state. The update-fault
 //! testkit suite pins both claims.
 //!
-//! **Cost model.** `apply` clones the graph (`O(V + E)`) and copies the
-//! kernel's untouched rows. That is deliberate: epochs are immutable
-//! values, so readers need no synchronisation beyond the initial pin, and
-//! a reader stalled for seconds (or a replayed trace) still sees exactly
-//! its epoch. Feedback batches amortise the clone across their events;
-//! sub-linear publishes (shared-structure rows) are future work once
-//! update rates demand them.
+//! **Cost model.** Epochs are immutable values, so readers need no
+//! synchronisation beyond the initial pin, and a reader stalled for
+//! seconds (or a replayed trace) still sees exactly its epoch. They stay
+//! cheap to make because a [`Hin`]'s node records are copy-on-write: the
+//! new graph copies `V` record pointers and deep-copies only the records
+//! the delta edits, and freeing a superseded epoch's graph releases `V`
+//! references plus those few records. What is still `O(E)` per publish is
+//! the kernel: `rebuild_rows` copies every untouched row into fresh
+//! arrays. Sharing kernel rows across epochs is the next step once
+//! update rates demand it.
 //!
 //! **Why not repair cached push state across epochs?**
 //! [`PushWorkspace::repair_row_change`](emigre_ppr::PushWorkspace::repair_row_change)
@@ -75,6 +81,9 @@ impl GraphEpoch {
     /// both shared structures in the `HeapSize` accounting convention —
     /// `UserArtifacts` and the caches deliberately exclude their `Arc`s
     /// to the kernel, so `graph_bytes + cache_bytes` never double counts.
+    /// The graph is counted whole, including the node records it shares
+    /// with other epochs, so two live epochs together report more than
+    /// they hold.
     pub fn graph_bytes(&self) -> u64 {
         use emigre_obs::HeapSize;
         (self.graph.heap_bytes() + self.kernel.heap_bytes()) as u64
@@ -311,7 +320,13 @@ impl LiveGraph {
             graph: Arc::new(graph),
             kernel: Arc::new(kernel),
         });
-        *self.current.lock() = next;
+        let superseded = std::mem::replace(&mut *self.current.lock(), next);
+        // `superseded` is the epoch `base` pinned. Dropping both here,
+        // after the readers' lock is released, frees its kernel and its
+        // unshared graph records (unless a reader still pins it) without
+        // making any `pin` wait for the free.
+        drop(superseded);
+        drop(base);
         self.epochs_published.fetch_add(1, Ordering::Relaxed);
         Ok(FeedbackOutcome {
             epoch: next_epoch,
@@ -401,6 +416,30 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn feedback_ids_deserialize_only_inside_u32() {
+        let event = |src: &str| {
+            serde_json::from_str::<FeedbackEvent>(&format!(
+                r#"{{"op":"add","src":{src},"dst":1,"etype":"rated"}}"#
+            ))
+        };
+        assert_eq!(event("4294967295").unwrap().src, u32::MAX);
+        assert_eq!(event("4.294967295e9").unwrap().src, u32::MAX);
+        for bad in [
+            "4294967296",
+            "4294967301",
+            "4.294967296e9",
+            "-1",
+            "1.5",
+            "1e400",
+        ] {
+            assert!(event(bad).is_err(), "src {bad} must not deserialize");
+        }
+        assert!(serde_json::from_str::<u8>("300").is_err());
+        assert_eq!(serde_json::from_str::<i8>("-128").unwrap(), i8::MIN);
+        assert!(serde_json::from_str::<i8>("-129").is_err());
     }
 
     #[test]

@@ -267,3 +267,43 @@ fn http_feedback_end_to_end_threads_the_epoch_through_responses() {
     assert_eq!(status_of(&r), 200, "{r}");
     server_thread.join().unwrap().expect("server exits cleanly");
 }
+
+/// Ids past `u32` are refused at the body parser, not wrapped onto nodes
+/// nobody named: 2³² would otherwise read as node 0 and 2³² + 5 as node 5.
+#[test]
+fn http_rejects_ids_past_u32_instead_of_wrapping_them() {
+    let (graph, cfg, _) = test_world();
+    let service = Arc::new(ExplanationService::start(
+        graph,
+        cfg,
+        ServiceConfig::default(),
+    ));
+    let server = HttpServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run());
+
+    let r = http(
+        &addr,
+        "POST",
+        "/feedback",
+        Some(r#"{"events":[{"op":"add","src":4294967296,"dst":4294967301,"etype":"rated"}]}"#),
+    );
+    assert_eq!(status_of(&r), 400, "{r}");
+    assert!(r.contains("bad_request"), "{r}");
+    let m = service.metrics();
+    assert_eq!(m.graph_epoch, 0);
+    assert_eq!(m.epochs_published, 0);
+
+    let r = http(
+        &addr,
+        "POST",
+        "/explain",
+        Some(r#"{"user":4294967296,"why_not":1}"#),
+    );
+    assert_eq!(status_of(&r), 400, "{r}");
+    assert!(r.contains("bad_request"), "{r}");
+
+    let r = http(&addr, "POST", "/shutdown", None);
+    assert_eq!(status_of(&r), 200, "{r}");
+    server_thread.join().unwrap().expect("server exits cleanly");
+}

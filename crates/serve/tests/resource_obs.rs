@@ -269,3 +269,61 @@ fn tracked_builds_report_real_allocation_numbers() {
         resp.stages.total_alloc_bytes
     );
 }
+
+/// A feedback publish materialises its graph by copying the record
+/// pointers and only the records its edges touch; every other record is
+/// shared with the parent epoch. A deep clone of the graph, the cost
+/// before records were shared, is over ten times this bound.
+#[cfg(feature = "heap-track")]
+#[test]
+fn applying_one_mirrored_edge_allocates_only_its_touched_records() {
+    use emigre_data::{ScaleGen, ScaleSpec};
+    use emigre_hin::{EdgeKey, EdgeRecord, GraphDelta, GraphView};
+
+    let g = ScaleGen::new(ScaleSpec::with_total_nodes(10_000, 0x5CA1E)).materialize_hin();
+    let rated = g
+        .registry()
+        .find_edge_type("rated")
+        .expect("ScaleGen's edge type");
+    let item_t = g
+        .registry()
+        .find_node_type("item")
+        .expect("ScaleGen's item type");
+    let user = NodeId(0);
+    let item = g
+        .node_ids()
+        .find(|&n| g.node_type(n) == item_t && g.in_degree(n) > 0 && !g.has_edge(user, n, rated))
+        .expect("a rated item the user has not rated");
+    let mut delta = GraphDelta::new();
+    delta.add_edge(EdgeKey::new(user, item, rated), 1.0);
+    delta.add_edge(EdgeKey::new(item, user, rated), 1.0);
+
+    let scope = emigre_obs::AllocScope::start();
+    let next = delta.apply_to(&g).expect("a fresh edge applies");
+    let (bytes, count) = (scope.bytes() as usize, scope.count() as usize);
+    assert!(next.has_edge(item, user, rated));
+
+    // The pointer array and the registry's copy, then per touched record
+    // its `Arc` block (counters and fields, under 256 bytes) and each of
+    // its two lists copied (len entries) and grown once for the new edge
+    // (max(2·len, 4) entries).
+    let edge = std::mem::size_of::<EdgeRecord>();
+    let record = |n: NodeId| 256 + edge * (3 * (g.out_degree(n) + g.in_degree(n)) + 8);
+    let bound = g.num_nodes() * std::mem::size_of::<usize>()
+        + g.registry().heap_bytes()
+        + record(user)
+        + record(item);
+    assert!(
+        bytes > 0 && bytes <= bound,
+        "allocated {bytes} B, bound {bound} B"
+    );
+    assert!(
+        bound * 10 < g.heap_bytes(),
+        "bound {bound} B does not discriminate"
+    );
+    // Allocations: the pointer array; the registry's two tables and one
+    // string per type name; per record its block, two list copies and two
+    // grows (ScaleGen nodes carry no label).
+    let names = g.registry().num_node_types() + g.registry().num_edge_types();
+    assert!(count <= 1 + 2 + names + 2 * 5, "{count} allocations");
+}
