@@ -6,12 +6,12 @@
 //! `PPR(·, rec)` column, and differ only in the `PPR(·, WNI)` column.
 //! [`batch_contexts`] computes the shared artefacts once, cutting the
 //! per-question setup from three push runs to one. Its contexts also share
-//! one map of item columns: a Why-Not item's column and every target
-//! column Exhaustive Comparison reads are pushed once per batch, so a
-//! 10-item list pushes at most 9 item columns instead of up to 81. The
-//! valid Why-Not items' columns are pushed together, by one multi-target
-//! reverse push, so every later target lookup of a whole-list batch hits
-//! the map.
+//! one map of item columns: `rec`'s column, a Why-Not item's column and
+//! every target column Exhaustive Comparison reads are pushed once per
+//! batch, so a 10-item list pushes at most 10 item columns instead of up
+//! to 81. `rec`'s and the valid Why-Not items' columns are pushed
+//! together, by one multi-target reverse push, so every later target
+//! lookup of a whole-list batch hits the map.
 
 use crate::config::EmigreConfig;
 use crate::context::{push_columns, ExplainContext, UserArtifacts};
@@ -59,8 +59,7 @@ pub fn batch_contexts_with_obs<'g, G: GraphView>(
 }
 
 /// The user-shared half of a context build — kernel, user push,
-/// recommendation list, `PPR(·, rec)` column — exactly as
-/// [`ExplainContext::build`] computes it.
+/// recommendation list — exactly as [`ExplainContext::build`] computes it.
 pub(crate) fn user_artifacts<G: GraphView>(
     graph: &G,
     cfg: &EmigreConfig,
@@ -80,8 +79,9 @@ fn contexts_from<'g, G: GraphView>(
     wnis: &[NodeId],
     obs: &ObsHandle,
 ) -> Vec<Result<ExplainContext<'g, G>, QuestionError>> {
-    // The batch's item columns, each pushed once: the valid Why-Not items'
-    // together below, any other target when a search first asks for it.
+    // The batch's item columns, each pushed once: `rec`'s and the valid
+    // Why-Not items' together below, any other target when a search first
+    // asks for it.
     let pushed: RefCell<HashMap<NodeId, Arc<ReversePush>>> = RefCell::default();
     let (kernel, ppr, column_obs) = (Arc::clone(&artifacts.kernel), cfg.rec.ppr, obs.clone());
     let columns = Rc::new(move |items: &[NodeId]| {
@@ -109,11 +109,10 @@ fn contexts_from<'g, G: GraphView>(
         .collect();
     {
         let _span = obs.span("context_build");
-        let valid: Vec<NodeId> = checked
-            .iter()
-            .filter_map(|c| c.as_ref().ok().copied())
+        let asked: Vec<NodeId> = std::iter::once(artifacts.rec)
+            .chain(checked.iter().filter_map(|c| c.as_ref().ok().copied()))
             .collect();
-        columns(&valid);
+        columns(&asked);
     }
     checked
         .into_iter()
@@ -121,13 +120,13 @@ fn contexts_from<'g, G: GraphView>(
             let wni = checked?;
             let _span = obs.span("context_build");
             let ws = PushWorkspace::new(graph.num_nodes());
-            let ppr_to_wni = columns(&[wni]).pop().expect("one column per item");
+            let pair = columns(&[artifacts.rec, wni]).try_into();
             let ctx = ExplainContext::from_artifacts(
                 graph,
                 cfg.clone(),
                 artifacts,
                 wni,
-                ppr_to_wni,
+                pair.expect("one column per item"),
                 ws,
                 obs.clone(),
             )?;

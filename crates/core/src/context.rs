@@ -134,9 +134,13 @@ pub(crate) struct CheckState {
 ///
 /// One user's session asks many Why-Not questions (the §6.2 batch loop, or
 /// a serving session cache); all of them share the forward push, the
-/// recommendation list, the `PPR(·, rec)` column, and the candidate index.
-/// The artefacts are `Arc`-shared so assembling a context from them is
-/// `O(1)` — no `O(n)`/`O(E)` clones per question.
+/// recommendation list, and the candidate index. The artefacts are
+/// `Arc`-shared so assembling a context from them is `O(1)` — no
+/// `O(n)`/`O(E)` clones per question.
+///
+/// `PPR(·, rec)` is not among them: it is an item column like the Why-Not
+/// item's, pushed together with it ([`ExplainContext::for_question`]), and
+/// a server caches it per item, so users who share `rec` share its column.
 #[derive(Clone)]
 pub struct UserArtifacts {
     pub user: NodeId,
@@ -148,31 +152,26 @@ pub struct UserArtifacts {
     pub rec: NodeId,
     /// The user's top-`target_list_size` recommendation list.
     pub rec_list: RecList,
-    /// `PPR(·, rec)` estimates for every node.
-    pub ppr_to_rec: Arc<ReversePush>,
     /// Override-free candidate index, cloned into each context.
     pub cand_base: CandidateIndex,
 }
 
-/// Counts the artefacts this user *uniquely owns*: the two dense push
-/// states, the recommendation list, and the candidate index. The `kernel`
+/// Counts the artefacts this user *uniquely owns*: the dense push state,
+/// the recommendation list, and the candidate index. The `kernel`
 /// is deliberately excluded — it is the graph-wide transition CSR shared
 /// by every user and charged to its owner (the live `GraphEpoch`), so
 /// summing cached `UserArtifacts` never double counts it.
 impl HeapSize for UserArtifacts {
     fn heap_bytes(&self) -> usize {
-        self.user_push.heap_bytes()
-            + self.ppr_to_rec.heap_bytes()
-            + self.rec_list.heap_bytes()
-            + self.cand_base.heap_bytes()
+        self.user_push.heap_bytes() + self.rec_list.heap_bytes() + self.cand_base.heap_bytes()
     }
 }
 
 impl UserArtifacts {
     /// Computes the user-shared artefacts: one forward push, the
-    /// recommendation list (or `InvalidUser` if it is empty), one reverse
-    /// push on `rec`, and the candidate index. The caller supplies the
-    /// graph-wide `kernel` so it can be shared across users too.
+    /// recommendation list (or `InvalidUser` if it is empty), and the
+    /// candidate index. The caller supplies the graph-wide `kernel` so it
+    /// can be shared across users too.
     pub fn build<G: GraphView>(
         graph: &G,
         cfg: &EmigreConfig,
@@ -188,9 +187,6 @@ impl UserArtifacts {
         obs.add_mass(user_push.drained);
         let rec_list = target_list(graph, cfg, user, &user_push);
         let rec = rec_list.top().ok_or(QuestionError::InvalidUser(user))?;
-        let ppr_to_rec = ReversePush::compute(&*kernel, &cfg.rec.ppr, rec);
-        obs.count(Op::ReversePushes, ppr_to_rec.pushes as u64);
-        obs.add_mass(ppr_to_rec.drained);
         let cand_base = CandidateIndex::build(graph, cfg.rec.item_type, user);
         Ok(UserArtifacts {
             user,
@@ -198,7 +194,6 @@ impl UserArtifacts {
             user_push: Arc::new(user_push),
             rec,
             rec_list,
-            ppr_to_rec: Arc::new(ppr_to_rec),
             cand_base,
         })
     }
@@ -328,15 +323,16 @@ impl<'g, G: GraphView> ExplainContext<'g, G> {
     }
 
     /// The per-question half of every build: validates `wni` against the
-    /// user's shared artefacts, runs its `PPR(·, wni)` column over their
-    /// kernel, and assembles the context with
+    /// user's shared artefacts, pushes the `PPR(·, rec)` and `PPR(·, wni)`
+    /// columns over their kernel in one two-lane sweep
+    /// ([`ReversePush::compute_many`]), and assembles the context with
     /// [`ExplainContext::from_artifacts`]. A malformed question fails
-    /// before paying for the column.
+    /// before paying for the columns.
     ///
-    /// The group loop builds one user's artefacts once and calls this per
-    /// Why-Not item, so its questions share the kernel, the user push, the
-    /// recommendation list and the `PPR(·, rec)` column. The batch loop
-    /// shares its item columns too (`batch::batch_contexts`).
+    /// Callers that ask several questions of one user share the kernel,
+    /// the user push and the recommendation list through `artifacts`. The
+    /// batch and group loops share the item columns too
+    /// (`batch::batch_contexts`, `group::explain_any_of`).
     pub fn for_question(
         graph: &'g G,
         cfg: EmigreConfig,
@@ -346,30 +342,35 @@ impl<'g, G: GraphView> ExplainContext<'g, G> {
         obs: ObsHandle,
     ) -> Result<Self, QuestionError> {
         WhyNotQuestion::validate(graph, &cfg, artifacts.user, wni, Some(artifacts.rec))?;
-        let ppr_to_wni = push_columns(&artifacts.kernel, &cfg.rec.ppr, &[wni], &obs)
-            .pop()
-            .expect("one column per item");
-        Self::from_artifacts(graph, cfg, artifacts, wni, ppr_to_wni, ws, obs)
+        let columns = push_columns(&artifacts.kernel, &cfg.rec.ppr, &[artifacts.rec, wni], &obs);
+        let columns = columns.try_into().expect("one column per item");
+        Self::from_artifacts(graph, cfg, artifacts, wni, columns, ws, obs)
     }
 
-    /// Assembles a context from a user's shared artefacts, the
-    /// WNI-specific `PPR(·, wni)` column, and a recycled workspace.
+    /// Assembles a context from a user's shared artefacts, the columns
+    /// `[PPR(·, rec), PPR(·, wni)]`, and a recycled workspace.
     ///
     /// `O(1)` plus the candidate-index clone and the workspace reload —
     /// no pushes run. This is the serving fast path: artefacts come from a
-    /// session cache, the column from a column cache, and the workspace
+    /// session cache, the columns from a column cache, and the workspace
     /// from the worker's scratch. Validation against `rec` still happens
     /// here (`AlreadyRecommended` etc.), so cache hits fail questions with
     /// the same errors as cold builds.
+    ///
+    /// Panics if a column's target is not `rec` or `wni` respectively.
     pub fn from_artifacts(
         graph: &'g G,
         cfg: EmigreConfig,
         artifacts: &UserArtifacts,
         wni: NodeId,
-        ppr_to_wni: Arc<ReversePush>,
+        [ppr_to_rec, ppr_to_wni]: [Arc<ReversePush>; 2],
         mut ws: PushWorkspace,
         obs: ObsHandle,
     ) -> Result<Self, QuestionError> {
+        assert!(
+            ppr_to_rec.target == artifacts.rec && ppr_to_wni.target == wni,
+            "columns must be [PPR(·, rec), PPR(·, wni)]"
+        );
         WhyNotQuestion::validate(graph, &cfg, artifacts.user, wni, Some(artifacts.rec))?;
         obs.trace_question(artifacts.user.0, wni.0, artifacts.rec.0);
         ws.load_base(&artifacts.user_push);
@@ -381,7 +382,7 @@ impl<'g, G: GraphView> ExplainContext<'g, G> {
             rec: artifacts.rec,
             rec_list: artifacts.rec_list.clone(),
             user_push: Arc::clone(&artifacts.user_push),
-            ppr_to_rec: Arc::clone(&artifacts.ppr_to_rec),
+            ppr_to_rec,
             ppr_to_wni,
             kernel: Arc::clone(&artifacts.kernel),
             check: RefCell::new(CheckState {

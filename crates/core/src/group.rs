@@ -12,16 +12,18 @@
 //! one succeeds — the nearest member is the cheapest counterfactual, so
 //! the greedy order doubles as a quality heuristic. Every member's context
 //! shares one set of user artefacts (kernel, user push, recommendation
-//! list, `PPR(·, rec)` column), like the batch loop's.
+//! list) and the `PPR(·, rec)` column, like the batch loop's.
 
 use crate::batch::user_artifacts;
-use crate::context::ExplainContext;
+use crate::context::{push_columns, ExplainContext};
 use crate::explainer::{Explainer, Method};
 use crate::explanation::Explanation;
 use crate::failure::{ExplainFailure, FailureReason};
+use crate::question::WhyNotQuestion;
 use emigre_hin::{EdgeTypeId, GraphView, Hin, NodeId};
 use emigre_obs::ObsHandle;
 use emigre_ppr::PushWorkspace;
+use std::sync::Arc;
 
 /// Outcome of a group question: which member was promoted and how.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,12 +73,27 @@ pub fn explain_any_of<G: GraphView>(
 
     let mut failed = Vec::new();
     let mut checks = 0usize;
+    let one_column = |item: NodeId| {
+        let mut pushed = push_columns(&artifacts.kernel, &cfg.rec.ppr, &[item], &obs);
+        pushed.pop().expect("one column per item")
+    };
+    let ppr_to_rec = one_column(artifacts.rec);
     for wni in members {
-        let ws = PushWorkspace::new(g.num_nodes());
-        let Ok(ctx) =
-            ExplainContext::for_question(g, cfg.clone(), &artifacts, wni, ws, obs.clone())
-        else {
+        if WhyNotQuestion::validate(g, cfg, user, wni, Some(artifacts.rec)).is_err() {
             continue; // interacted / already recommended / not an item
+        }
+        let columns = [Arc::clone(&ppr_to_rec), one_column(wni)];
+        let ws = PushWorkspace::new(g.num_nodes());
+        let Ok(ctx) = ExplainContext::from_artifacts(
+            g,
+            cfg.clone(),
+            &artifacts,
+            wni,
+            columns,
+            ws,
+            obs.clone(),
+        ) else {
+            continue; // validated above
         };
         match Explainer::explain_with_context(&ctx, method) {
             Ok(explanation) => {

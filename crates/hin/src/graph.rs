@@ -69,11 +69,12 @@ struct NodeData {
 /// `(src, dst, edge-type)` key. Adjacency is stored twice (out and in) so
 /// that forward *and* reverse local-push PPR run without building transposes.
 ///
-/// Node records are copy-on-write: a clone shares every record with its
-/// original, and a mutation deep-copies only the records it edits. A graph
-/// built by [`GraphDelta::apply_to`](crate::GraphDelta::apply_to)
-/// therefore costs one pointer per node plus copies of the records its
-/// edits touch.
+/// Node records and the type registry are copy-on-write: a clone shares
+/// every record and the registry with its original, and a mutation
+/// deep-copies only the records it edits (and the registry, if it interns
+/// a type). A graph built by
+/// [`GraphDelta::apply_to`](crate::GraphDelta::apply_to) therefore costs
+/// one pointer per node plus copies of the records its edits touch.
 ///
 /// ```
 /// use emigre_hin::{Hin, GraphView};
@@ -92,7 +93,7 @@ struct NodeData {
 #[derive(Debug, Clone, Default)]
 pub struct Hin {
     nodes: Vec<Arc<NodeData>>,
-    registry: TypeRegistry,
+    registry: Arc<TypeRegistry>,
     num_edges: usize,
 }
 
@@ -106,14 +107,15 @@ impl Hin {
     pub fn with_registry(registry: TypeRegistry) -> Self {
         Hin {
             nodes: Vec::new(),
-            registry,
+            registry: Arc::new(registry),
             num_edges: 0,
         }
     }
 
     /// Mutable access to the type registry (for interning new types).
+    /// Copies the registry first if another graph shares it.
     pub fn registry_mut(&mut self) -> &mut TypeRegistry {
-        &mut self.registry
+        Arc::make_mut(&mut self.registry)
     }
 
     /// Adds a node of the given type, returning its id.
@@ -307,11 +309,12 @@ impl Hin {
 
     /// Heap bytes reachable from the graph: the record pointer array, each
     /// record with its two `Arc` counters, both adjacency buffers of every
-    /// node, label strings, and the type registry. Counts buffer
-    /// *capacities* (what the structure asked the allocator for),
-    /// excluding `size_of::<Hin>()` itself. Records shared with another
-    /// graph are counted in full by each. This is the structural footprint
-    /// behind the server's `emigre_graph_bytes` gauge.
+    /// node, label strings, and the type registry with its two `Arc`
+    /// counters. Counts buffer *capacities* (what the structure asked the
+    /// allocator for), excluding `size_of::<Hin>()` itself. Records and a
+    /// registry shared with another graph are counted in full by each.
+    /// This is the structural footprint behind the server's
+    /// `emigre_graph_bytes` gauge.
     pub fn heap_bytes(&self) -> usize {
         let pointers = self.nodes.capacity() * std::mem::size_of::<Arc<NodeData>>();
         let record = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<NodeData>();
@@ -324,7 +327,10 @@ impl Hin {
                     + d.label.as_ref().map_or(0, |l| l.capacity())
             })
             .sum();
-        pointers + per_node + self.registry.heap_bytes()
+        let registry = 2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<TypeRegistry>()
+            + self.registry.heap_bytes();
+        pointers + per_node + registry
     }
 }
 
@@ -548,6 +554,11 @@ mod tests {
         assert!(!shared(&g, a) && !shared(&g, b));
         assert_eq!(parent.out_degree(a), 0);
         assert_eq!(parent.in_degree(b), 0);
+        // Edge edits share the registry; interning a type copies it.
+        assert!(Arc::ptr_eq(&g.registry, &parent.registry));
+        g.registry_mut().edge_type("new");
+        assert!(!Arc::ptr_eq(&g.registry, &parent.registry));
+        assert_eq!(parent.registry().find_edge_type("new"), None);
     }
 
     #[test]
@@ -579,9 +590,15 @@ mod tests {
             + 3 * record
             + 4 * std::mem::size_of::<EdgeRecord>()
             + 3;
-        assert_eq!(g.heap_bytes(), nodes + g.registry().heap_bytes());
-        // A clone counts the records it shares in full.
+        // The registry's `Arc` block (counters and table headers), then
+        // its tables.
+        let registry = 2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<TypeRegistry>()
+            + g.registry().heap_bytes();
+        assert_eq!(g.heap_bytes(), nodes + registry);
+        // A clone counts the records and the registry it shares in full.
         let c = g.clone();
-        assert_eq!(c.heap_bytes(), nodes + c.registry().heap_bytes());
+        assert!(Arc::ptr_eq(&c.registry, &g.registry));
+        assert_eq!(c.heap_bytes(), nodes + registry);
     }
 }

@@ -14,6 +14,10 @@
 //! node 1 1
 //! edge 0 1 0 2.5           (src, dst, edge type, weight)
 //! ```
+//!
+//! A node's label is the rest of its line after the type field, kept
+//! verbatim: runs of spaces and tabs inside it survive a reload. Leading
+//! and trailing whitespace is trimmed, as for every line.
 
 use crate::graph::Hin;
 use crate::types::{EdgeTypeId, NodeId, NodeTypeId};
@@ -77,6 +81,14 @@ fn next_field<'a, T: std::str::FromStr>(parts: &mut impl Iterator<Item = &'a str
     parts.next().and_then(|s| s.parse().ok())
 }
 
+/// The first whitespace-separated field of `s` and the rest of `s` after
+/// it, both without the whitespace around them.
+fn split_field(s: &str) -> (&str, &str) {
+    let s = s.trim_start();
+    let end = s.find(char::is_whitespace).unwrap_or(s.len());
+    (&s[..end], s[end..].trim_start())
+}
+
 /// Parses the edge-list format back into a graph.
 pub fn from_edge_list(text: &str) -> Result<Hin, ParseError> {
     let mut lines = text.lines().enumerate();
@@ -94,8 +106,8 @@ pub fn from_edge_list(text: &str) -> Result<Hin, ParseError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let mut parts = line.split_whitespace();
-        let kind = parts.next().expect("non-empty line");
+        let (kind, rest) = split_field(line);
+        let mut parts = rest.split_whitespace();
         match kind {
             "nodetype" | "edgetype" => {
                 let id: u16 = next_field(&mut parts).ok_or_else(|| bad(lineno, "bad type id"))?;
@@ -112,21 +124,16 @@ pub fn from_edge_list(text: &str) -> Result<Hin, ParseError> {
                 }
             }
             "node" => {
-                let id: u32 = next_field(&mut parts).ok_or_else(|| bad(lineno, "bad node id"))?;
-                let t: u16 = next_field(&mut parts).ok_or_else(|| bad(lineno, "bad node type"))?;
+                let (id, rest) = split_field(rest);
+                let (t, label) = split_field(rest);
+                let id: u32 = id.parse().map_err(|_| bad(lineno, "bad node id"))?;
+                let t: u16 = t.parse().map_err(|_| bad(lineno, "bad node type"))?;
                 if t as usize >= g.registry().num_node_types() {
                     return Err(bad(lineno, "unknown node type"));
                 }
-                // Remainder of the line (if any) is the label, spaces included.
-                let label: Option<String> = {
-                    let rest: Vec<&str> = parts.collect();
-                    if rest.is_empty() {
-                        None
-                    } else {
-                        Some(rest.join(" "))
-                    }
-                };
-                let created = g.add_node(NodeTypeId(t), label.as_deref());
+                // The rest of the line (if any) is the label, verbatim.
+                let label = (!label.is_empty()).then_some(label);
+                let created = g.add_node(NodeTypeId(t), label);
                 if created.0 != id {
                     return Err(bad(lineno, "node ids must be dense and in order"));
                 }
@@ -223,6 +230,21 @@ mod tests {
         let g = sample();
         let back = from_edge_list(&to_edge_list(&g)).unwrap();
         assert_eq!(back.label(crate::NodeId(0)), Some("Paul Atreides"));
+    }
+
+    #[test]
+    fn labels_keep_their_inner_whitespace() {
+        let mut g = Hin::new();
+        let user = g.registry_mut().node_type("user");
+        let n = g.add_node(user, Some("Paul  \t Atreides"));
+        let text = to_edge_list(&g);
+        let back = from_edge_list(&text).unwrap();
+        assert_eq!(back.label(n), Some("Paul  \t Atreides"));
+        assert_eq!(to_edge_list(&back), text);
+        // Whitespace around the fields is not part of them.
+        let text = format!("{HEADER}\nnodetype 0 user\n  node\t0  0 \tPaul  \t Atreides \t\n");
+        let back = from_edge_list(&text).unwrap();
+        assert_eq!(back.label(n), Some("Paul  \t Atreides"));
     }
 
     #[test]

@@ -28,11 +28,23 @@ use std::cell::OnceCell;
 /// `forward_row(u)` yields `(dsts, probs)` with `probs[i] = W(u, dsts[i])`;
 /// `reverse_row(v)` yields `(srcs, probs)` with `probs[i] = W(srcs[i], v)`.
 /// Parallel edges are merged, so destinations within a row are distinct.
-pub trait CsrRows {
+///
+/// Every row entry is below `num_nodes()`, and the push loops index their
+/// state by row entries without bounds checks. The trait is sealed so that
+/// [`TransitionCsr`] and [`PatchedCsr`], which keep that invariant, are its
+/// only implementations.
+pub trait CsrRows: sealed::Sealed {
     fn num_nodes(&self) -> usize;
 
     fn forward_row(&self, u: NodeId) -> (&[u32], &[f64]);
     fn reverse_row(&self, v: NodeId) -> (&[u32], &[f64]);
+}
+
+mod sealed {
+    /// Implemented only by the kernels of this module.
+    pub trait Sealed {}
+    impl Sealed for super::TransitionCsr {}
+    impl Sealed for super::PatchedCsr<'_> {}
 }
 
 /// The transition matrix of one `(graph, model)` pair in CSR form, forward
@@ -156,6 +168,11 @@ impl TransitionCsr {
     /// Assembles a kernel from finished forward rows, deriving the reverse
     /// arrays by counting sort: one pass to size the reverse rows, one to
     /// fill them (sources come out in ascending order).
+    ///
+    /// Every constructor ends here, and the sizing pass panics on a
+    /// destination of `n` or more, so every kernel row entry is below
+    /// `num_nodes`: the invariant the push loops' unchecked scatter rests
+    /// on. Reverse entries are row indices `u < n`.
     fn from_forward(
         model: TransitionModel,
         fwd_offsets: Vec<u32>,
@@ -165,6 +182,7 @@ impl TransitionCsr {
         let n = fwd_offsets.len() - 1;
         let mut rev_offsets = vec![0u32; n + 1];
         for &v in &fwd_dsts {
+            // Index `v + 1` of `n + 1` slots: out of bounds for `v >= n`.
             rev_offsets[v as usize + 1] += 1;
         }
         for i in 0..n {
@@ -266,7 +284,19 @@ impl TransitionCsr {
     /// never materialises a graph — the million-node bench leg — needs to
     /// run a CHECK against a streamed kernel. Reverse patches derive lazily
     /// from the supplied rows exactly as for view-built patches.
+    ///
+    /// Panics if a row's node or one of its destinations is not below
+    /// [`CsrRows::num_nodes`], or if a row's two slices differ in length:
+    /// the push loops index by row entries without bounds checks.
     pub fn patched_rows(&self, mut rows: Vec<(u32, Vec<u32>, Vec<f64>)>) -> PatchedCsr<'_> {
+        let n = self.num_nodes();
+        for (u, dsts, probs) in &rows {
+            assert!(
+                (*u as usize) < n && dsts.iter().all(|&v| (v as usize) < n),
+                "patched row {u} names a node past the {n}-node kernel"
+            );
+            assert_eq!(dsts.len(), probs.len(), "patched row {u}: slice lengths");
+        }
         rows.sort_unstable_by_key(|&(u, _, _)| u);
         PatchedCsr {
             base: self,

@@ -38,6 +38,7 @@ pub mod forward;
 pub mod kernel;
 pub mod power;
 pub mod reverse;
+mod sweep;
 pub mod topk;
 pub mod transition;
 pub mod workspace;

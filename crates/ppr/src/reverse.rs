@@ -23,6 +23,7 @@
 
 use crate::config::PprConfig;
 use crate::kernel::CsrRows;
+use crate::sweep::Sweep;
 use emigre_hin::NodeId;
 
 /// State of a Reverse Local Push towards one target node.
@@ -76,31 +77,21 @@ impl ReversePush {
     /// ε. Push order does not affect the Eq. (4) invariant or the ε
     /// guarantee, and sequential row access beats a FIFO queue's
     /// random-order traversal.
+    ///
+    /// Panics unless `estimates` and `residuals` each hold one entry per
+    /// kernel node.
     pub fn push_until_converged<K: CsrRows>(&mut self, kernel: &K, cfg: &PprConfig) {
-        let eps = cfg.epsilon;
-        let n = self.residuals.len();
-        loop {
-            let mut any = false;
-            for v in 0..n {
-                let r = self.residuals[v];
-                if r.abs() <= eps {
-                    continue;
-                }
-                any = true;
-                self.residuals[v] = 0.0;
-                self.estimates[v] += cfg.alpha * r;
-                self.pushes += 1;
-                self.drained += r.abs();
-                let spread = (1.0 - cfg.alpha) * r;
-                let (srcs, probs) = kernel.reverse_row(NodeId(v as u32));
-                for (&u, &p) in srcs.iter().zip(probs) {
-                    self.residuals[u as usize] += spread * p;
-                }
-            }
-            if !any {
-                return;
-            }
-        }
+        let n = kernel.num_nodes() as u32;
+        let mut sweep = Sweep::new(
+            kernel,
+            cfg,
+            &mut self.estimates,
+            &mut self.residuals,
+            self.pushes,
+            self.drained,
+        );
+        while sweep.reverse(cfg.epsilon, 0..n) {}
+        (self.pushes, self.drained) = (sweep.pushes, sweep.drained);
     }
 
     /// Runs RLP towards every target of `targets`, in order; duplicates
@@ -198,7 +189,11 @@ fn push_lanes<K: CsrRows, const L: usize>(
             any = true;
             let (srcs, probs) = kernel.reverse_row(NodeId(v as u32));
             for (&u, &p) in srcs.iter().zip(probs) {
-                let row = &mut residuals[u as usize];
+                let ui = u as usize;
+                debug_assert!(ui < residuals.len(), "row entry {u} past the kernel");
+                // SAFETY: every kernel row entry is below `num_nodes` (see
+                // `crate::sweep`), and `residuals` holds `num_nodes` rows.
+                let row = unsafe { residuals.get_unchecked_mut(ui) };
                 for l in 0..L {
                     row[l] += spread[l] * p;
                 }

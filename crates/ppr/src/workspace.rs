@@ -32,6 +32,7 @@
 use crate::config::PprConfig;
 use crate::forward::ForwardPush;
 use crate::kernel::CsrRows;
+use crate::sweep::Sweep;
 use emigre_hin::NodeId;
 
 #[derive(Debug, Clone, Copy)]
@@ -109,6 +110,12 @@ impl PushWorkspace {
     #[inline]
     pub fn estimates(&self) -> &[f64] {
         &self.estimates
+    }
+
+    /// Current residuals (base plus transaction writes).
+    #[inline]
+    pub fn residuals(&self) -> &[f64] {
+        &self.residuals
     }
 
     /// Estimated `PPR(seed, t)` under the current transaction.
@@ -249,8 +256,26 @@ impl PushWorkspace {
     /// finer than the ε the base state was converged at: an untouched node
     /// still holds its base residual, which that ε already bounds, so the
     /// touched set is the whole frontier.
+    ///
+    /// Once the transaction has touched every node, the log can no longer
+    /// grow and every `touch` is a no-op, so a pass that starts that way
+    /// runs the plain sweep of `crate::sweep` over the log, in the same
+    /// order. The test is made once per pass: made per node visit, it cost
+    /// 3–4% on CHECK-heavy explains.
+    ///
+    /// Panics unless the workspace holds one entry per kernel node.
     pub fn push_stage<K: CsrRows>(&mut self, kernel: &K, cfg: &PprConfig, eps: f64) {
         self.stages += 1;
+        let n = kernel.num_nodes();
+        assert!(
+            [
+                self.estimates.len(),
+                self.residuals.len(),
+                self.touch_epoch.len()
+            ] == [n; 3],
+            "workspace holds {} nodes, kernel {n}",
+            self.touch_epoch.len()
+        );
         // Slices and locals rather than `self.field` accesses: the undo
         // log's growth path is an opaque call, after which every field read
         // through `self` would be reloaded on each scattered entry.
@@ -263,25 +288,31 @@ impl PushWorkspace {
         let mut drained = self.drained;
         loop {
             let pushes_before = pushes;
-            let mut k = 0;
-            while k < undo.len() {
-                let u = undo[k].node;
-                k += 1;
-                let ui = u as usize;
-                let r = residuals[ui];
-                if r.abs() <= eps {
-                    continue;
-                }
-                residuals[ui] = 0.0;
-                drained += r.abs();
-                estimates[ui] += cfg.alpha * r;
-                pushes += 1;
-                let spread = (1.0 - cfg.alpha) * r;
-                let (dsts, probs) = kernel.forward_row(NodeId(u));
-                for (&v, &p) in dsts.iter().zip(probs) {
-                    let vi = v as usize;
-                    touch(undo, touch_epoch, epoch, vi, estimates, residuals);
-                    residuals[vi] += spread * p;
+            if undo.len() == n {
+                let mut sweep = Sweep::new(kernel, cfg, estimates, residuals, pushes, drained);
+                sweep.forward(eps, undo.iter().map(|e| e.node));
+                (pushes, drained) = (sweep.pushes, sweep.drained);
+            } else {
+                let mut k = 0;
+                while k < undo.len() {
+                    let u = undo[k].node;
+                    k += 1;
+                    let ui = u as usize;
+                    let r = residuals[ui];
+                    if r.abs() <= eps {
+                        continue;
+                    }
+                    residuals[ui] = 0.0;
+                    drained += r.abs();
+                    estimates[ui] += cfg.alpha * r;
+                    pushes += 1;
+                    let spread = (1.0 - cfg.alpha) * r;
+                    let (dsts, probs) = kernel.forward_row(NodeId(u));
+                    for (&v, &p) in dsts.iter().zip(probs) {
+                        let vi = v as usize;
+                        touch(undo, touch_epoch, epoch, vi, estimates, residuals);
+                        residuals[vi] += spread * p;
+                    }
                 }
             }
             if pushes == pushes_before {

@@ -53,6 +53,8 @@ pub struct RequestEvent {
     /// those never reached a worker).
     pub stages: StageLatencies,
     pub session_cache_hit: Option<bool>,
+    /// Whether both columns an explain's context needs, `rec`'s and the
+    /// Why-Not item's, came from the column cache (explain requests only).
     pub column_cache_hit: Option<bool>,
     /// The scheduler's expected service cost at admission (µs) — what the
     /// fairness layer charges this job's user. `None` for feedback.

@@ -81,9 +81,9 @@ impl GraphEpoch {
     /// both shared structures in the `HeapSize` accounting convention —
     /// `UserArtifacts` and the caches deliberately exclude their `Arc`s
     /// to the kernel, so `graph_bytes + cache_bytes` never double counts.
-    /// The graph is counted whole, including the node records it shares
-    /// with other epochs, so two live epochs together report more than
-    /// they hold.
+    /// The graph is counted whole, including the node records and the type
+    /// registry it shares with other epochs, so two live epochs together
+    /// report more than they hold.
     pub fn graph_bytes(&self) -> u64 {
         use emigre_obs::HeapSize;
         (self.graph.heap_bytes() + self.kernel.heap_bytes()) as u64

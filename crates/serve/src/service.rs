@@ -983,8 +983,6 @@ fn session_artifacts_valid(snap: &GraphEpoch, user: NodeId, art: &UserArtifacts)
         && art.user_push.seed == user
         && art.user_push.estimates.len() == n
         && (art.rec.0 as usize) < n
-        && art.ppr_to_rec.target == art.rec
-        && art.ppr_to_rec.estimates.len() == n
 }
 
 /// Integrity check on a column-cache hit: the column must actually be
@@ -1104,12 +1102,15 @@ fn run_explain(
     let cb = obs.span("context_build");
     let (art, session_hit) =
         artifacts(shared, snap, user, obs).map_err(ServeError::InvalidQuestion)?;
-    // Full question validation before paying for the WNI column.
+    // Full question validation before paying for the columns.
     WhyNotQuestion::validate(&*snap.graph, &shared.cfg, user, wni, Some(art.rec))
         .map_err(ServeError::InvalidQuestion)?;
-    let (col, column_hit) = columns(shared, snap, &[wni], obs)
-        .pop()
-        .expect("one column per item");
+    // `rec`'s column and the Why-Not item's, looked up together and, on
+    // misses, pushed together.
+    let [(rec_col, rec_hit), (wni_col, wni_hit)]: [_; 2] =
+        columns(shared, snap, &[art.rec, wni], obs)
+            .try_into()
+            .expect("one column per item");
     // Lend the worker's workspace to the context; take it back afterwards.
     let ws = std::mem::replace(ws_slot, PushWorkspace::new(0));
     match ExplainContext::from_artifacts(
@@ -1117,7 +1118,7 @@ fn run_explain(
         shared.cfg.clone(),
         &art,
         wni,
-        col,
+        [rec_col, wni_col],
         ws,
         obs.clone(),
     ) {
@@ -1135,7 +1136,11 @@ fn run_explain(
             });
             let outcome = Explainer::explain_with_context(&ctx, method);
             *ws_slot = ctx.into_workspace();
-            Ok((Answer::Explain(outcome), session_hit, Some(column_hit)))
+            Ok((
+                Answer::Explain(outcome),
+                session_hit,
+                Some(rec_hit && wni_hit),
+            ))
         }
         // Unreachable after the validation above; the workspace was
         // consumed, but clear()/load_base() re-grow the placeholder.

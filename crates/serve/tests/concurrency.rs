@@ -7,7 +7,7 @@
 use emigre_core::{ExplainContext, Method};
 use emigre_data::pipeline::{AmazonHin, PreprocessConfig};
 use emigre_data::synth::{SynthConfig, SynthDataset};
-use emigre_hin::{Hin, NodeId};
+use emigre_hin::{GraphView, Hin, NodeId};
 use emigre_ppr::ReversePush;
 use emigre_serve::{
     reference_explain, reference_recommend, ExplanationService, ServeError, ServiceConfig,
@@ -329,14 +329,15 @@ fn caches_reuse_session_and_column_artifacts() {
         .ok();
 
     let m = service.metrics();
-    // One session build, reused twice; one column per distinct WNI, the
-    // repeat a hit.
+    // One session build, reused twice. Each explain looks up `rec`'s
+    // column and its Why-Not item's: one miss per distinct item (`rec`
+    // and two WNIs), every repeat a hit.
     assert_eq!(m.session_cache.misses, 1);
     assert_eq!(m.session_cache.hits, 2);
-    assert_eq!(m.column_cache.misses, 2);
-    assert_eq!(m.column_cache.hits, 1);
+    assert_eq!(m.column_cache.misses, 3);
+    assert_eq!(m.column_cache.hits, 3);
     assert_eq!(m.session_cache.len, 1);
-    assert_eq!(m.column_cache.len, 2);
+    assert_eq!(m.column_cache.len, 3);
 }
 
 #[test]
@@ -350,8 +351,8 @@ fn exhaustive_targets_reuse_cached_columns() {
         })
         .expect("the mix has explains");
     let method = Method::RemoveExhaustive;
-    // `rec`'s column rides in the session's artefacts, not the column
-    // cache; every other target is one column lookup.
+    // The context build looks up `rec`'s column and the Why-Not item's;
+    // every other target is one more column lookup.
     let other_targets = {
         let ctx = ExplainContext::build(&graph, cfg.clone(), user, wni).unwrap();
         ctx.targets().iter().filter(|&&t| t != ctx.rec).count() as u64
@@ -369,14 +370,14 @@ fn exhaustive_targets_reuse_cached_columns() {
     );
     let first = service.explain(user, wni, method).unwrap();
     let m1 = service.metrics();
-    // One miss for the WNI, one per target other than `rec`.
-    assert_eq!(m1.column_cache.misses, 1 + other_targets);
+    // One miss each for `rec` and the WNI, one per other target.
+    assert_eq!(m1.column_cache.misses, 2 + other_targets);
     assert_eq!(m1.column_cache.hits, 0);
 
     let second = service.explain(user, wni, method).unwrap();
     let m2 = service.metrics();
     assert_eq!(m2.column_cache.misses, m1.column_cache.misses);
-    assert_eq!(m2.column_cache.hits, 1 + other_targets);
+    assert_eq!(m2.column_cache.hits, 2 + other_targets);
     assert_eq!(
         m2.ops.reverse_pushes, m1.ops.reverse_pushes,
         "the repeat reads every column from the cache"
@@ -396,20 +397,16 @@ fn a_two_entry_cache_looks_up_each_asked_column_once() {
         })
         .expect("the mix has explains");
     let method = Method::RemoveExhaustive;
-    // The items an explain asks the column cache for: the Why-Not item
-    // at context build, then every target but `rec` in one call. Its
-    // reverse pushes are one lone push per asked item plus `rec`'s, which
-    // the session build pushes.
+    // The items an explain asks the column cache for: `rec` and the
+    // Why-Not item at context build, then every other target in one call.
+    // Its reverse pushes are one lone push per asked item.
     let (asked, lone_pushes) = {
         let ctx = ExplainContext::build(&graph, cfg.clone(), user, wni).unwrap();
-        let asked: Vec<NodeId> = std::iter::once(wni)
+        let asked: Vec<NodeId> = [ctx.rec, wni]
+            .into_iter()
             .chain(ctx.targets().into_iter().filter(|&t| t != ctx.rec))
             .collect();
-        let pushes: u64 = asked
-            .iter()
-            .chain(std::iter::once(&ctx.rec))
-            .map(|&t| ReversePush::compute(&*ctx.kernel, &cfg.rec.ppr, t).pushes as u64)
-            .sum();
+        let pushes: u64 = asked.iter().map(|&t| lone_pushes(&ctx, t)).sum();
         (asked.len() as u64, pushes)
     };
     assert!(
@@ -444,6 +441,84 @@ fn a_two_entry_cache_looks_up_each_asked_column_once() {
         "one lookup per asked item"
     );
     assert_eq!(second, reference);
+}
+
+/// The pushes of a lone `PPR(·, t)` on the context's kernel.
+fn lone_pushes<G: GraphView>(ctx: &ExplainContext<'_, G>, t: NodeId) -> u64 {
+    ReversePush::compute(&*ctx.kernel, &ctx.cfg.rec.ppr, t).pushes as u64
+}
+
+/// A service whose session and column caches hold two entries each.
+fn two_entry_service(graph: Hin, cfg: emigre_core::EmigreConfig) -> ExplanationService {
+    ExplanationService::start(
+        graph,
+        cfg,
+        ServiceConfig {
+            workers: 1,
+            session_capacity: 2,
+            column_capacity: 2,
+            ..ServiceConfig::default()
+        },
+    )
+}
+
+#[test]
+fn recommend_pushes_no_column() {
+    let (graph, cfg, users) = test_world();
+    let user = users[0];
+    let reference = reference_recommend(&graph, &cfg, user, 5).unwrap();
+    let service = two_entry_service(graph, cfg);
+    assert_eq!(service.recommend(user, 5).unwrap(), reference);
+    let m = service.metrics();
+    assert!(
+        m.ops.forward_pushes > 0,
+        "the cold read pushed from the user"
+    );
+    assert_eq!(m.ops.reverse_pushes, 0);
+    assert_eq!(m.column_cache.hits + m.column_cache.misses, 0);
+}
+
+#[test]
+fn rec_columns_are_cached_per_item_and_shared_across_users() {
+    let (graph, cfg, _) = test_world();
+    // Two users whose lists share `rec` but not their second item, each
+    // asking about that second item.
+    let user_t = graph.registry().find_node_type("user").unwrap();
+    let mut questions = graph.nodes_of_type(user_t).into_iter().filter_map(|user| {
+        let list = reference_recommend(&graph, &cfg, user, 5).ok()?;
+        let (rec, wni) = (list.first()?.0, list.get(1)?.0);
+        let valid = reference_explain(&graph, &cfg, user, wni, Method::RemoveIncremental).is_ok();
+        valid.then_some((user, rec, wni))
+    });
+    let (user_a, rec, wni_a) = questions.next().expect("a user with a question");
+    let (user_b, _, wni_b) = questions
+        .find(|&(_, r, w)| r == rec && w != wni_a)
+        .expect("a second user with the same rec");
+    let method = Method::RemoveIncremental;
+    let ctx = ExplainContext::build(&graph, cfg.clone(), user_a, wni_a).unwrap();
+    let (rec_pushes, a_pushes, b_pushes) = (
+        lone_pushes(&ctx, rec),
+        lone_pushes(&ctx, wni_a),
+        lone_pushes(&ctx, wni_b),
+    );
+    drop(ctx);
+    let reference_a = reference_explain(&graph, &cfg, user_a, wni_a, method).unwrap();
+    let reference_b = reference_explain(&graph, &cfg, user_b, wni_b, method).unwrap();
+
+    let service = two_entry_service(graph, cfg);
+    // A cold explain pushes `rec`'s column and the Why-Not item's, and no
+    // other: its CHECKs push forward only.
+    assert_eq!(service.explain(user_a, wni_a, method).unwrap(), reference_a);
+    let m1 = service.metrics();
+    assert_eq!(m1.ops.reverse_pushes, rec_pushes + a_pushes);
+    assert_eq!((m1.column_cache.hits, m1.column_cache.misses), (0, 2));
+
+    // Another user with the same `rec` finds its column in the cache.
+    assert_eq!(service.explain(user_b, wni_b, method).unwrap(), reference_b);
+    let m2 = service.metrics();
+    assert_eq!(m2.ops.reverse_pushes - m1.ops.reverse_pushes, b_pushes);
+    assert_eq!((m2.column_cache.hits, m2.column_cache.misses), (1, 3));
+    assert_eq!(m2.session_cache.misses, 2);
 }
 
 #[test]

@@ -271,8 +271,8 @@ fn tracked_builds_report_real_allocation_numbers() {
 }
 
 /// A feedback publish materialises its graph by copying the record
-/// pointers and only the records its edges touch; every other record is
-/// shared with the parent epoch. A deep clone of the graph, the cost
+/// pointers and only the records its edges touch; every other record and
+/// the type registry are shared with the parent epoch. A deep clone of the graph, the cost
 /// before records were shared, is over ten times this bound.
 #[cfg(feature = "heap-track")]
 #[test]
@@ -303,16 +303,13 @@ fn applying_one_mirrored_edge_allocates_only_its_touched_records() {
     let (bytes, count) = (scope.bytes() as usize, scope.count() as usize);
     assert!(next.has_edge(item, user, rated));
 
-    // The pointer array and the registry's copy, then per touched record
-    // its `Arc` block (counters and fields, under 256 bytes) and each of
-    // its two lists copied (len entries) and grown once for the new edge
-    // (max(2·len, 4) entries).
+    // The pointer array, then per touched record its `Arc` block (counters
+    // and fields, under 256 bytes) and each of its two lists copied (len
+    // entries) and grown once for the new edge (max(2·len, 4) entries).
+    // The type registry is shared, not copied.
     let edge = std::mem::size_of::<EdgeRecord>();
     let record = |n: NodeId| 256 + edge * (3 * (g.out_degree(n) + g.in_degree(n)) + 8);
-    let bound = g.num_nodes() * std::mem::size_of::<usize>()
-        + g.registry().heap_bytes()
-        + record(user)
-        + record(item);
+    let bound = g.num_nodes() * std::mem::size_of::<usize>() + record(user) + record(item);
     assert!(
         bytes > 0 && bytes <= bound,
         "allocated {bytes} B, bound {bound} B"
@@ -321,9 +318,7 @@ fn applying_one_mirrored_edge_allocates_only_its_touched_records() {
         bound * 10 < g.heap_bytes(),
         "bound {bound} B does not discriminate"
     );
-    // Allocations: the pointer array; the registry's two tables and one
-    // string per type name; per record its block, two list copies and two
-    // grows (ScaleGen nodes carry no label).
-    let names = g.registry().num_node_types() + g.registry().num_edge_types();
-    assert!(count <= 1 + 2 + names + 2 * 5, "{count} allocations");
+    // Allocations: the pointer array; per record its block, two list
+    // copies and two grows (ScaleGen nodes carry no label).
+    assert!(count <= 1 + 2 * 5, "{count} allocations");
 }

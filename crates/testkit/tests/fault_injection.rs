@@ -380,16 +380,22 @@ fn poisoned_cache_entries_are_quarantined_not_served() {
     bad_art.user = NodeId(user.0 ^ 1);
     service.poison_session_for_test(user, Arc::new(bad_art));
 
-    // Poison the column cache: a reverse push on the wrong target under
-    // the WNI's key.
+    // Poison the column cache: reverse pushes on the wrong target under
+    // the keys of the WNI and of `rec`, the two columns every explain's
+    // context reads.
+    let rec = ExplainContext::build(&world.graph, world.cfg.clone(), user, wni)
+        .expect("the question is valid")
+        .rec;
     let wrong_target = world
         .items
         .iter()
         .copied()
-        .find(|&i| i != wni)
+        .find(|&i| i != wni && i != rec)
         .expect("worlds have several items");
     let bad_col = ReversePush::compute(&*service.kernel(), &service.config().rec.ppr, wrong_target);
     service.poison_column_for_test(wni, Arc::new(bad_col));
+    let bad_col = ReversePush::compute(&*service.kernel(), &service.config().rec.ppr, wni);
+    service.poison_column_for_test(rec, Arc::new(bad_col));
 
     // Served answers after poisoning: detected, quarantined, rebuilt —
     // and still equal to the healthy answer and the reference.
@@ -409,14 +415,14 @@ fn poisoned_cache_entries_are_quarantined_not_served() {
     );
 
     let m = service.metrics();
-    assert!(
-        m.cache_poison_detected >= 2,
-        "both poisoned entries were detected: {m:?}"
+    assert_eq!(
+        m.cache_poison_detected, 3,
+        "the poisoned session and both poisoned columns were detected: {m:?}"
     );
 
     // Poison a column only Exhaustive Comparison reads: a push on the
-    // wrong target under the key of a target other than `rec` (whose
-    // column rides in the session) and the Why-Not item.
+    // wrong target under the key of a target other than `rec` and the
+    // Why-Not item.
     let (user, wni, target) = viable_questions(&world, usize::MAX)
         .into_iter()
         .find_map(|(user, wni)| {
@@ -437,7 +443,7 @@ fn poisoned_cache_entries_are_quarantined_not_served() {
     let m = service.metrics();
     assert_eq!(m.worker_panics, 0);
     assert_eq!(
-        m.cache_poison_detected, 3,
+        m.cache_poison_detected, 4,
         "the poisoned target column was detected: {m:?}"
     );
     accounting_holds(&service);
